@@ -1,78 +1,19 @@
-//! End-to-end engine throughput: rounds/second on the paper's 100-server /
-//! 10-dispatcher cluster at 0.99 offered load, comparing the allocation-free
-//! engine against a faithful reimplementation of the pre-refactor round loop.
+//! End-to-end engine throughput in absolute terms: rounds/second (and
+//! µs/round) of SCD and the baselines on the paper's 100-server /
+//! 10-dispatcher cluster at 0.99 offered load, plus SCD on a 4-way sharded
+//! split of the same system and on a 10⁴-server two-class cluster.
 //!
-//! Run with `cargo bench --bench engine_throughput`. Writes the measurements
-//! to `BENCH_engine.json` at the workspace root so future PRs can compare
-//! against a recorded baseline (see `crates/bench/README.md` for the
-//! methodology).
-//!
-//! The baseline reproduces the engine as it existed before the
-//! allocation-free refactor, using only public APIs:
-//!
-//! * the queue-length snapshot is **cloned** every round;
-//! * arrivals fill a **fresh `Vec<u64>`** every round, each drawn with the
-//!   **O(λ) Knuth multiplication** Poisson sampler (the pre-refactor
-//!   implementation; the refactor replaced it with inverted-CDF tables);
-//! * service capacities recompute **`ln(1-p)` on every geometric draw**
-//!   (now precomputed per server);
-//! * every dispatch goes through the allocating `dispatch_batch` entry point
-//!   and materializes a **fresh `Vec<ServerId>`**;
-//! * per-server queues hold **one `VecDeque` entry per job**, and response
-//!   times are recorded **one histogram update per job** (now run-length
-//!   encoded segments + one bulk update per segment);
-//! * queue statistics are observed with the same tracker the modern engine
-//!   uses, on a cloned snapshot;
-//! * JSQ and SED pick every job by the **`O(n)`-per-job reservoir-sampling
-//!   argmin scan** (the pre-indexed-queue-view dispatch loop; the current
-//!   policies answer each pick from a tournament tree in `O(log n)` after an
-//!   `O(n)` per-batch rebuild);
-//! * destination sampling draws **two RNG values per job** (`gen_range` +
-//!   `gen::<f64>()`; the current alias sampler splits a single `u64`);
-//! * stream seeds use the old `seed ^ TAG ^ (d << 32)` derivation.
-//!
-//! Both engines simulate exactly the same system (same cluster, load,
-//! distributions and metrics); they differ only in implementation.
-//!
-//! Baselines that are *not* the legacy loop:
-//!
-//! * the **SCD row** compares the delta-aware decision path (engine dirty
-//!   sets, warm-started verified solver, in-memo alias tables, sorted
-//!   dispatch order) against the **PR 4 cold-solve path** reconstructed on
-//!   the modern engine (`with_delta_rounds(false)` + `cold_solve()`); the
-//!   two paths are bit-identical in decisions, so this is a same-trajectory
-//!   comparison;
-//! * the **LSQ / LED rows** compare the warm-tree dispatch path (one
-//!   tournament per policy instance across rounds, dirty-key repair) against
-//!   the PR 2 per-batch-rebuild path on the *modern* engine — the two paths
-//!   consume the RNG differently (per-epoch vs per-batch priorities), so the
-//!   comparison is same-workload, not same-trajectory;
-//! * the **SWEEP row** runs a grid of many small simulation cells through
-//!   `fan_out` and compares the persistent worker pool against the previous
-//!   per-call scoped-thread implementation (`fan_out_scoped`), which is the
-//!   workload where thread-startup costs dominate;
-//! * the **SHARD row** runs the bench system on the sharded round engine,
-//!   comparing a single shard (bit-identical to the unsharded engine) against
-//!   a 4-way split of both servers and dispatchers executed on the worker
-//!   pool. The split wins even on a single core because per-round costs are
-//!   superlinear in `n` and `m` (solver and tree work shrink per shard);
-//!   real multi-core hardware adds parallel speedup on top.
+//! Run with `cargo bench --bench engine_throughput`. Appends the measurements
+//! to the run history in `BENCH_engine.json` at the workspace root; a run is
+//! read against the previous recorded run, never against a live baseline
+//! engine (see `crates/bench/README.md` for the methodology).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rand_distr::Poisson;
+use rand::SeedableRng;
 use scd_core::policy::ScdFactory;
-use scd_metrics::{QueueLengthTracker, ResponseTimeHistogram};
-use scd_model::policy::validate_assignment;
-use scd_model::{
-    BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId, PolicyFactory,
-    RateProfile, ServerId,
-};
+use scd_model::{ClusterSpec, PolicyFactory, RateProfile};
 use scd_policies::{JsqFactory, LedFactory, LsqFactory, SedFactory, WeightedRandomFactory};
-use scd_sim::{
-    fan_out, fan_out_scoped, ArrivalSpec, ServiceModel, ShardedSimulation, SimConfig, Simulation,
-};
-use std::collections::VecDeque;
+use scd_sim::{ArrivalSpec, ShardedSimulation, SimConfig, Simulation};
 use std::time::Instant;
 
 const SERVERS: usize = 100;
@@ -80,15 +21,12 @@ const DISPATCHERS: usize = 10;
 const OFFERED_LOAD: f64 = 0.99;
 const ROUNDS: u64 = 2_000;
 const SEED: u64 = 7;
-/// Identifies this bench definition's run in the recorded history; bump it
-/// when the baseline or the optimized engine changes meaning, so earlier
-/// recordings stay auditable.
-const RUN_LABEL: &str =
-    "PR 9: mean-field scale (SCD@10K row: class-compressed sampler + grouped trimming vs the \
-     dense per-server fill/normalize/alias chain on a 10^4-server bimodal cluster; the PR 5 \
-     rows re-measured on the refactored solver core)";
-/// Interleaved measurement pairs per policy; `CRITERION_QUICK=1` drops to a
-/// single pair (CI smoke test).
+/// Identifies this bench definition's run in the recorded history; change
+/// it when a row changes meaning, so earlier recordings stay auditable.
+const RUN_LABEL: &str = "absolute rounds/s per policy on the paper cell, SCD sharded k=4, \
+                         SCD on a 10^4-server two-class cluster (no live baselines)";
+/// Timed runs per row; `CRITERION_QUICK=1` drops to a single run (CI smoke
+/// test).
 fn repetitions() -> usize {
     if std::env::var_os("CRITERION_QUICK").is_some() {
         1
@@ -102,357 +40,36 @@ fn bench_config() -> SimConfig {
     let spec = RateProfile::paper_moderate()
         .materialize(SERVERS, &mut cluster_rng)
         .expect("valid profile");
-    SimConfig {
-        spec,
-        num_dispatchers: DISPATCHERS,
-        rounds: ROUNDS,
-        warmup_rounds: 0,
-        seed: SEED,
-        arrivals: ArrivalSpec::PoissonOfferedLoad {
+    SimConfig::builder(spec)
+        .dispatchers(DISPATCHERS)
+        .rounds(ROUNDS)
+        .warmup_rounds(0)
+        .seed(SEED)
+        .arrivals(ArrivalSpec::PoissonOfferedLoad {
             offered_load: OFFERED_LOAD,
-        },
-        services: ServiceModel::Geometric,
-        measure_decision_times: false,
-        histogram_metrics: false,
-        scenario: scd_sim::ScenarioSpec::default(),
-        workload: scd_sim::WorkloadSpec::default(),
-    }
-}
-
-/// The pre-indexed-queue-view JSQ/SED dispatch loop: one `O(n)` argmin scan
-/// with reservoir-sampled tie-breaking per job, over a local queue copy.
-struct LegacyArgminPolicy {
-    /// Rank servers by expected delay `(q+1)/µ` (SED) instead of queue
-    /// length (JSQ).
-    expected_delay: bool,
-    local: Vec<u64>,
-}
-
-impl DispatchPolicy for LegacyArgminPolicy {
-    fn policy_name(&self) -> &str {
-        if self.expected_delay {
-            "SED(legacy)"
-        } else {
-            "JSQ(legacy)"
-        }
-    }
-
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<ServerId> {
-        use rand::Rng;
-        self.local.clear();
-        self.local.extend_from_slice(ctx.queue_lengths());
-        let rates = ctx.rates();
-        let n = self.local.len();
-        let mut out = Vec::with_capacity(batch);
-        for _ in 0..batch {
-            // Inline argmin with reservoir-sampling tie-breaks — the exact
-            // shape of the PR 1 `argmin_random_ties` dispatch loop.
-            let score = |q: u64, s: usize| {
-                if self.expected_delay {
-                    (q as f64 + 1.0) / rates[s]
-                } else {
-                    q as f64
-                }
-            };
-            let mut best = 0usize;
-            let mut best_score = score(self.local[0], 0);
-            let mut ties = 1u32;
-            for s in 1..n {
-                let value = score(self.local[s], s);
-                if value < best_score {
-                    best = s;
-                    best_score = value;
-                    ties = 1;
-                } else if value == best_score {
-                    ties += 1;
-                    if rng.gen_range(0..ties) == 0 {
-                        best = s;
-                    }
-                }
-            }
-            self.local[best] += 1;
-            out.push(ServerId::new(best));
-        }
-        out
-    }
-}
-
-struct LegacyArgminFactory {
-    expected_delay: bool,
-}
-
-impl PolicyFactory for LegacyArgminFactory {
-    fn name(&self) -> &str {
-        if self.expected_delay {
-            "SED(legacy)"
-        } else {
-            "JSQ(legacy)"
-        }
-    }
-    fn build(&self, _dispatcher: DispatcherId, _spec: &ClusterSpec) -> BoxedPolicy {
-        Box::new(LegacyArgminPolicy {
-            expected_delay: self.expected_delay,
-            local: Vec::new(),
         })
-    }
+        .build()
+        .expect("valid configuration")
 }
 
-/// Faithful reimplementation of the pre-refactor round loop (see the module
-/// docs for the list of per-round costs it deliberately keeps). It collects
-/// the same statistics the real engine does — queue tracker, response-time
-/// histogram, dispatch/completion counters — so the comparison isolates the
-/// implementation, not the workload.
-fn run_legacy_engine(config: &SimConfig, factory: &dyn PolicyFactory) -> u64 {
-    const ARRIVAL_STREAM_TAG: u64 = 0x41_52_52_49_56_41_4C_53;
-    const SERVICE_STREAM_TAG: u64 = 0x53_45_52_56_49_43_45_53;
-    const POLICY_STREAM_TAG: u64 = 0x50_4F_4C_49_43_59_00_00;
-
-    let spec = &config.spec;
-    let n = spec.num_servers();
-    let m = config.num_dispatchers;
-    let rates = spec.rates();
-
-    let mut arrival_rng = StdRng::seed_from_u64(config.seed ^ ARRIVAL_STREAM_TAG);
-    let mut service_rng = StdRng::seed_from_u64(config.seed ^ SERVICE_STREAM_TAG);
-    let mut policy_rngs: Vec<StdRng> = (0..m)
-        .map(|d| StdRng::seed_from_u64(config.seed ^ POLICY_STREAM_TAG ^ ((d as u64) << 32)))
-        .collect();
-
-    // Pre-refactor samplers: O(λ) Knuth Poisson per dispatcher per round,
-    // geometric draws recomputing ln(1-p) every time.
-    let lambdas = config
-        .arrivals
-        .per_dispatcher_rates(m, spec.total_rate())
-        .expect("benchmark arrival spec is valid");
-    let arrival_dists: Vec<Option<Poisson>> = lambdas
-        .iter()
-        .map(|&l| (l > 0.0).then(|| Poisson::new(l).expect("positive rate")))
-        .collect();
-    let legacy_geometric = |mu: f64, rng: &mut StdRng| -> u64 {
-        let p = 1.0 / (1.0 + mu);
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        let draws = (u.ln() / (1.0 - p).ln()).floor();
-        if draws < 0.0 {
-            0
-        } else {
-            draws as u64
-        }
-    };
-
-    let mut policies: Vec<_> = (0..m)
-        .map(|d| factory.build(DispatcherId::new(d), spec))
-        .collect();
-
-    let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
-    let mut queue_lengths: Vec<u64> = vec![0; n];
-    let mut response_times = ResponseTimeHistogram::new();
-    let mut tracker = QueueLengthTracker::new(n);
-    let mut jobs_dispatched = 0u64;
-    let mut jobs_completed = 0u64;
-    let warmup = config.warmup_rounds;
-
-    for round in 0..config.rounds {
-        let measured_round = round >= warmup;
-        let snapshot = queue_lengths.clone();
-        if measured_round {
-            tracker.observe(&snapshot);
-        }
-        let ctx = DispatchContext::new(&snapshot, rates, m, round);
-
-        let arrivals: Vec<u64> = arrival_dists
-            .iter()
-            .map(|dist| {
-                dist.as_ref()
-                    .map_or(0, |dist| dist.sample_knuth(&mut arrival_rng) as u64)
-            })
-            .collect();
-
-        for d in 0..m {
-            policies[d].observe_round(&ctx, &mut policy_rngs[d]);
-        }
-        for d in 0..m {
-            let batch = arrivals[d] as usize;
-            if batch == 0 {
-                continue;
-            }
-            let assignment = policies[d].dispatch_batch(&ctx, batch, &mut policy_rngs[d]);
-            validate_assignment(&assignment, batch, n).expect("policies are well-behaved");
-            for server in assignment {
-                queues[server.index()].push_back(round);
-                queue_lengths[server.index()] += 1;
-            }
-            if measured_round {
-                jobs_dispatched += batch as u64;
-            }
-        }
-
-        for s in 0..n {
-            let capacity = legacy_geometric(rates[s], &mut service_rng);
-            let completions = capacity.min(queue_lengths[s]);
-            for _ in 0..completions {
-                let arrival_round = queues[s].pop_front().expect("bookkeeping is consistent");
-                queue_lengths[s] -= 1;
-                if arrival_round >= warmup {
-                    response_times.record(round - arrival_round + 1);
-                    jobs_completed += 1;
-                }
-            }
-        }
-    }
-    std::hint::black_box(jobs_dispatched);
-    std::hint::black_box(tracker.mean_total_backlog());
-    std::hint::black_box(response_times.count());
-    jobs_completed
-}
-
-/// Best-of-N rounds/second for a pair of closures that each simulate
-/// `total_rounds` rounds. The two candidates are measured in strict
-/// alternation (A, B, A, B, ...) so that drifting machine load hits both
-/// equally; the minimum elapsed time per candidate estimates its unloaded
-/// cost.
-fn measure_pair(
-    total_rounds: u64,
-    mut baseline: impl FnMut() -> u64,
-    mut optimized: impl FnMut() -> u64,
-) -> (f64, f64) {
-    // One untimed warm-up run each.
-    let mut checksum = baseline();
-    checksum = checksum.wrapping_add(optimized());
-    let mut best_baseline = f64::INFINITY;
-    let mut best_optimized = f64::INFINITY;
+/// Best-of-N rounds/second of `run`, which simulates `rounds` rounds and
+/// returns a checksum. One untimed warm-up run first; the minimum elapsed
+/// time estimates the unloaded cost on a time-shared machine.
+fn best_rate(rounds: u64, mut run: impl FnMut() -> u64) -> f64 {
+    let mut checksum = run();
+    let mut best = f64::INFINITY;
     for _ in 0..repetitions() {
         let start = Instant::now();
-        checksum = checksum.wrapping_add(baseline());
-        best_baseline = best_baseline.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        checksum = checksum.wrapping_add(optimized());
-        best_optimized = best_optimized.min(start.elapsed().as_secs_f64());
+        checksum = checksum.wrapping_add(run());
+        best = best.min(start.elapsed().as_secs_f64());
     }
     std::hint::black_box(checksum);
-    (
-        total_rounds as f64 / best_baseline,
-        total_rounds as f64 / best_optimized,
-    )
+    rounds as f64 / best
 }
 
-struct PolicyResult {
-    policy: &'static str,
-    baseline: f64,
-    optimized: f64,
-}
-
-/// Which engine runs a row's baseline factory.
-enum BaselineEngine {
-    /// The faithful pre-refactor round loop (`run_legacy_engine`).
-    LegacyLoop,
-    /// The modern engine — used where the baseline is a *policy path* (the
-    /// PR 2 per-batch-rebuild LSQ/LED), not an engine generation.
-    Modern,
-    /// The modern engine with round-to-round delta tracking disabled — the
-    /// PR 4-faithful round loop (full cache refresh, no dirty sets). Used
-    /// where the baseline is the PR 4 cold-solve decision path.
-    ModernNoDeltas,
-}
-
-/// The SWEEP row's grid: `SWEEP_REPEATS` consecutive fan-outs over
-/// `SWEEP_CELLS` small simulations of `SWEEP_CELL_ROUNDS` rounds each —
-/// the many-small-cells shape where per-call thread startup dominates the
-/// scoped implementation.
-const SWEEP_CELLS: usize = 12;
-const SWEEP_CELL_ROUNDS: u64 = 30;
-const SWEEP_REPEATS: usize = 60;
-const SWEEP_THREADS: usize = 4;
-
-fn sweep_cell_config(cell: usize) -> SimConfig {
-    let mut cluster_rng = StdRng::seed_from_u64(SEED ^ cell as u64);
-    let spec = RateProfile::paper_moderate()
-        .materialize(20, &mut cluster_rng)
-        .expect("valid profile");
-    SimConfig {
-        spec,
-        num_dispatchers: 4,
-        rounds: SWEEP_CELL_ROUNDS,
-        warmup_rounds: 0,
-        seed: SEED.wrapping_add(cell as u64),
-        arrivals: ArrivalSpec::PoissonOfferedLoad {
-            offered_load: OFFERED_LOAD,
-        },
-        services: ServiceModel::Geometric,
-        measure_decision_times: false,
-        histogram_metrics: false,
-        scenario: scd_sim::ScenarioSpec::default(),
-        workload: scd_sim::WorkloadSpec::default(),
-    }
-}
-
-/// One SWEEP measurement: repeated small fan-outs, pooled or scoped.
-fn run_sweep(pooled: bool) -> u64 {
-    let configs: Vec<SimConfig> = (0..SWEEP_CELLS).map(sweep_cell_config).collect();
-    let factory = JsqFactory::new();
-    let worker = |cell: usize| {
-        Simulation::new(configs[cell].clone())
-            .expect("valid configuration")
-            .run(&factory)
-            .expect("clean run")
-            .jobs_completed
-    };
-    let mut checksum = 0u64;
-    for _ in 0..SWEEP_REPEATS {
-        let outputs = if pooled {
-            fan_out(SWEEP_CELLS, SWEEP_THREADS, worker)
-        } else {
-            fan_out_scoped(SWEEP_CELLS, SWEEP_THREADS, worker)
-        };
-        checksum = checksum.wrapping_add(outputs.iter().sum::<u64>());
-    }
-    checksum
-}
-
-/// The IWL row's trajectory: `IWL_ROUNDS` rounds, each mutating
-/// `IWL_DIRTY_PER_ROUND` of the `SERVERS` queues (an engine-style dirty
-/// set), re-deriving the sorted-by-load order either cold (full sort) or
-/// incrementally (`LoadOrder::repair`), then running Algorithm 3 proper
-/// over it.
-const IWL_ROUNDS: u64 = 40_000;
-const IWL_DIRTY_PER_ROUND: usize = 6;
-
-fn run_iwl_bench(incremental: bool) -> u64 {
-    use scd_core::iwl::{compute_iwl_with_order, sorted_by_load_into, LoadOrder};
-    let mut cluster_rng = StdRng::seed_from_u64(SEED);
-    let spec = RateProfile::paper_moderate()
-        .materialize(SERVERS, &mut cluster_rng)
-        .expect("valid profile");
-    let rates = spec.rates().to_vec();
-    let mut queues: Vec<u64> = (0..SERVERS as u64).map(|s| (s * 7) % 20).collect();
-    let mut drift_rng = StdRng::seed_from_u64(SEED ^ 0x1D1);
-    let mut order = LoadOrder::new();
-    order.rebuild(&queues, &rates);
-    let mut scratch: Vec<usize> = Vec::new();
-    let mut dirty: Vec<u32> = Vec::new();
-    let mut checksum = 0u64;
-    for round in 0..IWL_ROUNDS {
-        dirty.clear();
-        for _ in 0..IWL_DIRTY_PER_ROUND {
-            let s = drift_rng.gen_range(0..SERVERS);
-            queues[s] = drift_rng.gen_range(0..25u64);
-            dirty.push(s as u32);
-        }
-        let arrivals = (round % 50) as f64;
-        let iwl = if incremental {
-            order.repair(&queues, &rates, &dirty);
-            compute_iwl_with_order(&queues, &rates, arrivals, order.order())
-        } else {
-            sorted_by_load_into(&queues, &rates, &mut scratch);
-            compute_iwl_with_order(&queues, &rates, arrivals, &scratch)
-        };
-        checksum = checksum.wrapping_add(iwl.to_bits());
-    }
-    checksum
+struct Row {
+    name: &'static str,
+    rounds_per_sec: f64,
 }
 
 fn main() {
@@ -462,241 +79,100 @@ fn main() {
          {ROUNDS} rounds, best of {}",
         repetitions()
     );
+    let mut rows: Vec<Row> = Vec::new();
+    let mut record = |name: &'static str, rounds_per_sec: f64, note: &str| {
+        println!(
+            "  {name:<8} {rounds_per_sec:>12.0} rounds/s | {:>10.2} us/round{note}",
+            1e6 / rounds_per_sec
+        );
+        rows.push(Row {
+            name,
+            rounds_per_sec,
+        });
+    };
 
-    let mut results: Vec<PolicyResult> = Vec::new();
-
-    type Pair = (
-        &'static str,
-        Box<dyn PolicyFactory>,
-        Box<dyn PolicyFactory>,
-        BaselineEngine,
-    );
-    let pairs: Vec<Pair> = vec![
-        (
-            // The PR 5 headline row: warm-started (verified) solver + engine
-            // dirty sets against the PR 4 cold-solve path on the modern
-            // engine (deltas off, cold trimming every solve).
-            "SCD",
-            Box::new(ScdFactory::new().cold_solve()),
-            Box::new(ScdFactory::new()),
-            BaselineEngine::ModernNoDeltas,
-        ),
-        (
-            "JSQ",
-            Box::new(LegacyArgminFactory {
-                expected_delay: false,
-            }),
-            Box::new(JsqFactory::new()),
-            BaselineEngine::LegacyLoop,
-        ),
-        (
-            "SED",
-            Box::new(LegacyArgminFactory {
-                expected_delay: true,
-            }),
-            Box::new(SedFactory::new()),
-            BaselineEngine::LegacyLoop,
-        ),
-        (
-            "LSQ",
-            Box::new(LsqFactory::new().per_batch_rebuild()),
-            Box::new(LsqFactory::new()),
-            BaselineEngine::Modern,
-        ),
-        (
-            "LED",
-            Box::new(LedFactory::new().per_batch_rebuild()),
-            Box::new(LedFactory::new()),
-            BaselineEngine::Modern,
-        ),
-        (
-            "WR",
-            Box::new(WeightedRandomFactory::new()),
-            Box::new(WeightedRandomFactory::new()),
-            BaselineEngine::LegacyLoop,
-        ),
+    let simulation = Simulation::new(config.clone()).expect("valid configuration");
+    let policies: Vec<(&'static str, Box<dyn PolicyFactory>)> = vec![
+        ("SCD", Box::new(ScdFactory::new())),
+        ("JSQ", Box::new(JsqFactory::new())),
+        ("SED", Box::new(SedFactory::new())),
+        ("LSQ", Box::new(LsqFactory::new())),
+        ("LED", Box::new(LedFactory::new())),
+        ("WR", Box::new(WeightedRandomFactory::new())),
     ];
-
-    for (policy, baseline_factory, optimized_factory, baseline_engine) in pairs {
-        let simulation = Simulation::new(config.clone()).expect("valid configuration");
-        let no_delta_simulation = Simulation::new(config.clone())
-            .expect("valid configuration")
-            .with_delta_rounds(false);
-        let run_baseline = || match baseline_engine {
-            BaselineEngine::LegacyLoop => run_legacy_engine(&config, baseline_factory.as_ref()),
-            BaselineEngine::Modern => {
-                simulation
-                    .run(baseline_factory.as_ref())
-                    .expect("clean run")
-                    .jobs_completed
-            }
-            BaselineEngine::ModernNoDeltas => {
-                no_delta_simulation
-                    .run(baseline_factory.as_ref())
-                    .expect("clean run")
-                    .jobs_completed
-            }
-        };
-        let (baseline, optimized) = measure_pair(ROUNDS, run_baseline, || {
+    for (name, factory) in &policies {
+        let rate = best_rate(ROUNDS, || {
             simulation
-                .run(optimized_factory.as_ref())
+                .run(factory.as_ref())
                 .expect("clean run")
                 .jobs_completed
         });
-        println!(
-            "  {policy:<5} baseline {baseline:>12.0} rounds/s | optimized {optimized:>12.0} \
-             rounds/s | speedup {:.2}x",
-            optimized / baseline
-        );
-        results.push(PolicyResult {
-            policy,
-            baseline,
-            optimized,
-        });
+        record(name, rate, "");
     }
 
-    // The many-small-cells sweep: scoped threads (baseline) vs the
-    // persistent pool (optimized), identical outputs.
-    let sweep_rounds = (SWEEP_CELLS * SWEEP_REPEATS) as u64 * SWEEP_CELL_ROUNDS;
-    let (baseline, optimized) = measure_pair(sweep_rounds, || run_sweep(false), || run_sweep(true));
-    println!(
-        "  SWEEP baseline {baseline:>12.0} rounds/s | optimized {optimized:>12.0} rounds/s | \
-         speedup {:.2}x  ({SWEEP_REPEATS}x{SWEEP_CELLS} cells, {SWEEP_CELL_ROUNDS} rounds, \
-         {SWEEP_THREADS} threads)",
-        optimized / baseline
-    );
-    results.push(PolicyResult {
-        policy: "SWEEP",
-        baseline,
-        optimized,
-    });
-
-    // The incremental load order: per-round full sort (allocation-free
-    // `sorted_by_load_into`) vs `LoadOrder::repair` over the engine-style
-    // dirty set, on identical drifting queue trajectories; both paths feed
-    // Algorithm 3 proper and must produce identical IWL bits.
-    let (baseline, optimized) =
-        measure_pair(IWL_ROUNDS, || run_iwl_bench(false), || run_iwl_bench(true));
-    println!(
-        "  IWL   baseline {baseline:>12.0} rounds/s | optimized {optimized:>12.0} rounds/s | \
-         speedup {:.2}x  (full sort vs dirty-set repair, {IWL_DIRTY_PER_ROUND} dirty of \
-         {SERVERS} per round)",
-        optimized / baseline
-    );
-    results.push(PolicyResult {
-        policy: "IWL",
-        baseline,
-        optimized,
-    });
-
-    // The sharded engine: one shard (bit-identical to the unsharded round
-    // loop, run sequentially) vs a 4-way striped split of servers and
-    // dispatchers fanned out on the worker pool.
+    // The sharded engine: the same system split 4 ways (servers and
+    // dispatchers striped), shards fanned out over 4 threads.
     const SHARDS: usize = 4;
-    let single = ShardedSimulation::new(config.clone(), 1).expect("valid configuration");
-    let split = ShardedSimulation::new(config.clone(), SHARDS).expect("valid configuration");
-    let shard_factory = ScdFactory::new();
-    let (baseline, optimized) = measure_pair(
-        ROUNDS,
-        || {
-            single
-                .run(&shard_factory)
-                .expect("clean run")
-                .jobs_completed
-        },
-        || {
-            split
-                .run_parallel(&shard_factory, SHARDS)
-                .expect("clean run")
-                .jobs_completed
-        },
-    );
-    println!(
-        "  SHARD baseline {baseline:>12.0} rounds/s | optimized {optimized:>12.0} rounds/s | \
-         speedup {:.2}x  (k=1 sequential vs k={SHARDS} on the pool, SCD)",
-        optimized / baseline
-    );
-    results.push(PolicyResult {
-        policy: "SHARD",
-        baseline,
-        optimized,
+    let split = ShardedSimulation::new(config, SHARDS).expect("valid configuration");
+    let scd = ScdFactory::new();
+    let rate = best_rate(ROUNDS, || {
+        split
+            .run_parallel(&scd, SHARDS)
+            .expect("clean run")
+            .jobs_completed
     });
+    record("SHARD", rate, &format!("  (SCD, k={SHARDS})"));
 
-    // The mean-field scale row: SCD on a 10⁴-server **bimodal** cluster
-    // (two rate classes — the shape the class-compressed sampler targets;
-    // a continuous rate profile would make every server its own class and
-    // disable compression). Baseline is the dense per-server
-    // fill/normalize/alias dispatch chain (`classic_sampler`, the PR 8
-    // path); optimized is the default compressed kernel. Same engine, same
-    // grouped-trimming solver — the row isolates the sampler
-    // representation, which is the per-round O(n) → O(C) term at scale.
+    // Mean-field scale: SCD on a 10⁴-server **bimodal** cluster, the shape
+    // the class-compressed sampler targets (a continuous rate profile would
+    // make every server its own class and disable compression).
     const SCALE_SERVERS: usize = 10_000;
     const SCALE_ROUNDS: u64 = 200;
     let mut scale_rates = vec![1.0; SCALE_SERVERS / 2];
     scale_rates.resize(SCALE_SERVERS, 4.0);
-    let scale_config = SimConfig {
-        spec: ClusterSpec::from_rates(scale_rates).expect("valid rates"),
-        num_dispatchers: DISPATCHERS,
-        rounds: SCALE_ROUNDS,
-        warmup_rounds: 0,
-        seed: SEED,
-        arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 },
-        services: ServiceModel::Geometric,
-        measure_decision_times: false,
-        histogram_metrics: true,
-        scenario: scd_sim::ScenarioSpec::default(),
-        workload: scd_sim::WorkloadSpec::default(),
-    };
+    let scale_config =
+        SimConfig::builder(ClusterSpec::from_rates(scale_rates).expect("valid rates"))
+            .dispatchers(DISPATCHERS)
+            .rounds(SCALE_ROUNDS)
+            .warmup_rounds(0)
+            .seed(SEED)
+            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 })
+            .histogram_metrics(true)
+            .build()
+            .expect("valid configuration");
     let scale_sim = Simulation::new(scale_config).expect("valid configuration");
-    let dense = ScdFactory::new().classic_sampler();
-    let compressed = ScdFactory::new();
-    let (baseline, optimized) = measure_pair(
-        SCALE_ROUNDS,
-        || scale_sim.run(&dense).expect("clean run").jobs_completed,
-        || {
-            scale_sim
-                .run(&compressed)
-                .expect("clean run")
-                .jobs_completed
-        },
-    );
-    println!(
-        "  SCD@10K baseline {baseline:>10.0} rounds/s | optimized {optimized:>12.0} rounds/s | \
-         speedup {:.2}x  (dense per-server sampler vs compressed classes, {SCALE_SERVERS} \
-         servers bimodal, load 0.9)",
-        optimized / baseline
-    );
-    results.push(PolicyResult {
-        policy: "SCD@10K",
-        baseline,
-        optimized,
+    let rate = best_rate(SCALE_ROUNDS, || {
+        scale_sim.run(&scd).expect("clean run").jobs_completed
     });
+    record(
+        "SCD@10K",
+        rate,
+        &format!("  ({SCALE_SERVERS} servers bimodal, load 0.9)"),
+    );
 
     if std::env::var_os("CRITERION_QUICK").is_some() {
         println!("CRITERION_QUICK set: smoke run, not recording BENCH_engine.json");
         return;
     }
 
-    let mut rows = String::new();
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            rows.push_str(",\n");
-        }
-        rows.push_str(&format!(
-            "        {{\"policy\": \"{}\", \"baseline_rounds_per_sec\": {:.1}, \
-             \"optimized_rounds_per_sec\": {:.1}, \"speedup\": {:.3}}}",
-            r.policy,
-            r.baseline,
-            r.optimized,
-            r.optimized / r.baseline
-        ));
-    }
+    let results: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "        {{\"policy\": \"{}\", \"rounds_per_sec\": {:.1}, \"us_per_round\": {:.3}}}",
+                r.name,
+                r.rounds_per_sec,
+                1e6 / r.rounds_per_sec
+            )
+        })
+        .collect();
     let new_run = format!(
         "    {{\n      \"label\": \"{RUN_LABEL}\",\n      \"config\": {{\"servers\": {SERVERS}, \
          \"dispatchers\": {DISPATCHERS}, \"offered_load\": {OFFERED_LOAD}, \"rounds\": {ROUNDS}, \
          \"seed\": {SEED}, \"rate_profile\": \"U[1,10]\", \"services\": \"geometric\"}},\n      \
          \"repetitions\": {reps},\n      \"results\": [\n{rows}\n      ]\n    }}",
-        reps = repetitions()
+        reps = repetitions(),
+        rows = results.join(",\n")
     );
 
     // Append to the recorded run history (`runs` array), replacing any

@@ -68,7 +68,7 @@ pub struct ScdPolicy {
     /// Warm-start the solver's trimming iterations from the previous
     /// accepted solve (verified, bit-identical — see
     /// [`solve_round_cached`]). False only for the cold-solve reference
-    /// configuration ([`ScdPolicy::cold_solve`], the bench baseline).
+    /// configuration ([`ScdPolicy::cold_solve`], the equivalence oracle).
     warm_start: bool,
 }
 
@@ -108,10 +108,9 @@ impl ScdPolicy {
     }
 
     /// Disables solver warm starting — every round re-derives the trimming
-    /// fixpoints from scratch (the PR 4 decision path). Decisions are
-    /// bit-identical to the warm default for equal seeds; only the cost
-    /// differs. Kept as the engine-throughput baseline and the equivalence
-    /// oracle.
+    /// fixpoints from scratch. Decisions are bit-identical to the warm
+    /// default for equal seeds; only the cost differs. Kept as the
+    /// equivalence oracle.
     pub fn cold_solve(mut self) -> Self {
         self.warm_start = false;
         self
@@ -123,8 +122,8 @@ impl ScdPolicy {
     /// *same* per-round distribution (exactly — class members are
     /// interchangeable under the solver's closed form) but consumes two RNG
     /// draws per job instead of one, so the two configurations produce
-    /// different sample paths for equal seeds. Kept as the engine-throughput
-    /// baseline and the distribution-equivalence oracle.
+    /// different sample paths for equal seeds. Kept as the
+    /// distribution-equivalence oracle.
     pub fn classic_sampler(mut self) -> Self {
         self.compressed = false;
         self
@@ -379,18 +378,17 @@ impl ScdFactory {
         self
     }
 
-    /// Builds cold-solve policies (see [`ScdPolicy::cold_solve`]) — the
-    /// PR 4 decision path, bit-identical to the warm default for equal
-    /// seeds. Reports carry the same name so warm and cold runs of one seed
-    /// compare equal.
+    /// Builds cold-solve policies (see [`ScdPolicy::cold_solve`]),
+    /// bit-identical to the warm default for equal seeds. Reports carry the
+    /// same name so warm and cold runs of one seed compare equal.
     pub fn cold_solve(mut self) -> Self {
         self.warm_start = false;
         self
     }
 
     /// Builds classic-sampler policies (see [`ScdPolicy::classic_sampler`])
-    /// — the dense per-server dispatch chain, kept as the throughput
-    /// baseline and the sample-path reference for the compressed kernel.
+    /// — the dense per-server dispatch chain, kept as the sample-path
+    /// reference for the compressed kernel.
     pub fn classic_sampler(mut self) -> Self {
         self.compressed = false;
         self

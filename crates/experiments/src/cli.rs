@@ -49,18 +49,17 @@ pub struct CliOptions {
     pub processes: Option<usize>,
     /// Heartbeat deadline in milliseconds for `--processes` workers: the
     /// longest allowed gap between consecutive frames on a worker's
-    /// stdout (with `--checkpoint-every 0` a worker emits exactly one
-    /// frame, so this degenerates to a per-attempt wall clock). Figure
-    /// binaries note and ignore the flag.
+    /// stdout (without checkpoints a worker emits exactly one frame, so
+    /// this degenerates to a per-attempt wall clock). Figure binaries note
+    /// and ignore the flag.
     pub worker_timeout_ms: u64,
     /// Retry budget per shard after the first attempt in `--processes`
     /// mode. Figure binaries note and ignore the flag.
     pub max_retries: u32,
     /// Stream a progress/checkpoint frame pair every this many rounds in
     /// `--processes` mode, letting failed workers restart from their last
-    /// verified checkpoint instead of from seed. `0` (the default) keeps
-    /// the legacy one-shot worker protocol. Figure binaries note and
-    /// ignore the flag.
+    /// verified checkpoint instead of from seed. `0` (the default) streams
+    /// no checkpoints. Figure binaries note and ignore the flag.
     pub checkpoint_every: u64,
     /// Scenario file (`key = value` lines) describing faults, churn,
     /// staleness and probe loss for the `sweep` binary. Figure binaries note

@@ -8,9 +8,9 @@
 //! * `shard_worker` — one shard per process; parses the worker flag set
 //!   ([`parse_worker_args`]), reads its configuration (and, under
 //!   `--resume-from stdin`, a retained checkpoint frame) from stdin, and
-//!   streams checksummed frames on stdout — one legacy v2 report frame
-//!   when `--checkpoint-every` is absent or zero, a progress/checkpoint
-//!   pair every `R` rounds plus a v3 final frame otherwise. Exit codes are
+//!   streams checksummed frames on stdout — a progress/checkpoint pair
+//!   every `R` rounds under `--checkpoint-every R`, then one final report
+//!   frame. Exit codes are
 //!   part of the protocol: `0` frame complete, [`EXIT_CONFIG_REJECTED`]
 //!   the configuration is unusable (the orchestrator does not retry),
 //!   [`EXIT_RESUME_REJECTED`] the resume checkpoint was refused (the
@@ -71,7 +71,7 @@ pub fn worker_binary_path() -> Result<PathBuf, String> {
 /// `timeout` is the heartbeat deadline (per-frame inter-arrival bound;
 /// per-attempt wall clock when `checkpoint_every == 0`), `max_retries`
 /// the restart budget per shard, and `checkpoint_every` the streaming
-/// cadence in rounds (0 = legacy one-shot protocol).
+/// cadence in rounds (0 = no checkpoints).
 ///
 /// # Errors
 /// Propagates worker-location and fabric errors as messages.
@@ -338,7 +338,7 @@ pub struct OrchestrateOptions {
     /// Retries per shard after the first attempt.
     pub retries: u32,
     /// Stream a progress/checkpoint frame pair every this many rounds
-    /// (0 = legacy one-shot protocol; failed shards restart from seed).
+    /// (0 = none; failed shards restart from seed).
     pub checkpoint_every: u64,
     /// Shards whose first attempt is killed by an injected crash.
     pub inject_crash: Vec<usize>,

@@ -31,7 +31,7 @@
 //!
 //! All experiments fan their `(system × load × policy × seed)` grids out on
 //! the unified [`SweepGrid`] executor (module [`sweep`]), which rides the
-//! same persistent worker pool as the simulator's parallel runners; results are
+//! same fan-out as the simulator's parallel runners; results are
 //! bit-identical regardless of the thread count.
 
 #![forbid(unsafe_code)]

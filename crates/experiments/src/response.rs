@@ -130,9 +130,9 @@ impl ResponseTimeExperiment {
             .map(|(si, &(n, _))| cluster_for_system(&self.profile, n, self.seed, si))
             .collect();
 
-        // One engine run per grid cell, fanned out end-to-end on the shared
-        // persistent worker pool: every (system, load, policy, replication) tuple
-        // is an independent unit of work.
+        // One engine run per grid cell, fanned out end-to-end: every
+        // (system, load, policy, replication) tuple is an independent unit
+        // of work.
         let outcomes = grid.run(threads, |pt| {
             let (_, m) = self.systems[pt.system];
             let load = self.loads[pt.load];

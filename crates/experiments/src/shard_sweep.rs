@@ -9,8 +9,8 @@
 //! --shards 4`) and as the harness for shard-count scaling studies.
 //!
 //! The grid itself rides [`SweepGrid`] — the same unified executor all
-//! figure experiments use — so cells are distributed over the persistent
-//! worker pool while each cell steps its shards sequentially (no nested
+//! figure experiments use — so cells are distributed over the fan-out's
+//! threads while each cell steps its shards sequentially (no nested
 //! oversubscription); results are bit-identical for every thread count.
 
 use crate::cli::CliOptions;
@@ -55,14 +55,14 @@ pub struct ShardSweepSpec {
     pub processes: Option<usize>,
     /// Heartbeat deadline per worker in `processes` mode (`--worker-timeout`
     /// in milliseconds): the longest allowed gap between consecutive frames
-    /// on a worker's stdout, a per-attempt wall clock in one-shot mode.
+    /// on a worker's stdout, a per-attempt wall clock without checkpoints.
     pub worker_timeout: Duration,
     /// Retry budget per shard after the first attempt in `processes` mode
     /// (`--max-retries`).
     pub max_retries: u32,
     /// Checkpoint streaming cadence in rounds for `processes` mode
-    /// (`--checkpoint-every`; 0 = legacy one-shot workers, retries restart
-    /// from seed).
+    /// (`--checkpoint-every`; 0 = no checkpoints, retries restart from
+    /// seed).
     pub checkpoint_every: u64,
     /// Worker threads for the cell grid.
     pub threads: usize,

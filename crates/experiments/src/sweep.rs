@@ -4,9 +4,9 @@
 //! `(system × load × policy × seed)` tuples. Instead of every experiment
 //! hand-rolling its own job list and scatter logic, [`SweepGrid`] enumerates
 //! the full cross-product in a fixed row-major order and fans the cells out
-//! over [`scd_sim::fan_out`] — the same persistent work-stealing pool that
-//! backs `run_comparison_parallel` and `run_replications` — so experiment
-//! grids ride one pool end-to-end rather than each layer spawning its own.
+//! over [`scd_sim::fan_out`] — the same work-stealing fan-out that backs
+//! `run_comparison_parallel` and `run_replications` — so every layer shares
+//! one parallelism primitive.
 //!
 //! Determinism: the grid only distributes *indices*; every cell derives its
 //! RNG streams from the experiment seed and its own coordinates. Results
@@ -31,8 +31,8 @@ pub struct GridPoint {
     pub seed: usize,
 }
 
-/// A `(system × load × policy × seed)` sweep grid executed on the simulator's
-/// persistent worker pool.
+/// A `(system × load × policy × seed)` sweep grid executed through the
+/// simulator's [`scd_sim::fan_out`].
 ///
 /// # Example
 /// ```

@@ -67,7 +67,7 @@ impl TailExperiment {
         let (n, m) = self.system;
         let cluster = cluster_for_system(&self.profile, n, self.seed, 0);
 
-        // (1 × loads × policies × replications) grid on the shared pool.
+        // (1 × loads × policies × replications) grid on the shared fan-out.
         let grid = SweepGrid::new(1, self.loads.len(), self.policies.len())
             .with_seeds(self.replications.max(1));
         let histograms = grid.run(threads, |pt| {

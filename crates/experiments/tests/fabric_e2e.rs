@@ -9,7 +9,7 @@
 
 use scd_policies::factory_by_name;
 use scd_sim::fabric::{
-    encode_shard_report, run_fabric, FabricSpec, InjectedFault, WorkerFailure, WorkerFaultPlan,
+    encode_final_frame, run_fabric, FabricSpec, InjectedFault, WorkerFailure, WorkerFaultPlan,
     EXIT_CONFIG_REJECTED, EXIT_RESUME_REJECTED,
 };
 use scd_sim::{ArrivalSpec, ShardedSimulation, SimConfig};
@@ -269,12 +269,11 @@ fn config_rejected_exit_is_not_retried() {
     assert_eq!(degradation.shards_lost, 1);
 }
 
-/// `--checkpoint-every 0` (the default) reconstructs the legacy one-shot
-/// protocol **byte-for-byte**: the worker's entire stdout is exactly the
-/// v2 frame of its shard report, so PR 8 orchestrators and PR 10 workers
-/// interoperate.
+/// Without `--checkpoint-every` a worker streams nothing but its result:
+/// its entire stdout is **byte-for-byte** the final frame of the report the
+/// in-process shard produces.
 #[test]
-fn legacy_mode_reproduces_the_v2_wire_protocol_byte_for_byte() {
+fn worker_without_checkpoints_writes_exactly_one_final_frame() {
     use std::io::Write;
     let config = base_config(120);
     let k = 2;
@@ -311,8 +310,8 @@ fn legacy_mode_reproduces_the_v2_wire_protocol_byte_for_byte() {
         assert!(output.status.success());
         assert_eq!(
             output.stdout,
-            encode_shard_report(expected_report).unwrap(),
-            "shard {shard}: legacy stdout is not the exact v2 frame"
+            encode_final_frame(expected_report).unwrap(),
+            "shard {shard}: stdout is not exactly the final frame"
         );
     }
 }

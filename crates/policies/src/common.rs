@@ -66,13 +66,12 @@ impl PolicyFactory for NamedFactory {
 /// "currently best server" queries while placing a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArgminMode {
-    /// Tournament-tree indexed queue view: `O(n)` rebuild per batch, then
-    /// `O(log n)` per placed job. The default.
+    /// Tournament-tree indexed queue view: dirty-key repair between
+    /// batches, then `O(log n)` per placed job. The default.
     #[default]
     Indexed,
     /// Reference `O(n)`-per-job scan over the same `(key, priority, index)`
-    /// order. Kept for equivalence testing and as the
-    /// `BENCH_engine.json` apples-to-apples baseline.
+    /// order — the test oracle for the tree.
     Scan,
 }
 
@@ -92,26 +91,22 @@ pub const PRIORITY_EPOCH_BATCHES: u32 = 64;
 
 /// The batch argmin engine shared by the argmin-family policies.
 ///
-/// At the start of every batch, [`begin`](BatchArgmin::begin) draws one
-/// random `u64` priority per server from the dispatcher's RNG — a uniformly
-/// random tie-breaking order among equal keys, which plays the role
-/// [`argmin_random_ties`] played in the scan-only implementation (random
-/// tie-breaking prevents many dispatchers sharing one snapshot from
-/// systematically piling onto low-index servers). Both modes then minimize
-/// the identical composite key `(key, priority, index)` and consume the RNG
-/// identically, so **indexed and scan dispatch pick the same servers for
-/// equal seeds** — the engine-level reports are bit-identical.
+/// Each instance draws one random `u64` priority per server from its
+/// dispatcher's RNG — a uniformly random tie-breaking order among equal
+/// keys, which plays the role [`argmin_random_ties`] played in the scan-only
+/// implementation (random tie-breaking prevents many dispatchers sharing one
+/// snapshot from systematically piling onto low-index servers). Both modes
+/// minimize the identical composite key `(key, priority, index)` and
+/// consume the RNG identically, so **indexed and scan dispatch pick the same
+/// servers for equal seeds** — the engine-level reports are bit-identical.
 ///
 /// # Warm batches
 ///
-/// Policies whose keys change at only `O(probes + batch)` positions between
-/// rounds (LSQ, LED) use [`begin_warm`](BatchArgmin::begin_warm) instead:
-/// the tournament tree survives across batches, priorities are per *instance*
+/// Every batch starts with [`begin_warm`](BatchArgmin::begin_warm): the
+/// tournament tree survives across batches, priorities are per *instance*
 /// (redrawn every [`PRIORITY_EPOCH_BATCHES`] batches), and only the keys the
 /// policy [marked dirty](BatchArgmin::mark_dirty) since the previous batch
-/// are repaired — `O(dirty · log n)` instead of the `O(n)` per-batch rebuild.
-/// The scan mode follows the same priority lifecycle, so it remains the
-/// bit-identical oracle for the warm path too.
+/// are repaired — `O(dirty · log n)` instead of an `O(n)` rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct BatchArgmin {
     mode: ArgminMode,
@@ -119,8 +114,7 @@ pub struct BatchArgmin {
     prios: Vec<u64>,
     tree: TournamentTree,
     /// True when the warm state (priorities + tree) describes the current
-    /// cluster; cleared by [`invalidate`](BatchArgmin::invalidate) and by any
-    /// per-batch [`begin`](BatchArgmin::begin).
+    /// cluster; cleared by [`invalidate`](BatchArgmin::invalidate).
     warm_ready: bool,
     /// Batches since the warm priorities were last drawn.
     batches_in_epoch: u32,
@@ -144,38 +138,17 @@ impl BatchArgmin {
         self.mode
     }
 
-    /// Starts a batch over `n` servers: draws one priority per server (both
-    /// modes, so RNG consumption is identical) and, in indexed mode, rebuilds
-    /// the tournament from `key`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    pub fn begin<K>(&mut self, n: usize, key: K, rng: &mut dyn RngCore)
-    where
-        K: FnMut(usize) -> f64,
-    {
-        assert!(n > 0, "argmin over an empty cluster");
-        self.n = n;
-        self.warm_ready = false;
-        self.dirty.clear();
-        self.prios.clear();
-        self.prios.extend((0..n).map(|_| rng.next_u64()));
-        if self.mode == ArgminMode::Indexed {
-            let prios = &self.prios;
-            self.tree.rebuild(n, key, |i| prios[i]);
-        }
-    }
-
     /// Starts a *warm* batch over `n` servers.
     ///
     /// On the first call (or after [`invalidate`](BatchArgmin::invalidate), a
     /// cluster-size change, or a completed priority epoch) this draws fresh
-    /// per-server priorities and, in indexed mode, rebuilds the tournament —
-    /// exactly like [`begin`](BatchArgmin::begin). On every other call it
-    /// consumes **no randomness** and repairs only the keys marked dirty
-    /// since the previous batch. The refresh decision depends only on
-    /// mode-independent state, so indexed and scan warm pickers consume the
-    /// RNG identically and pick identical servers for equal seeds.
+    /// per-server priorities (both modes, so RNG consumption is identical)
+    /// and, in indexed mode, rebuilds the tournament from `key`. On every
+    /// other call it consumes **no randomness** and repairs only the keys
+    /// marked dirty since the previous batch. The refresh decision depends
+    /// only on mode-independent state, so indexed and scan warm pickers
+    /// consume the RNG identically and pick identical servers for equal
+    /// seeds.
     ///
     /// `key` must reflect the policy's *current* keys; between warm batches
     /// the policy must [`mark_dirty`](BatchArgmin::mark_dirty) every slot
@@ -243,7 +216,8 @@ impl BatchArgmin {
     /// The server currently minimizing `(key, priority, index)`. The `key`
     /// closure is consulted only in scan mode (the tree already holds the
     /// keys); it must agree with the keys passed to
-    /// [`begin`](BatchArgmin::begin) / [`update`](BatchArgmin::update).
+    /// [`begin_warm`](BatchArgmin::begin_warm) /
+    /// [`update`](BatchArgmin::update).
     pub fn pick<K>(&self, key: K) -> usize
     where
         K: FnMut(usize) -> f64,
@@ -583,8 +557,11 @@ mod tests {
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
         for _round in 0..50 {
-            indexed.begin(keys.len(), |i| keys[i], &mut rng_a);
-            scan.begin(keys2.len(), |i| keys2[i], &mut rng_b);
+            // A fresh priority draw every round, as at an epoch boundary.
+            indexed.invalidate();
+            scan.invalidate();
+            indexed.begin_warm(keys.len(), |i| keys[i], &mut rng_a);
+            scan.begin_warm(keys2.len(), |i| keys2[i], &mut rng_b);
             for _job in 0..8 {
                 let a = indexed.pick(|i| keys[i]);
                 let b = scan.pick(|i| keys2[i]);
@@ -601,14 +578,15 @@ mod tests {
 
     #[test]
     fn batch_argmin_ties_spread_over_batches() {
-        // With all-equal keys the per-batch priorities act as a random
-        // permutation: over many batches every server must win sometimes.
+        // With all-equal keys each priority draw acts as a random
+        // permutation: over many redraws every server must win sometimes.
         let keys = [1.0f64; 5];
         let mut picker = BatchArgmin::new(ArgminMode::Indexed);
         let mut rng = StdRng::seed_from_u64(3);
         let mut wins = [0usize; 5];
         for _ in 0..2_000 {
-            picker.begin(5, |i| keys[i], &mut rng);
+            picker.invalidate();
+            picker.begin_warm(5, |i| keys[i], &mut rng);
             wins[picker.pick(|i| keys[i])] += 1;
         }
         for (i, &w) in wins.iter().enumerate() {
@@ -622,7 +600,7 @@ mod tests {
     fn batch_argmin_rejects_empty_clusters() {
         let mut picker = BatchArgmin::new(ArgminMode::Indexed);
         let mut rng = StdRng::seed_from_u64(0);
-        picker.begin(0, |_| 0.0, &mut rng);
+        picker.begin_warm(0, |_| 0.0, &mut rng);
     }
 
     /// The warm path's core guarantee: warm-indexed and warm-scan pickers

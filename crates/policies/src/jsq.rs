@@ -11,19 +11,16 @@
 //! The repeated shortest-queue queries run over a [`BatchArgmin`] indexed
 //! queue view (tournament tree); since the keys are the *true* queue
 //! lengths, the engine's round-to-round dirty set
-//! ([`DispatchContext::dirty_servers`]) is authoritative for them: the
-//! default configuration keeps one **warm** tree per dispatcher across
-//! rounds and repairs exactly the engine-reported changes plus the slots it
+//! ([`DispatchContext::dirty_servers`]) is authoritative for them: each
+//! dispatcher keeps one **warm** tree across rounds and repairs exactly the engine-reported changes plus the slots it
 //! placed jobs on itself (the dirty set is the *exact* snapshot diff, so a
 //! server that completed as many jobs as it received is not listed even
 //! though this dispatcher's mirror inflated it — the policy records its own
 //! placements and re-checks them), instead of rebuilding all `n` keys every
 //! batch.
 //! The `O(b·n)` scan mode ([`JsqPolicy::scan`]) follows the identical warm
-//! priority lifecycle and picks exactly the same servers for equal seeds;
-//! [`JsqPolicy::per_batch_rebuild`] retains the per-batch-rebuild reference
-//! path (the PR 4 configuration, kept as the bench baseline — it consumes
-//! the RNG differently, so its trajectories differ from the warm default).
+//! priority lifecycle and picks exactly the same servers for equal seeds —
+//! it is the test oracle for the tree.
 
 use crate::common::{
     mark_availability_flips, sync_snapshot_mirror, ArgminMode, BatchArgmin, NamedFactory,
@@ -38,18 +35,16 @@ use scd_model::{
 #[derive(Debug, Clone, Default)]
 pub struct JsqPolicy {
     /// This dispatcher's local view of the queues: the engine snapshot plus
-    /// the placements of the current batch. In the warm configuration it
-    /// persists across rounds and is re-synced from the engine's dirty set.
+    /// the placements of the current batch. It persists across rounds and
+    /// is re-synced from the engine's dirty set.
     local: Vec<u64>,
-    /// The argmin engine (indexed or scan, warm or per-batch).
+    /// The warm argmin engine (indexed, or the scan oracle).
     picker: BatchArgmin,
-    /// Tracks which round's snapshot `local` mirrors (warm path only).
+    /// Tracks which round's snapshot `local` mirrors.
     sync: SnapshotSync,
     /// Slots this dispatcher placed jobs on in its last batch — re-checked
     /// at the next sync alongside the engine's dirty set.
     touched: Vec<u32>,
-    /// False only for the per-batch-rebuild reference configuration.
-    warm: bool,
 }
 
 impl JsqPolicy {
@@ -60,7 +55,7 @@ impl JsqPolicy {
 
     /// JSQ with the reference `O(n)`-per-job scan — bit-identical decisions
     /// to [`JsqPolicy::new`] for equal seeds (the scan follows the same warm
-    /// priority lifecycle), kept for equivalence tests and baselines.
+    /// priority lifecycle), kept as the equivalence-test oracle.
     pub fn scan() -> Self {
         Self::with_mode(ArgminMode::Scan)
     }
@@ -72,19 +67,7 @@ impl JsqPolicy {
             picker: BatchArgmin::new(mode),
             sync: SnapshotSync::default(),
             touched: Vec::new(),
-            warm: true,
         }
-    }
-
-    /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-dirty-set reference configuration kept
-    /// for the engine-throughput baseline. Note: per-batch and warm
-    /// configurations consume the RNG differently, so their simulation
-    /// trajectories differ (each is internally bit-identical across its own
-    /// indexed/scan modes).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
-        self
     }
 }
 
@@ -94,19 +77,17 @@ impl DispatchPolicy for JsqPolicy {
     }
 
     fn observe_round(&mut self, ctx: &DispatchContext<'_>, _rng: &mut dyn RngCore) {
-        if self.warm {
-            // Repair the persistent mirror (and mark the tree) from the
-            // engine's dirty set — including dispatchers whose batch is
-            // empty this round, which keeps the round chain unbroken.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
-            mark_availability_flips(&mut self.picker, ctx);
-        }
+        // Repair the persistent mirror (and mark the tree) from the engine's
+        // dirty set — including dispatchers whose batch is empty this round,
+        // which keeps the round chain unbroken.
+        sync_snapshot_mirror(
+            &mut self.local,
+            &mut self.picker,
+            &mut self.sync,
+            ctx,
+            &mut self.touched,
+        );
+        mark_availability_flips(&mut self.picker, ctx);
     }
 
     fn dispatch_batch(
@@ -139,72 +120,45 @@ impl DispatchPolicy for JsqPolicy {
             Some(avail) if !avail.is_up(i) => f64::INFINITY,
             _ => q as f64,
         };
-        if self.warm {
-            // No-op when observe_round already synced this round; direct
-            // invocations (tests, examples) resync here.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
-            mark_availability_flips(&mut self.picker, ctx);
-            let local = &self.local;
-            self.picker.begin_warm(n, |i| masked(i, local[i]), rng);
-        } else {
-            self.local.clear();
-            self.local.extend_from_slice(ctx.queue_lengths());
-            let local = &self.local;
-            self.picker.begin(n, |i| masked(i, local[i]), rng);
-        }
+        // No-op when observe_round already synced this round; direct
+        // invocations (tests, examples) resync here.
+        sync_snapshot_mirror(
+            &mut self.local,
+            &mut self.picker,
+            &mut self.sync,
+            ctx,
+            &mut self.touched,
+        );
+        mark_availability_flips(&mut self.picker, ctx);
         let local = &mut self.local;
+        self.picker.begin_warm(n, |i| masked(i, local[i]), rng);
         for _ in 0..batch {
             let target = self.picker.pick(|i| masked(i, local[i]));
             local[target] += 1;
             self.picker.update(target, masked(target, local[target]));
-            if self.warm {
-                self.touched.push(target as u32);
-            }
+            self.touched.push(target as u32);
             out.push(ServerId::new(target));
         }
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
+        // The persistent mirror, its sync point, the unreconciled own
+        // placements, and the warm priority epoch — losing any of these
+        // would change RNG consumption or the mirror overlay after a resume.
         let mut w = StateWriter::new();
-        w.u8(u8::from(self.warm));
-        if self.warm {
-            // The persistent mirror, its sync point, the unreconciled own
-            // placements, and the warm priority epoch — losing any of these
-            // would change RNG consumption or the mirror overlay after a
-            // resume. (The per-batch configuration rebuilds everything from
-            // the snapshot each batch and needs none of them.)
-            w.u64s(&self.local);
-            w.opt_u64(self.sync.synced_round());
-            w.u32s(&self.touched);
-            self.picker.save_warm_state(&mut w);
-        }
+        w.u64s(&self.local);
+        w.opt_u64(self.sync.synced_round());
+        w.u32s(&self.touched);
+        self.picker.save_warm_state(&mut w);
         out.extend_from_slice(&w.into_bytes());
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = StateReader::new(bytes);
-        let warm = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(format!("JSQ checkpoint: invalid warm flag byte {other}")),
-        };
-        if warm != self.warm {
-            return Err(
-                "JSQ checkpoint warm-mode flag does not match this configuration".to_string(),
-            );
-        }
-        if warm {
-            self.local = r.u64s()?;
-            self.sync.set_synced_round(r.opt_u64()?);
-            self.touched = r.u32s()?;
-            self.picker.restore_warm_state(&mut r)?;
-        }
+        self.local = r.u64s()?;
+        self.sync.set_synced_round(r.opt_u64()?);
+        self.touched = r.u32s()?;
+        self.picker.restore_warm_state(&mut r)?;
         r.finish()
     }
 }
@@ -213,7 +167,6 @@ impl DispatchPolicy for JsqPolicy {
 #[derive(Debug, Clone)]
 pub struct JsqFactory {
     mode: ArgminMode,
-    warm: bool,
 }
 
 impl JsqFactory {
@@ -221,26 +174,16 @@ impl JsqFactory {
     pub fn new() -> Self {
         JsqFactory {
             mode: ArgminMode::Indexed,
-            warm: true,
         }
     }
 
-    /// Factory for the scan-mode reference (same decisions, `O(n)` per job).
+    /// Factory for the scan-mode oracle (same decisions, `O(n)` per job).
     /// Reports carry the same "JSQ" name so they compare equal to indexed
     /// runs of the same seed.
     pub fn scan() -> Self {
         JsqFactory {
             mode: ArgminMode::Scan,
-            warm: true,
         }
-    }
-
-    /// Factory for the pre-dirty-set reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 4 dispatch path, kept as the
-    /// engine-throughput baseline).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
-        self
     }
 
     /// The same policy wrapped in a [`NamedFactory`] (convenience for the
@@ -266,12 +209,7 @@ impl PolicyFactory for JsqFactory {
         _dispatcher: scd_model::DispatcherId,
         _spec: &scd_model::ClusterSpec,
     ) -> scd_model::BoxedPolicy {
-        let policy = JsqPolicy::with_mode(self.mode);
-        Box::new(if self.warm {
-            policy
-        } else {
-            policy.per_batch_rebuild()
-        })
+        Box::new(JsqPolicy::with_mode(self.mode))
     }
 }
 
@@ -327,8 +265,7 @@ mod tests {
     #[test]
     fn consecutive_rounds_restart_from_the_snapshot() {
         let rates = vec![1.0, 1.0];
-        for policy in [JsqPolicy::new(), JsqPolicy::new().per_batch_rebuild()] {
-            let mut policy = policy;
+        for mut policy in [JsqPolicy::new(), JsqPolicy::scan()] {
             let mut rng = StdRng::seed_from_u64(9);
 
             let queues1 = vec![0u64, 10];
@@ -379,9 +316,7 @@ mod tests {
         assert_eq!(p.policy_name(), "JSQ");
         let named = JsqFactory::named();
         assert_eq!(named.name(), "JSQ");
-        let baseline = JsqFactory::new()
-            .per_batch_rebuild()
-            .build(DispatcherId::new(0), &spec);
-        assert_eq!(baseline.policy_name(), "JSQ");
+        let oracle = JsqFactory::scan().build(DispatcherId::new(0), &spec);
+        assert_eq!(oracle.policy_name(), "JSQ");
     }
 }

@@ -43,9 +43,6 @@ pub struct LedPolicy {
     /// Warm argmin engine over the estimates: the tournament tree lives
     /// across rounds; decayed/probed estimates are repaired as dirty keys.
     picker: BatchArgmin,
-    /// False only for the per-batch-rebuild reference configuration
-    /// ([`LedFactory::per_batch_rebuild`], the bench baseline).
-    warm: bool,
 }
 
 impl LedPolicy {
@@ -60,7 +57,6 @@ impl LedPolicy {
             inv_rates: vec![1.0; num_servers],
             rate_sampler: None,
             picker: BatchArgmin::new(ArgminMode::Indexed),
-            warm: true,
         }
     }
 
@@ -76,7 +72,6 @@ impl LedPolicy {
             inv_rates: scd_model::reciprocal_rates(spec.rates()),
             rate_sampler: Some(sampler),
             picker: BatchArgmin::new(ArgminMode::Indexed),
-            warm: true,
         }
     }
 
@@ -85,14 +80,6 @@ impl LedPolicy {
     /// it picks exactly the servers the warm tree picks for equal seeds.
     pub fn with_mode(mut self, mode: ArgminMode) -> Self {
         self.picker = BatchArgmin::new(mode);
-        self
-    }
-
-    /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-warm-path reference configuration kept
-    /// for the engine-throughput baseline.
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
         self
     }
 
@@ -139,8 +126,7 @@ impl DispatchPolicy for LedPolicy {
         // positive estimates actually change (zero stays zero), so only those
         // dirty the warm tree — in a lightly loaded view most slots stay
         // clean. (A mostly-positive view dirties ~n slots; `apply_updates`
-        // then falls back to its O(n) internal rebuild, no worse than the
-        // per-batch path.)
+        // then falls back to its O(n) internal rebuild.)
         for (i, (est, &mu)) in self.estimates.iter_mut().zip(rates).enumerate() {
             if *est > 0.0 {
                 *est = (*est - mu).max(0.0);
@@ -206,11 +192,7 @@ impl DispatchPolicy for LedPolicy {
                 LedVariant::Heterogeneous => (est + 1.0) * inv[i],
             },
         };
-        if self.warm {
-            self.picker.begin_warm(n, |i| key(i, estimates[i]), rng);
-        } else {
-            self.picker.begin(n, |i| key(i, estimates[i]), rng);
-        }
+        self.picker.begin_warm(n, |i| key(i, estimates[i]), rng);
         for _ in 0..batch {
             let target = self.picker.pick(|i| key(i, estimates[i]));
             estimates[target] += 1.0;
@@ -220,36 +202,17 @@ impl DispatchPolicy for LedPolicy {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        w.u8(u8::from(self.warm));
         // The evolving backlog estimates (fractional, so exact bit patterns)
         // plus the warm priority epoch. Rates and the probe sampler are
         // static per run and come back from the factory.
+        let mut w = StateWriter::new();
         w.f64s(&self.estimates);
-        if self.warm {
-            self.picker.save_warm_state(&mut w);
-        }
+        self.picker.save_warm_state(&mut w);
         out.extend_from_slice(&w.into_bytes());
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = StateReader::new(bytes);
-        let warm = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(format!(
-                    "{} checkpoint: invalid warm flag byte {other}",
-                    self.name
-                ))
-            }
-        };
-        if warm != self.warm {
-            return Err(format!(
-                "{} checkpoint warm-mode flag does not match this configuration",
-                self.name
-            ));
-        }
         let estimates = r.f64s()?;
         if estimates.len() != self.estimates.len() {
             return Err(format!(
@@ -260,9 +223,7 @@ impl DispatchPolicy for LedPolicy {
             ));
         }
         self.estimates = estimates;
-        if warm {
-            self.picker.restore_warm_state(&mut r)?;
-        }
+        self.picker.restore_warm_state(&mut r)?;
         r.finish()
     }
 }
@@ -273,7 +234,6 @@ pub struct LedFactory {
     variant: LedVariant,
     probes_per_round: usize,
     mode: ArgminMode,
-    warm: bool,
 }
 
 impl LedFactory {
@@ -283,7 +243,6 @@ impl LedFactory {
             variant: LedVariant::Uniform,
             probes_per_round: 1,
             mode: ArgminMode::Indexed,
-            warm: true,
         }
     }
 
@@ -301,18 +260,10 @@ impl LedFactory {
         self
     }
 
-    /// Factory for the scan-mode reference — bit-identical decisions to the
-    /// warm-tree default for equal seeds (same warm priority lifecycle).
+    /// Factory for the scan-mode oracle — bit-identical decisions to the
+    /// warm tree for equal seeds (same warm priority lifecycle).
     pub fn scan(mut self) -> Self {
         self.mode = ArgminMode::Scan;
-        self
-    }
-
-    /// Factory for the pre-warm-path reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 2 dispatch path, kept as the
-    /// engine-throughput baseline).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
         self
     }
 
@@ -342,12 +293,7 @@ impl PolicyFactory for LedFactory {
             LedVariant::Uniform => LedPolicy::uniform(spec.num_servers(), self.probes_per_round),
             LedVariant::Heterogeneous => LedPolicy::heterogeneous(spec, self.probes_per_round),
         };
-        let policy = policy.with_mode(self.mode);
-        Box::new(if self.warm {
-            policy
-        } else {
-            policy.per_batch_rebuild()
-        })
+        Box::new(policy.with_mode(self.mode))
     }
 }
 

@@ -31,9 +31,8 @@
 //! The argmin-family policies (JSQ, SED, LSQ, LED and variants) answer
 //! their per-job "best server" queries through the [`BatchArgmin`] indexed
 //! queue view ([`common`]) — a tournament tree with `O(log n)` incremental
-//! updates; a scan mode picking bit-identical servers for equal seeds is
-//! retained for equivalence testing (`"JSQ(scan)"` / `"SED(scan)"` in the
-//! registry).
+//! updates; a scan mode picking bit-identical servers for equal seeds
+//! ([`ArgminMode::Scan`]) is retained as the test oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

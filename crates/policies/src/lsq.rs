@@ -49,9 +49,6 @@ pub struct LsqPolicy {
     /// Warm argmin engine over the local estimates: the tournament tree
     /// lives across rounds and only probe/placement keys are repaired.
     picker: BatchArgmin,
-    /// False only for the per-batch-rebuild reference configuration
-    /// ([`LsqFactory::per_batch_rebuild`], the bench baseline).
-    warm: bool,
 }
 
 impl LsqPolicy {
@@ -67,7 +64,6 @@ impl LsqPolicy {
             rates: vec![1.0; num_servers],
             inv_rates: vec![1.0; num_servers],
             picker: BatchArgmin::new(ArgminMode::Indexed),
-            warm: true,
         }
     }
 
@@ -83,7 +79,6 @@ impl LsqPolicy {
             rates: spec.rates().to_vec(),
             inv_rates: scd_model::reciprocal_rates(spec.rates()),
             picker: BatchArgmin::new(ArgminMode::Indexed),
-            warm: true,
         }
     }
 
@@ -92,17 +87,6 @@ impl LsqPolicy {
     /// it picks exactly the servers the warm tree picks for equal seeds.
     pub fn with_mode(mut self, mode: ArgminMode) -> Self {
         self.picker = BatchArgmin::new(mode);
-        self
-    }
-
-    /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-warm-path reference configuration kept
-    /// for the engine-throughput baseline. Note: per-batch and warm
-    /// configurations consume the RNG differently, so their simulation
-    /// trajectories differ (each is internally bit-identical across its own
-    /// indexed/scan modes).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
         self
     }
 
@@ -216,11 +200,7 @@ impl DispatchPolicy for LsqPolicy {
                 LsqVariant::Heterogeneous => (q as f64 + 1.0) * inv[i],
             },
         };
-        if self.warm {
-            self.picker.begin_warm(n, |i| key(i, local[i]), rng);
-        } else {
-            self.picker.begin(n, |i| key(i, local[i]), rng);
-        }
+        self.picker.begin_warm(n, |i| key(i, local[i]), rng);
         for _ in 0..batch {
             let target = self.picker.pick(|i| key(i, local[i]));
             local[target] += 1;
@@ -230,38 +210,19 @@ impl DispatchPolicy for LsqPolicy {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        let mut w = StateWriter::new();
-        w.u8(u8::from(self.warm));
         // The persistent local estimates are the whole point of LSQ; the
         // warm priority epoch must survive too or the first resumed batch
         // would redraw priorities the uninterrupted run never drew. Rates,
         // reciprocal rates, and the probe sampler are static per run and
         // come back from the factory.
+        let mut w = StateWriter::new();
         w.u64s(&self.local);
-        if self.warm {
-            self.picker.save_warm_state(&mut w);
-        }
+        self.picker.save_warm_state(&mut w);
         out.extend_from_slice(&w.into_bytes());
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = StateReader::new(bytes);
-        let warm = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(format!(
-                    "{} checkpoint: invalid warm flag byte {other}",
-                    self.name
-                ))
-            }
-        };
-        if warm != self.warm {
-            return Err(format!(
-                "{} checkpoint warm-mode flag does not match this configuration",
-                self.name
-            ));
-        }
         let local = r.u64s()?;
         if local.len() != self.local.len() {
             return Err(format!(
@@ -272,9 +233,7 @@ impl DispatchPolicy for LsqPolicy {
             ));
         }
         self.local = local;
-        if warm {
-            self.picker.restore_warm_state(&mut r)?;
-        }
+        self.picker.restore_warm_state(&mut r)?;
         r.finish()
     }
 }
@@ -285,7 +244,6 @@ pub struct LsqFactory {
     variant: LsqVariant,
     probes_per_round: usize,
     mode: ArgminMode,
-    warm: bool,
 }
 
 impl LsqFactory {
@@ -295,7 +253,6 @@ impl LsqFactory {
             variant: LsqVariant::Uniform,
             probes_per_round: 1,
             mode: ArgminMode::Indexed,
-            warm: true,
         }
     }
 
@@ -313,18 +270,10 @@ impl LsqFactory {
         self
     }
 
-    /// Factory for the scan-mode reference — bit-identical decisions to the
-    /// warm-tree default for equal seeds (same warm priority lifecycle).
+    /// Factory for the scan-mode oracle — bit-identical decisions to the
+    /// warm tree for equal seeds (same warm priority lifecycle).
     pub fn scan(mut self) -> Self {
         self.mode = ArgminMode::Scan;
-        self
-    }
-
-    /// Factory for the pre-warm-path reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 2 dispatch path, kept as the
-    /// engine-throughput baseline).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
         self
     }
 
@@ -354,12 +303,7 @@ impl PolicyFactory for LsqFactory {
             LsqVariant::Uniform => LsqPolicy::uniform(spec.num_servers(), self.probes_per_round),
             LsqVariant::Heterogeneous => LsqPolicy::heterogeneous(spec, self.probes_per_round),
         };
-        let policy = policy.with_mode(self.mode);
-        Box::new(if self.warm {
-            policy
-        } else {
-            policy.per_batch_rebuild()
-        })
+        Box::new(policy.with_mode(self.mode))
     }
 }
 

@@ -4,14 +4,13 @@
 //! figure legends ("SCD", "hLSQ", "JSQ(2)", ...). This module is the single
 //! source of truth for that mapping.
 
-use crate::common::NamedFactory;
 use crate::jiq::JiqFactory;
-use crate::jsq::{JsqFactory, JsqPolicy};
+use crate::jsq::JsqFactory;
 use crate::led::LedFactory;
 use crate::lsq::LsqFactory;
 use crate::power_of_d::PowerOfDFactory;
 use crate::random::{RoundRobinFactory, UniformRandomFactory, WeightedRandomFactory};
-use crate::sed::{SedFactory, SedPolicy};
+use crate::sed::SedFactory;
 use crate::twf::TwfFactory;
 use scd_core::estimator::ArrivalEstimator;
 use scd_core::policy::ScdFactory;
@@ -60,14 +59,6 @@ pub fn factory_by_name(name: &str) -> Option<Box<dyn PolicyFactory>> {
         "TWF" => Box::new(TwfFactory::new()),
         "JSQ" => Box::new(JsqFactory::new()),
         "SED" => Box::new(SedFactory::new()),
-        // Scan-mode references: same decisions as JSQ/SED for equal seeds,
-        // O(n) per job instead of O(log n) — kept for equivalence runs.
-        "JSQ(scan)" => Box::new(NamedFactory::new("JSQ(scan)", |_d, _spec| {
-            Box::new(JsqPolicy::scan())
-        })),
-        "SED(scan)" => Box::new(NamedFactory::new("SED(scan)", |_d, _spec| {
-            Box::new(SedPolicy::scan())
-        })),
         "JSQ(2)" => Box::new(PowerOfDFactory::uniform(2)),
         "JSQ(3)" => Box::new(PowerOfDFactory::uniform(3)),
         "hJSQ(2)" => Box::new(PowerOfDFactory::heterogeneous(2)),

@@ -9,13 +9,12 @@
 //! Like JSQ, the per-job argmin runs over a [`BatchArgmin`] indexed queue
 //! view keyed on the *true* snapshot, so the engine's round-to-round dirty
 //! set ([`DispatchContext::dirty_servers`]) is authoritative for the keys:
-//! the default configuration keeps one **warm** tree per dispatcher across
-//! rounds and repairs exactly the engine-reported changes instead of
-//! rebuilding all `n` keys every batch (the mirror-sync contract lives in
+//! each dispatcher keeps one **warm** tree across rounds and repairs
+//! exactly the engine-reported changes instead of rebuilding all `n` keys
+//! every batch (the mirror-sync contract lives in
 //! [`crate::common::sync_snapshot_mirror`]). [`SedPolicy::scan`] retains the
 //! `O(n)`-per-job reference, which picks exactly the same servers for equal
-//! seeds; [`SedPolicy::per_batch_rebuild`] retains the per-batch-rebuild
-//! PR 4 path as the bench baseline. The expected-delay keys multiply by
+//! seeds — the test oracle for the tree. The expected-delay keys multiply by
 //! cached reciprocal rates (shared per-round via the engine's
 //! [`scd_model::RoundCache`] when available) instead of dividing per query.
 
@@ -37,13 +36,11 @@ pub struct SedPolicy {
     /// (rates are static per run, so this is filled once).
     inv_rates: Vec<f64>,
     rates_snapshot: Vec<f64>,
-    /// Tracks which round's snapshot `local` mirrors (warm path only).
+    /// Tracks which round's snapshot `local` mirrors.
     sync: SnapshotSync,
     /// Slots this dispatcher placed jobs on in its last batch — re-checked
     /// at the next sync alongside the engine's dirty set.
     touched: Vec<u32>,
-    /// False only for the per-batch-rebuild reference configuration.
-    warm: bool,
 }
 
 impl SedPolicy {
@@ -67,17 +64,7 @@ impl SedPolicy {
             rates_snapshot: Vec::new(),
             sync: SnapshotSync::default(),
             touched: Vec::new(),
-            warm: true,
         }
-    }
-
-    /// Reverts to the per-batch tree rebuild (fresh priorities and an `O(n)`
-    /// rebuild every batch) — the pre-dirty-set reference configuration kept
-    /// for the engine-throughput baseline. Per-batch and warm configurations
-    /// consume the RNG differently, so their trajectories differ.
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
-        self
     }
 
     /// Refreshes the private reciprocal-rate table if the rates changed
@@ -100,16 +87,14 @@ impl DispatchPolicy for SedPolicy {
     }
 
     fn observe_round(&mut self, ctx: &DispatchContext<'_>, _rng: &mut dyn RngCore) {
-        if self.warm {
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
-            mark_availability_flips(&mut self.picker, ctx);
-        }
+        sync_snapshot_mirror(
+            &mut self.local,
+            &mut self.picker,
+            &mut self.sync,
+            ctx,
+            &mut self.touched,
+        );
+        mark_availability_flips(&mut self.picker, ctx);
     }
 
     fn dispatch_batch(
@@ -133,21 +118,16 @@ impl DispatchPolicy for SedPolicy {
         if batch == 0 {
             return;
         }
-        if self.warm {
-            // No-op when observe_round already synced this round; direct
-            // invocations (tests, examples) resync here.
-            sync_snapshot_mirror(
-                &mut self.local,
-                &mut self.picker,
-                &mut self.sync,
-                ctx,
-                &mut self.touched,
-            );
-            mark_availability_flips(&mut self.picker, ctx);
-        } else {
-            self.local.clear();
-            self.local.extend_from_slice(ctx.queue_lengths());
-        }
+        // No-op when observe_round already synced this round; direct
+        // invocations (tests, examples) resync here.
+        sync_snapshot_mirror(
+            &mut self.local,
+            &mut self.picker,
+            &mut self.sync,
+            ctx,
+            &mut self.touched,
+        );
+        mark_availability_flips(&mut self.picker, ctx);
         if ctx.cache().is_none() {
             self.refresh_inv_rates(ctx.rates());
         }
@@ -166,55 +146,34 @@ impl DispatchPolicy for SedPolicy {
         };
         let local = &mut self.local;
         let n = local.len();
-        if self.warm {
-            self.picker.begin_warm(n, |i| masked(i, local[i]), rng);
-        } else {
-            self.picker.begin(n, |i| masked(i, local[i]), rng);
-        }
+        self.picker.begin_warm(n, |i| masked(i, local[i]), rng);
         for _ in 0..batch {
             let target = self.picker.pick(|i| masked(i, local[i]));
             local[target] += 1;
             self.picker.update(target, masked(target, local[target]));
-            if self.warm {
-                self.touched.push(target as u32);
-            }
+            self.touched.push(target as u32);
             out.push(ServerId::new(target));
         }
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
+        // Mirror + sync point + own placements + warm priority epoch. The
+        // reciprocal-rate tables are derived from static rates and refresh
+        // deterministically, so they are not checkpointed.
         let mut w = StateWriter::new();
-        w.u8(u8::from(self.warm));
-        if self.warm {
-            // Mirror + sync point + own placements + warm priority epoch.
-            // The reciprocal-rate tables are derived from static rates and
-            // refresh deterministically, so they are not checkpointed.
-            w.u64s(&self.local);
-            w.opt_u64(self.sync.synced_round());
-            w.u32s(&self.touched);
-            self.picker.save_warm_state(&mut w);
-        }
+        w.u64s(&self.local);
+        w.opt_u64(self.sync.synced_round());
+        w.u32s(&self.touched);
+        self.picker.save_warm_state(&mut w);
         out.extend_from_slice(&w.into_bytes());
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut r = StateReader::new(bytes);
-        let warm = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(format!("SED checkpoint: invalid warm flag byte {other}")),
-        };
-        if warm != self.warm {
-            return Err(
-                "SED checkpoint warm-mode flag does not match this configuration".to_string(),
-            );
-        }
-        if warm {
-            self.local = r.u64s()?;
-            self.sync.set_synced_round(r.opt_u64()?);
-            self.touched = r.u32s()?;
-            self.picker.restore_warm_state(&mut r)?;
-        }
+        self.local = r.u64s()?;
+        self.sync.set_synced_round(r.opt_u64()?);
+        self.touched = r.u32s()?;
+        self.picker.restore_warm_state(&mut r)?;
         r.finish()
     }
 }
@@ -223,7 +182,6 @@ impl DispatchPolicy for SedPolicy {
 #[derive(Debug, Clone)]
 pub struct SedFactory {
     mode: ArgminMode,
-    warm: bool,
 }
 
 impl SedFactory {
@@ -231,24 +189,14 @@ impl SedFactory {
     pub fn new() -> Self {
         SedFactory {
             mode: ArgminMode::Indexed,
-            warm: true,
         }
     }
 
-    /// Factory for the scan-mode reference (same decisions, `O(n)` per job).
+    /// Factory for the scan-mode oracle (same decisions, `O(n)` per job).
     pub fn scan() -> Self {
         SedFactory {
             mode: ArgminMode::Scan,
-            warm: true,
         }
-    }
-
-    /// Factory for the pre-dirty-set reference: fresh priorities and an
-    /// `O(n)` tree rebuild every batch (the PR 4 dispatch path, kept as the
-    /// engine-throughput baseline).
-    pub fn per_batch_rebuild(mut self) -> Self {
-        self.warm = false;
-        self
     }
 
     /// The same policy wrapped in a [`NamedFactory`].
@@ -273,12 +221,7 @@ impl PolicyFactory for SedFactory {
         _dispatcher: scd_model::DispatcherId,
         _spec: &scd_model::ClusterSpec,
     ) -> scd_model::BoxedPolicy {
-        let policy = SedPolicy::with_mode(self.mode);
-        Box::new(if self.warm {
-            policy
-        } else {
-            policy.per_batch_rebuild()
-        })
+        Box::new(SedPolicy::with_mode(self.mode))
     }
 }
 

@@ -23,7 +23,7 @@ use crate::fabric::codec::{ByteReader, ByteWriter, CodecError};
 use crate::report::DegradationMetrics;
 
 /// Layout version of the serialized checkpoint; bumped on any change.
-const CHECKPOINT_VERSION: u8 = 1;
+const CHECKPOINT_VERSION: u8 = 2;
 
 /// Mid-run state of a response-time histogram.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
 use scd_model::{
-    policy::validate_assignment, Availability, CacheDemand, DegradedView, DispatchContext,
-    DispatcherId, ModelError, PolicyFactory, ProbeLossOracle, RoundCache, ServerId,
+    Availability, CacheDemand, DegradedView, DispatchContext, DispatcherId, ModelError,
+    PolicyFactory, ProbeLossOracle, RoundCache, ServerId,
 };
 use std::error::Error;
 use std::fmt;
@@ -196,8 +196,8 @@ impl<'a> ScenarioRound<'a> {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     config: SimConfig,
-    /// Whether the round loop tracks round-to-round dirty sets and hands
-    /// them to policies/caches (see [`Simulation::with_delta_rounds`]).
+    /// Whether the round loop hands its round-to-round dirty sets to
+    /// policies and the cache (see [`Simulation::with_delta_rounds`]).
     delta_rounds: bool,
 }
 
@@ -246,16 +246,16 @@ impl Simulation {
         &self.config
     }
 
-    /// Enables or disables round-to-round delta tracking (default: enabled).
+    /// Enables or disables round-to-round delta hand-off (default: enabled).
     ///
-    /// With deltas enabled the engine collects each round's dirty set — the
-    /// dispatch targets plus the servers whose queues completed jobs — and
+    /// The engine collects each round's dirty set — the dispatch targets
+    /// plus the servers whose queues completed jobs — and, when enabled,
     /// exposes it through [`DispatchContext::dirty_servers`] and the
     /// [`RoundCache`] delta refresh, so warm per-round structures repair
     /// only what changed. The dirty set is a **pure accelerator**: reports
-    /// are bit-identical for either setting (pinned by the engine
-    /// equivalence tests); disabling it reconstructs the PR 4 round loop
-    /// for apples-to-apples benchmarking.
+    /// are bit-identical for either setting. Disabling it (policies and the
+    /// cache then resynchronize in full every round) is the test oracle
+    /// that pins this.
     pub fn with_delta_rounds(mut self, enabled: bool) -> Self {
         self.delta_rounds = enabled;
         self
@@ -457,22 +457,21 @@ impl Simulation {
         let mut snapshot: Vec<u64> = vec![0; n];
         let mut arrivals: Vec<u64> = Vec::with_capacity(m);
         let mut assignment: Vec<ServerId> = Vec::new();
-        // Round-to-round dirty tracking (`with_delta_rounds`): `dirty` lists
-        // the servers whose queue length changed between the previous
-        // round's snapshot and this one's. The engine computes it **inside
-        // the snapshot pass it already performs** — one compare per server
-        // against the old snapshot value — so the set is exact (dispatch
-        // targets ∪ servers with completions, minus no-net-change servers),
-        // deduplicated, ascending, and costs one branch per server.
-        let track_deltas = self.delta_rounds;
+        // Round-to-round dirty tracking: `dirty` lists the servers whose
+        // queue length changed between the previous round's snapshot and
+        // this one's. The engine computes it **inside the snapshot pass it
+        // already performs** — one compare per server against the old
+        // snapshot value — so the set is exact (dispatch targets ∪ servers
+        // with completions, minus no-net-change servers), deduplicated,
+        // ascending, and costs one branch per server. `with_delta_rounds`
+        // decides only whether policies and the cache get to see it.
         let mut dirty: Vec<u32> = Vec::new();
-        // Delta mode dispatches in ascending batch-size order (engine-known
-        // before any dispatch): consecutive SCD estimates `m·a(d)` then
-        // differ minimally, which is exactly what the solver's in-round
-        // warm seeds want. Order is decision-invisible — each dispatcher
-        // owns its RNG stream and sees the same snapshot, and same-round
-        // pushes merge per server — so reports are bit-identical to the
-        // `0..m` order (pinned by the delta on/off equivalence tests).
+        // Dispatchers run in ascending batch-size order (engine-known before
+        // any dispatch): consecutive SCD estimates `m·a(d)` then differ
+        // minimally, which is exactly what the solver's in-round warm seeds
+        // want. Order is decision-invisible: each dispatcher owns its RNG
+        // stream and sees the same snapshot, and same-round pushes merge per
+        // server.
         let mut dispatch_order: Vec<u32> = (0..m as u32).collect();
         // Shared per-round compute cache: derived tables (reciprocal rates,
         // loads, solver keys) are identical across the m dispatchers of a
@@ -864,20 +863,14 @@ impl Simulation {
                 }
             }
             // The queue-length snapshot every dispatcher observes this
-            // round; with delta tracking the same pass diffs it against the
-            // previous round's values to produce the dirty set.
-            if track_deltas {
-                dirty.clear();
-                for (s, (slot, queue)) in snapshot.iter_mut().zip(&queues).enumerate() {
-                    let len = queue.len();
-                    if *slot != len {
-                        *slot = len;
-                        dirty.push(s as u32);
-                    }
-                }
-            } else {
-                for (slot, queue) in snapshot.iter_mut().zip(&queues) {
-                    *slot = queue.len();
+            // round; the same pass diffs it against the previous round's
+            // values to produce the dirty set.
+            dirty.clear();
+            for (s, (slot, queue)) in snapshot.iter_mut().zip(&queues).enumerate() {
+                let len = queue.len();
+                if *slot != len {
+                    *slot = len;
+                    dirty.push(s as u32);
                 }
             }
             if measured_round {
@@ -887,7 +880,7 @@ impl Simulation {
                 ring[(round as usize) % ring_depth].copy_from_slice(&snapshot);
             }
             // Round 0 has no predecessor snapshot, so no delta information.
-            let have_deltas = track_deltas && round > 0;
+            let have_deltas = self.delta_rounds && round > 0;
             // Fair-weather fast path: one context (and one shared cache
             // refresh) serves every dispatcher. Under an active scenario
             // each dispatcher builds its own context (stale views differ
@@ -998,11 +991,7 @@ impl Simulation {
                 let ctx = ctx_for(d);
                 policies[d].observe_round(&ctx, &mut policy_rngs[d]);
             }
-            if track_deltas {
-                dispatch_order.sort_unstable_by_key(|&d| (arrivals[d as usize], d));
-            }
-            // Without delta tracking `dispatch_order` stays `0..m` — the
-            // PR 4 iteration order.
+            dispatch_order.sort_unstable_by_key(|&d| (arrivals[d as usize], d));
             for &d in &dispatch_order {
                 let d = d as usize;
                 let batch = arrivals[d] as usize;
@@ -1034,98 +1023,60 @@ impl Simulation {
                         );
                     }
                 }
-                if track_deltas {
-                    // Fused validate + coalesced push: a policy violation
-                    // aborts the whole run (partial pushes are discarded
-                    // with it), so validation and enqueueing can share one
-                    // pass, with the same error semantics as
-                    // `validate_assignment` (arity first, then the first
-                    // out-of-range destination in order). Same-server runs
-                    // collapse into one RLE segment push each — identical
-                    // queue state, since same-round pushes merge inside the
-                    // segment anyway. (Runs rather than full per-batch
-                    // counts on purpose: a scatter/gather count pass
-                    // measured *slower* than the back-merges it saves for
-                    // spread-out assignments like SCD's alias draws.)
-                    let violation = |source| SimError::PolicyViolation {
-                        policy: factory.name().to_string(),
-                        dispatcher: d,
-                        source,
-                    };
-                    if assignment.len() != batch {
-                        return Err(violation(ModelError::AssignmentArity {
-                            got: assignment.len(),
-                            expected: batch,
+                // Fused validate + coalesced push: a policy violation aborts
+                // the whole run (partial pushes are discarded with it), so
+                // validation and enqueueing can share one pass, with the
+                // same error semantics as `validate_assignment` (arity
+                // first, then the first bad destination in order).
+                // Same-server runs collapse into one RLE segment push each —
+                // identical queue state, since same-round pushes merge
+                // inside the segment anyway. (Runs rather than full
+                // per-batch counts on purpose: a scatter/gather count pass
+                // measured *slower* than the back-merges it saves for
+                // spread-out assignments like SCD's alias draws.)
+                let violation = |source| SimError::PolicyViolation {
+                    policy: factory.name().to_string(),
+                    dispatcher: d,
+                    source,
+                };
+                if assignment.len() != batch {
+                    return Err(violation(ModelError::AssignmentArity {
+                        got: assignment.len(),
+                        expected: batch,
+                    }));
+                }
+                let mut i = 0;
+                while i < assignment.len() {
+                    let server = assignment[i];
+                    if server.index() >= n {
+                        return Err(violation(ModelError::UnknownServer {
+                            server: server.index(),
+                            num_servers: n,
                         }));
                     }
-                    let mut i = 0;
-                    while i < assignment.len() {
-                        let server = assignment[i];
-                        if server.index() >= n {
-                            return Err(violation(ModelError::UnknownServer {
-                                server: server.index(),
-                                num_servers: n,
-                            }));
-                        }
-                        if scn_active && !avail.is_up(server.index()) {
-                            return Err(violation(ModelError::ServerDown {
-                                server: server.index(),
-                            }));
-                        }
-                        let mut count = 1u64;
-                        while i + (count as usize) < assignment.len()
-                            && assignment[i + count as usize] == server
-                        {
-                            count += 1;
-                        }
-                        queues[server.index()].push(round, count);
-                        if let Some(trace) = trace.as_deref_mut() {
-                            trace.record_dispatch(round, d as u32, server.index() as u32, count);
-                        }
-                        if scn_active {
-                            let slot = server.index();
-                            if recv_counts[slot] == 0 {
-                                recv_touched.push(slot as u32);
-                            }
-                            recv_counts[slot] += count;
-                        }
-                        i += count as usize;
+                    if scn_active && !avail.is_up(server.index()) {
+                        return Err(violation(ModelError::ServerDown {
+                            server: server.index(),
+                        }));
                     }
-                } else {
-                    // The PR 4-faithful loop: validation pass, then one
-                    // push per job (same queue state — same-round pushes
-                    // merge inside the segment).
-                    validate_assignment(&assignment, batch, n).map_err(|source| {
-                        SimError::PolicyViolation {
-                            policy: factory.name().to_string(),
-                            dispatcher: d,
-                            source,
-                        }
-                    })?;
+                    let mut count = 1u64;
+                    while i + (count as usize) < assignment.len()
+                        && assignment[i + count as usize] == server
+                    {
+                        count += 1;
+                    }
+                    queues[server.index()].push(round, count);
+                    if let Some(trace) = trace.as_deref_mut() {
+                        trace.record_dispatch(round, d as u32, server.index() as u32, count);
+                    }
                     if scn_active {
-                        if let Some(&bad) = assignment.iter().find(|s| !avail.is_up(s.index())) {
-                            return Err(SimError::PolicyViolation {
-                                policy: factory.name().to_string(),
-                                dispatcher: d,
-                                source: ModelError::ServerDown {
-                                    server: bad.index(),
-                                },
-                            });
+                        let slot = server.index();
+                        if recv_counts[slot] == 0 {
+                            recv_touched.push(slot as u32);
                         }
+                        recv_counts[slot] += count;
                     }
-                    for &server in &assignment {
-                        queues[server.index()].push(round, 1);
-                        if let Some(trace) = trace.as_deref_mut() {
-                            trace.record_dispatch(round, d as u32, server.index() as u32, 1);
-                        }
-                        if scn_active {
-                            let slot = server.index();
-                            if recv_counts[slot] == 0 {
-                                recv_touched.push(slot as u32);
-                            }
-                            recv_counts[slot] += 1;
-                        }
-                    }
+                    i += count as usize;
                 }
                 if measured_round {
                     jobs_dispatched += batch as u64;

@@ -1,36 +1,25 @@
 //! The fabric frame codec: the only bytes that cross a fabric process
 //! boundary.
 //!
-//! Two envelope generations share the magic and checksum scheme:
+//! Every frame shares one envelope:
 //!
 //! ```text
-//! v2 (legacy, one final report per worker):
-//! offset  size  field
-//! 0       4     magic  b"SCDF"
-//! 4       1     format version (FRAME_VERSION_V2 = 2)
-//! 5       8     config digest (LE u64, SimConfig::digest of the base run)
-//! 13      4     payload length (LE u32)
-//! 17      len   payload (the ShardReport, field by field, LE)
-//! 17+len  8     FNV-1a 64 checksum (LE u64) over bytes 4 .. 17+len
-//!
-//! v3 (streaming: progress / checkpoint / final):
 //! offset  size  field
 //! 0       4     magic  b"SCDF"
 //! 4       1     format version (FRAME_VERSION = 3)
 //! 5       1     frame kind (1 = Progress, 2 = Checkpoint, 3 = Final)
-//! 6       8     config digest (LE u64)
+//! 6       8     config digest (LE u64, SimConfig::digest of the base run)
 //! 14      4     payload length (LE u32)
 //! 18      len   payload (kind-specific, LE)
 //! 18+len  8     FNV-1a 64 checksum (LE u64) over bytes 4 .. 18+len
 //! ```
 //!
-//! A v2 frame is byte-for-byte what the PR 8 fabric shipped; workers
-//! running with checkpointing off still emit exactly one v2 frame, and
-//! [`decode_frame`] accepts both generations. The v3 `Final` payload is
-//! the v2 report payload with the degradation block widened by the two
-//! recovery counters (`checkpoints_taken`, `rounds_replayed`); `Progress`
+//! The `Final` payload is the [`ShardReport`], field by field, recovery
+//! counters (`checkpoints_taken`, `rounds_replayed`) included; `Progress`
 //! carries a fixed-width heartbeat and `Checkpoint` an opaque serialized
-//! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) blob.
+//! [`EngineCheckpoint`](crate::checkpoint::EngineCheckpoint) blob. Worker
+//! and orchestrator ship in one build, so the decoder speaks exactly the
+//! version the encoder writes; earlier versions are refused.
 //!
 //! The payload encodes every field explicitly — counters and lengths as
 //! LE integers, floats by their IEEE-754 bit patterns (`to_bits`/
@@ -56,13 +45,9 @@ use std::fmt;
 /// The 4-byte frame preamble.
 pub const FRAME_MAGIC: [u8; 4] = *b"SCDF";
 
-/// Current frame-format version (the streaming generation with a kind
-/// byte); bumped on any payload layout change.
+/// The frame-format version; bumped on any envelope or payload layout
+/// change.
 pub const FRAME_VERSION: u8 = 3;
-
-/// The legacy single-report frame version, still emitted verbatim when
-/// checkpointing is off and accepted by every decoder entry point.
-pub const FRAME_VERSION_V2: u8 = 2;
 
 /// Upper bound on a frame's declared payload length. The largest legal
 /// payload (a saturated response-time histogram plus a decision-time
@@ -92,7 +77,7 @@ pub enum CodecError {
         /// The version byte found.
         got: u8,
     },
-    /// A v3 frame's kind byte names no known frame kind.
+    /// The kind byte names no known frame kind.
     UnknownKind {
         /// The kind byte found.
         got: u8,
@@ -136,12 +121,11 @@ impl fmt::Display for CodecError {
             CodecError::UnsupportedVersion { got } => {
                 write!(
                     f,
-                    "unsupported frame version {got} (this decoder speaks \
-                     {FRAME_VERSION_V2} and {FRAME_VERSION})"
+                    "unsupported frame version {got} (this decoder speaks {FRAME_VERSION})"
                 )
             }
             CodecError::UnknownKind { got } => {
-                write!(f, "unknown v{FRAME_VERSION} frame kind byte {got}")
+                write!(f, "unknown frame kind byte {got}")
             }
             CodecError::Oversized { len } => {
                 write!(
@@ -320,7 +304,7 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// The three kinds a v3 frame can carry.
+/// The three kinds a frame can carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
@@ -344,7 +328,7 @@ impl FrameKind {
     }
 }
 
-/// A v3 heartbeat: emitted by a worker at every checkpoint boundary so the
+/// A heartbeat: emitted by a worker at every checkpoint boundary so the
 /// orchestrator's liveness deadline measures *progress*, not wall clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgressFrame {
@@ -362,7 +346,7 @@ pub struct ProgressFrame {
     pub jobs_dispatched: u64,
 }
 
-/// A v3 checkpoint frame: an opaque serialized engine checkpoint, retained
+/// A checkpoint frame: an opaque serialized engine checkpoint, retained
 /// by the orchestrator and shipped back to a replacement worker on retry.
 ///
 /// The envelope checksum is the orchestrator's verification; the blob is
@@ -379,10 +363,7 @@ pub struct CheckpointFrame {
     pub state: Vec<u8>,
 }
 
-/// One decoded fabric frame of either envelope generation.
-///
-/// A legacy v2 frame decodes as [`Frame::Final`]; v3 frames decode by
-/// their kind byte.
+/// One decoded fabric frame.
 // The size skew is deliberate: exactly one `Final` is decoded per worker
 // attempt, so boxing it would tax the common (streaming) path's match arms
 // for no allocation win.
@@ -397,7 +378,7 @@ pub enum Frame {
     Final(ShardReport),
 }
 
-fn encode_payload(report: &ShardReport, v3: bool) -> Result<Vec<u8>, CodecError> {
+fn encode_payload(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
     let mut w = ByteWriter::new();
     w.len(report.shard)?;
     w.len(report.num_shards)?;
@@ -442,24 +423,14 @@ fn encode_payload(report: &ShardReport, v3: bool) -> Result<Vec<u8>, CodecError>
             w.u64(d.herding_rounds);
             w.u64(d.shards_lost);
             w.u64(d.rounds_lost);
-            if v3 {
-                w.u64(d.checkpoints_taken);
-                w.u64(d.rounds_replayed);
-            } else if d.checkpoints_taken != 0 || d.rounds_replayed != 0 {
-                // The legacy layout has no slots for the recovery counters;
-                // dropping them silently would un-count real replays.
-                return Err(CodecError::Malformed(format!(
-                    "v{FRAME_VERSION_V2} frames cannot carry recovery counters \
-                     (checkpoints_taken={}, rounds_replayed={})",
-                    d.checkpoints_taken, d.rounds_replayed
-                )));
-            }
+            w.u64(d.checkpoints_taken);
+            w.u64(d.rounds_replayed);
         }
     }
     Ok(w.into_bytes())
 }
 
-fn decode_payload(payload: &[u8], config_digest: u64, v3: bool) -> Result<ShardReport, CodecError> {
+fn decode_payload(payload: &[u8], config_digest: u64) -> Result<ShardReport, CodecError> {
     let mut r = ByteReader::new(payload);
     let shard = r.len()?;
     let num_shards = r.len()?;
@@ -513,8 +484,8 @@ fn decode_payload(payload: &[u8], config_digest: u64, v3: bool) -> Result<ShardR
             herding_rounds: r.u64()?,
             shards_lost: r.u64()?,
             rounds_lost: r.u64()?,
-            checkpoints_taken: if v3 { r.u64()? } else { 0 },
-            rounds_replayed: if v3 { r.u64()? } else { 0 },
+            checkpoints_taken: r.u64()?,
+            rounds_replayed: r.u64()?,
         }),
         tag => {
             return Err(CodecError::Malformed(format!(
@@ -550,37 +521,20 @@ fn decode_payload(payload: &[u8], config_digest: u64, v3: bool) -> Result<ShardR
     })
 }
 
-/// Fixed header length of a v2 frame (magic, version, digest, len).
-pub(crate) const HEADER_LEN_V2: usize = 4 + 1 + 8 + 4;
-/// Fixed header length of a v3 frame (magic, version, kind, digest, len).
-pub(crate) const HEADER_LEN_V3: usize = 4 + 1 + 1 + 8 + 4;
+/// Fixed header length of a frame (magic, version, kind, digest, len).
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 1 + 8 + 4;
 
-/// Wraps a payload in a complete frame: header, payload, checksum. A
-/// `kind` of `None` emits the legacy v2 header.
-fn seal_frame(
-    kind: Option<FrameKind>,
-    digest: u64,
-    payload: Vec<u8>,
-) -> Result<Vec<u8>, CodecError> {
+/// Wraps a payload in a complete frame: header, payload, checksum.
+fn seal_frame(kind: FrameKind, digest: u64, payload: Vec<u8>) -> Result<Vec<u8>, CodecError> {
     if payload.len() > MAX_PAYLOAD_LEN as usize {
         return Err(CodecError::Oversized {
             len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
         });
     }
-    let header_len = if kind.is_some() {
-        HEADER_LEN_V3
-    } else {
-        HEADER_LEN_V2
-    };
-    let mut frame = Vec::with_capacity(header_len + payload.len() + 8);
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 8);
     frame.extend_from_slice(&FRAME_MAGIC);
-    match kind {
-        Some(kind) => {
-            frame.push(FRAME_VERSION);
-            frame.push(kind as u8);
-        }
-        None => frame.push(FRAME_VERSION_V2),
-    }
+    frame.push(FRAME_VERSION);
+    frame.push(kind as u8);
     frame.extend_from_slice(&digest.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&payload);
@@ -589,34 +543,22 @@ fn seal_frame(
     Ok(frame)
 }
 
-/// Encodes one [`ShardReport`] into a complete **legacy v2** frame — the
-/// byte-for-byte PR 8 wire format, still what a worker running with
-/// checkpointing off emits. The header digest is the report's own
+/// Encodes one [`ShardReport`] into a `Final` frame, recovery counters
+/// included. The header digest is the report's own
 /// [`config_digest`](ShardReport::config_digest).
-///
-/// # Errors
-/// Returns [`CodecError::Malformed`] if a length field exceeds the u32
-/// wire width, or if the report carries nonzero recovery counters (the
-/// legacy layout has no slots for them — use [`encode_final_frame`]).
-pub fn encode_shard_report(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
-    seal_frame(None, report.config_digest, encode_payload(report, false)?)
-}
-
-/// Encodes one [`ShardReport`] into a v3 `Final` frame, recovery counters
-/// included.
 ///
 /// # Errors
 /// Returns [`CodecError::Malformed`] only if a length field exceeds the
 /// u32 wire width — impossible for reports produced by the engine.
 pub fn encode_final_frame(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
     seal_frame(
-        Some(FrameKind::Final),
+        FrameKind::Final,
         report.config_digest,
-        encode_payload(report, true)?,
+        encode_payload(report)?,
     )
 }
 
-/// Encodes a heartbeat into a v3 `Progress` frame.
+/// Encodes a heartbeat into a `Progress` frame.
 ///
 /// # Errors
 /// Infallible in practice; the signature matches its siblings.
@@ -627,14 +569,10 @@ pub fn encode_progress_frame(progress: &ProgressFrame) -> Result<Vec<u8>, CodecE
     w.u64(progress.round);
     w.u64(progress.rounds_total);
     w.u64(progress.jobs_dispatched);
-    seal_frame(
-        Some(FrameKind::Progress),
-        progress.config_digest,
-        w.into_bytes(),
-    )
+    seal_frame(FrameKind::Progress, progress.config_digest, w.into_bytes())
 }
 
-/// Encodes a serialized engine checkpoint into a v3 `Checkpoint` frame.
+/// Encodes a serialized engine checkpoint into a `Checkpoint` frame.
 ///
 /// # Errors
 /// Returns [`CodecError::Oversized`] if the state blob exceeds
@@ -652,50 +590,52 @@ pub fn encode_checkpoint_frame(checkpoint: &CheckpointFrame) -> Result<Vec<u8>, 
     w.u32(checkpoint.num_shards);
     w.bytes(&checkpoint.state);
     seal_frame(
-        Some(FrameKind::Checkpoint),
+        FrameKind::Checkpoint,
         checkpoint.config_digest,
         w.into_bytes(),
     )
 }
 
-/// Splits a validated envelope into its parts: the frame kind (`None` for
-/// v2), config digest, and payload slice. Shared by [`decode_frame`] and
-/// [`decode_shard_report`].
-fn open_frame(bytes: &[u8]) -> Result<(Option<FrameKind>, u64, &[u8]), CodecError> {
-    if bytes.len() < HEADER_LEN_V2 {
+/// Checks the envelope fields a frame prefix exposes — magic, version and
+/// kind, as far as `bytes` reaches — and returns the kind once readable.
+/// Shared by [`open_frame`] and [`peek_frame_len`], so a stream reader and
+/// the strict decoder classify a bad header identically.
+fn check_header(bytes: &[u8]) -> Result<Option<FrameKind>, CodecError> {
+    if bytes.len() >= 4 {
+        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
+        if magic != FRAME_MAGIC {
+            return Err(CodecError::BadMagic { got: magic });
+        }
+    }
+    match bytes.get(4) {
+        Some(&FRAME_VERSION) | None => {}
+        Some(&got) => return Err(CodecError::UnsupportedVersion { got }),
+    }
+    bytes.get(5).map(|&b| FrameKind::from_byte(b)).transpose()
+}
+
+/// The payload length a complete header declares, refusing oversized
+/// declarations before a single payload byte is awaited or read.
+fn declared_payload_len(header: &[u8]) -> Result<usize, CodecError> {
+    let len = u32::from_le_bytes(header[14..HEADER_LEN].try_into().expect("4 bytes"));
+    if len > MAX_PAYLOAD_LEN {
+        return Err(CodecError::Oversized { len });
+    }
+    Ok(len as usize)
+}
+
+/// Splits a validated envelope into its parts: the frame kind, config
+/// digest, and payload slice.
+fn open_frame(bytes: &[u8]) -> Result<(FrameKind, u64, &[u8]), CodecError> {
+    if bytes.len() < HEADER_LEN {
         return Err(CodecError::Truncated {
-            needed: HEADER_LEN_V2,
+            needed: HEADER_LEN,
             got: bytes.len(),
         });
     }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-    if magic != FRAME_MAGIC {
-        return Err(CodecError::BadMagic { got: magic });
-    }
-    let version = bytes[4];
-    let (kind, header_len) = match version {
-        FRAME_VERSION_V2 => (None, HEADER_LEN_V2),
-        FRAME_VERSION => (Some(FrameKind::from_byte(bytes[5])?), HEADER_LEN_V3),
-        got => return Err(CodecError::UnsupportedVersion { got }),
-    };
-    if bytes.len() < header_len {
-        return Err(CodecError::Truncated {
-            needed: header_len,
-            got: bytes.len(),
-        });
-    }
-    let digest_at = header_len - 12;
-    let config_digest =
-        u64::from_le_bytes(bytes[digest_at..digest_at + 8].try_into().expect("8 bytes"));
-    let payload_len = u32::from_le_bytes(
-        bytes[header_len - 4..header_len]
-            .try_into()
-            .expect("4 bytes"),
-    );
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(CodecError::Oversized { len: payload_len });
-    }
-    let frame_len = header_len + payload_len as usize + 8;
+    let kind = check_header(bytes)?.expect("a complete header carries a kind byte");
+    let config_digest = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes"));
+    let frame_len = HEADER_LEN + declared_payload_len(bytes)? + 8;
     if bytes.len() < frame_len {
         return Err(CodecError::Truncated {
             needed: frame_len,
@@ -712,7 +652,7 @@ fn open_frame(bytes: &[u8]) -> Result<(Option<FrameKind>, u64, &[u8]), CodecErro
     if computed != stored {
         return Err(CodecError::ChecksumMismatch { computed, stored });
     }
-    Ok((kind, config_digest, &bytes[header_len..frame_len - 8]))
+    Ok((kind, config_digest, &bytes[HEADER_LEN..frame_len - 8]))
 }
 
 /// Inspects a (possibly incomplete) frame prefix and reports the total
@@ -726,53 +666,24 @@ fn open_frame(bytes: &[u8]) -> Result<(Option<FrameKind>, u64, &[u8]), CodecErro
 /// [`CodecError::BadMagic`], [`CodecError::UnsupportedVersion`],
 /// [`CodecError::UnknownKind`] or [`CodecError::Oversized`].
 pub fn peek_frame_len(bytes: &[u8]) -> Result<Option<usize>, CodecError> {
-    if bytes.len() >= 4 {
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != FRAME_MAGIC {
-            return Err(CodecError::BadMagic { got: magic });
-        }
-    }
-    if bytes.len() < 5 {
+    check_header(bytes)?;
+    if bytes.len() < HEADER_LEN {
         return Ok(None);
     }
-    let header_len = match bytes[4] {
-        FRAME_VERSION_V2 => HEADER_LEN_V2,
-        FRAME_VERSION => {
-            if bytes.len() < 6 {
-                return Ok(None);
-            }
-            FrameKind::from_byte(bytes[5])?;
-            HEADER_LEN_V3
-        }
-        got => return Err(CodecError::UnsupportedVersion { got }),
-    };
-    if bytes.len() < header_len {
-        return Ok(None);
-    }
-    let payload_len = u32::from_le_bytes(
-        bytes[header_len - 4..header_len]
-            .try_into()
-            .expect("4 bytes"),
-    );
-    if payload_len > MAX_PAYLOAD_LEN {
-        return Err(CodecError::Oversized { len: payload_len });
-    }
-    Ok(Some(header_len + payload_len as usize + 8))
+    Ok(Some(HEADER_LEN + declared_payload_len(bytes)? + 8))
 }
 
-/// Decodes one complete frame of either envelope generation, verifying
-/// magic, version, kind, declared length, checksum and payload layout.
-/// Strict: the slice must contain exactly one frame and nothing else. A
-/// legacy v2 frame decodes as [`Frame::Final`].
+/// Decodes one complete frame, verifying magic, version, kind, declared
+/// length, checksum and payload layout. Strict: the slice must contain
+/// exactly one frame and nothing else.
 ///
 /// # Errors
 /// Every rejection is a distinct [`CodecError`] variant; see the type.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
     let (kind, config_digest, payload) = open_frame(bytes)?;
     match kind {
-        None => Ok(Frame::Final(decode_payload(payload, config_digest, false)?)),
-        Some(FrameKind::Final) => Ok(Frame::Final(decode_payload(payload, config_digest, true)?)),
-        Some(FrameKind::Progress) => {
+        FrameKind::Final => Ok(Frame::Final(decode_payload(payload, config_digest)?)),
+        FrameKind::Progress => {
             let mut r = ByteReader::new(payload);
             let frame = ProgressFrame {
                 shard: r.u32()?,
@@ -790,7 +701,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
             }
             Ok(Frame::Progress(frame))
         }
-        Some(FrameKind::Checkpoint) => {
+        FrameKind::Checkpoint => {
             let mut r = ByteReader::new(payload);
             let shard = r.u32()?;
             let num_shards = r.u32()?;
@@ -810,9 +721,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
     }
 }
 
-/// Decodes one complete frame back into a [`ShardReport`]. Accepts a
-/// legacy v2 frame or a v3 `Final` frame; a v3 `Progress` or `Checkpoint`
-/// frame is rejected as [`CodecError::Malformed`].
+/// Decodes one complete `Final` frame back into a [`ShardReport`]; a
+/// `Progress` or `Checkpoint` frame is rejected as
+/// [`CodecError::Malformed`].
 ///
 /// # Errors
 /// Every rejection is a distinct [`CodecError`] variant; see the type.
@@ -874,13 +785,13 @@ mod tests {
     #[test]
     fn frame_round_trips_bit_for_bit() {
         let report = sample_report(2);
-        let frame = encode_shard_report(&report).unwrap();
+        let frame = encode_final_frame(&report).unwrap();
         assert_eq!(decode_shard_report(&frame).unwrap(), report);
     }
 
     #[test]
     fn every_truncation_is_rejected() {
-        let frame = encode_shard_report(&sample_report(0)).unwrap();
+        let frame = encode_final_frame(&sample_report(0)).unwrap();
         for len in 0..frame.len() {
             let err = decode_shard_report(&frame[..len]).unwrap_err();
             assert!(
@@ -892,7 +803,7 @@ mod tests {
 
     #[test]
     fn any_single_flipped_payload_byte_is_caught() {
-        let frame = encode_shard_report(&sample_report(1)).unwrap();
+        let frame = encode_final_frame(&sample_report(1)).unwrap();
         // Flip one bit in every payload byte (skip the magic: flipping it
         // is a BadMagic, tested separately).
         for i in 4..frame.len() {
@@ -907,7 +818,7 @@ mod tests {
 
     #[test]
     fn envelope_violations_are_classified() {
-        let frame = encode_shard_report(&sample_report(3)).unwrap();
+        let frame = encode_final_frame(&sample_report(3)).unwrap();
         let mut wrong_magic = frame.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
@@ -920,8 +831,15 @@ mod tests {
             decode_shard_report(&wrong_version).unwrap_err(),
             CodecError::UnsupportedVersion { got } if got == FRAME_VERSION + 1
         ));
+        // Version 2 — the retired single-report envelope — is refused too.
+        let mut retired = frame.clone();
+        retired[4] = 2;
+        assert!(matches!(
+            decode_shard_report(&retired).unwrap_err(),
+            CodecError::UnsupportedVersion { got: 2 }
+        ));
         let mut oversized = frame.clone();
-        oversized[13..17].copy_from_slice(&(MAX_PAYLOAD_LEN + 1).to_le_bytes());
+        oversized[14..18].copy_from_slice(&(MAX_PAYLOAD_LEN + 1).to_le_bytes());
         assert!(matches!(
             decode_shard_report(&oversized).unwrap_err(),
             CodecError::Oversized { .. }
@@ -957,20 +875,6 @@ mod tests {
         assert_eq!(frame[5], FrameKind::Final as u8);
         assert_eq!(decode_frame(&frame).unwrap(), Frame::Final(report.clone()));
         assert_eq!(decode_shard_report(&frame).unwrap(), report);
-    }
-
-    #[test]
-    fn v2_frames_refuse_recovery_counters_instead_of_dropping_them() {
-        let err = encode_shard_report(&sample_report_with_recovery(0)).unwrap_err();
-        assert!(matches!(err, CodecError::Malformed(_)), "got {err}");
-    }
-
-    #[test]
-    fn v2_frame_decodes_as_a_final_frame() {
-        let report = sample_report(1);
-        let frame = encode_shard_report(&report).unwrap();
-        assert_eq!(frame[4], FRAME_VERSION_V2);
-        assert_eq!(decode_frame(&frame).unwrap(), Frame::Final(report));
     }
 
     #[test]
@@ -1062,7 +966,7 @@ mod tests {
         };
         for frame in [
             encode_progress_frame(&progress).unwrap(),
-            encode_shard_report(&sample_report(0)).unwrap(),
+            encode_final_frame(&sample_report(0)).unwrap(),
         ] {
             for len in 0..frame.len() {
                 match peek_frame_len(&frame[..len]).unwrap() {

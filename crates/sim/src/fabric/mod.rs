@@ -10,29 +10,27 @@
 //! Three layers, mirroring the classic supervisor tree:
 //!
 //! * [`codec`] — a versioned, length-prefixed, checksummed binary frame
-//!   envelope. The legacy v2 generation wraps one
-//!   [`ShardReport`](crate::ShardReport); the streaming v3 generation adds
-//!   a kind byte and carries `Progress` heartbeats, restartable
-//!   `Checkpoint` state and the `Final` report over the same envelope.
-//!   Everything a worker sends is either a provably intact frame or a
+//!   envelope whose kind byte selects `Progress` heartbeats, restartable
+//!   `Checkpoint` state or the `Final`
+//!   [`ShardReport`](crate::ShardReport). Everything a worker sends is either a provably intact frame or a
 //!   classified rejection ([`CodecError`]); a torn pipe can never smuggle
 //!   half a histogram — or half a checkpoint — into a run.
 //! * [`worker`] — the in-process body of the `shard_worker` binary: parse
 //!   one shard's configuration (the `key = value` wire form of
 //!   [`SimConfig`](crate::SimConfig) on stdin), check it against the
 //!   orchestrator's expectations (sub-master seed, config digest), run the
-//!   shard, and stream frames on stdout — one v2 frame in the legacy
-//!   one-shot mode (`--checkpoint-every 0`), a progress/checkpoint pair
-//!   every `R` rounds plus a v3 final frame otherwise. `--resume-from
-//!   stdin` restores a retained checkpoint and continues bit-identically.
+//!   shard, and stream frames on stdout — a progress/checkpoint pair every
+//!   `R` rounds (`--checkpoint-every R`; none without the flag), then one
+//!   final frame. `--resume-from stdin` restores a retained checkpoint and
+//!   continues bit-identically.
 //!   A deterministic [`WorkerFaultPlan`] injects crashes (including
 //!   mid-stream, right after the N-th checkpoint), hangs and corruption
 //!   for the fault-tolerance tests — the faults are part of the observable
 //!   contract, not test-only hacks.
 //! * [`orchestrator`] — spawn `k` workers, supervise them under a
 //!   **heartbeat deadline** (the per-frame inter-arrival bound, which
-//!   degenerates to the classic per-attempt wall clock when nothing
-//!   streams), classify every failure ([`WorkerFailure`]), retain each
+//!   degenerates to a per-attempt wall clock when nothing but the final
+//!   frame streams), classify every failure ([`WorkerFailure`]), retain each
 //!   shard's last verified checkpoint, restart failed workers **from that
 //!   checkpoint** — falling back to retry-from-seed when none exists or
 //!   the worker refuses it — with seeded exponential backoff, and degrade
@@ -59,8 +57,8 @@ pub mod worker;
 
 pub use codec::{
     decode_frame, decode_shard_report, encode_checkpoint_frame, encode_final_frame,
-    encode_progress_frame, encode_shard_report, peek_frame_len, CheckpointFrame, CodecError, Frame,
-    FrameKind, ProgressFrame, FRAME_VERSION, FRAME_VERSION_V2,
+    encode_progress_frame, peek_frame_len, CheckpointFrame, CodecError, Frame, FrameKind,
+    ProgressFrame, FRAME_VERSION,
 };
 pub use orchestrator::{
     run_fabric, FabricOutcome, FabricSpec, InjectedFault, ShardAttempt, WorkerFailure,

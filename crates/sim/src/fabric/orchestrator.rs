@@ -4,15 +4,15 @@
 //! *processes*. Each shard's configuration is derived exactly as the
 //! in-process [`ShardedSimulation`] derives it —
 //! same striping, same sub-master seeds — and shipped to a worker over
-//! stdin in the `key = value` wire form. The worker answers with one
-//! checksummed report frame on stdout.
+//! stdin in the `key = value` wire form. The worker answers with
+//! checksummed frames on stdout, the last of which is its report.
 //!
 //! Supervision is per frame, not per attempt: the deadline
 //! ([`FabricSpec::timeout`]) bounds the gap between consecutive stdout
 //! events of a worker — a **heartbeat deadline** that detects a stalled
-//! worker independently of total run length. A worker in the legacy
-//! one-shot mode emits exactly one event (its report frame), so the
-//! deadline degenerates to the classic per-attempt wall clock there.
+//! worker independently of total run length. A worker that streams no
+//! checkpoints emits exactly one event (its report frame), so the deadline
+//! degenerates to a per-attempt wall clock there.
 //! Every way an attempt can go wrong maps to one [`WorkerFailure`]
 //! variant — spawn failure, nonzero exit (crash), frame rejection
 //! (truncation/corruption, via [`CodecError`]), a report for the wrong
@@ -99,12 +99,12 @@ pub struct FabricSpec {
     /// consecutive stdout events (frame or EOF) of a worker. A worker
     /// silent past the deadline is killed and classified
     /// [`WorkerFailure::Timeout`]. With `checkpoint_every == 0` a worker
-    /// emits exactly one event, so this is the classic per-attempt budget.
+    /// emits exactly one event, so this is a per-attempt budget.
     pub timeout: Duration,
     /// Ask every worker to stream a progress heartbeat plus a checkpoint
     /// frame each `checkpoint_every` rounds; failed workers restart from
-    /// the newest verified checkpoint. `0` (the default) reproduces the
-    /// legacy one-shot protocol byte-for-byte.
+    /// the newest verified checkpoint. `0` (the default) streams none, and
+    /// failed workers restart from seed.
     pub checkpoint_every: u64,
     /// Backoff before retry `r` (counting from 1) starts from
     /// `backoff_base · 2^(r−1)`…
@@ -475,7 +475,7 @@ fn run_attempt(
         Some(report) => report,
         None => {
             return Err(WorkerFailure::Frame(CodecError::Truncated {
-                needed: crate::fabric::codec::HEADER_LEN_V2,
+                needed: crate::fabric::codec::HEADER_LEN,
                 got: 0,
             }))
         }

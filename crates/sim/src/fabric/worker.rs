@@ -6,11 +6,9 @@
 //! [`ShardedSimulation::shard_config`](crate::ShardedSimulation) on the
 //! orchestrator side) on stdin, cross-checks it against the orchestrator's
 //! expectations, runs the shard exactly like the in-process engine would,
-//! and answers on stdout. With `checkpoint_every == 0` and no resume state
-//! that answer is a single legacy (v2) report frame — byte-for-byte the
-//! pre-checkpoint protocol. With `checkpoint_every = R` the worker
-//! *streams*: a `Progress` heartbeat plus a `Checkpoint` frame every `R`
-//! rounds, then one v3 `Final` frame. A worker launched with a retained
+//! and answers on stdout: with `checkpoint_every = R > 0` a `Progress`
+//! heartbeat plus a `Checkpoint` frame every `R` rounds, and always one
+//! `Final` report frame at the end. A worker launched with a retained
 //! checkpoint (`--resume-from stdin`) restores it and continues the run
 //! bit-identically. Everything operational — supervision, heartbeat
 //! deadlines, retries, merging — lives with the orchestrator; a worker
@@ -34,7 +32,7 @@ use crate::config::SimConfig;
 use crate::engine::{SimError, Simulation};
 use crate::fabric::codec::{
     decode_frame, encode_checkpoint_frame, encode_final_frame, encode_progress_frame,
-    encode_shard_report, CheckpointFrame, Frame, ProgressFrame, HEADER_LEN_V2, HEADER_LEN_V3,
+    CheckpointFrame, Frame, ProgressFrame, HEADER_LEN,
 };
 use crate::shard::ShardReport;
 use scd_model::PolicyFactory;
@@ -131,8 +129,7 @@ pub struct WorkerSpec {
     /// to the experiment it belongs to.
     pub config_digest: u64,
     /// Stream a `Progress` + `Checkpoint` frame pair every this many
-    /// rounds. `0` (the default) reproduces the legacy one-shot protocol:
-    /// exactly one v2 report frame, byte-for-byte.
+    /// rounds; `0` streams none, so the final frame is the only output.
     pub checkpoint_every: u64,
     /// Whether stdin carries, after the configuration text and a
     /// `%%CHECKPOINT%%` delimiter line, a raw checkpoint frame to resume
@@ -194,7 +191,7 @@ fn decode_resume(
 
 /// Runs one worker invocation: parse and cross-check the configuration,
 /// apply the fault plan, simulate the shard — streaming progress and
-/// checkpoint frames through `emit` when `checkpoint_every > 0` — and
+/// checkpoint frames through `emit` every `checkpoint_every` rounds — and
 /// encode the final frame.
 ///
 /// # Errors
@@ -248,55 +245,50 @@ pub fn run_worker(
     };
     let num_servers = config.num_servers();
     let rounds_total = config.rounds;
-    let streaming = spec.checkpoint_every > 0 || resume.is_some();
     let sim = Simulation::new(config)?;
     let codec_err = |cause| SimError::Codec {
         shard: spec.shard,
         cause,
     };
-    let report = if streaming {
-        let mut emitted = 0u64;
-        let mut injected_crash = false;
-        let run = sim.run_with_checkpoints(
-            factory,
-            spec.checkpoint_every,
-            resume.as_ref(),
-            &mut |ckpt| {
-                let progress = encode_progress_frame(&ProgressFrame {
-                    shard: spec.shard as u32,
-                    num_shards: spec.num_shards as u32,
-                    config_digest: spec.config_digest,
-                    round: ckpt.round(),
-                    rounds_total,
-                    jobs_dispatched: ckpt.jobs_dispatched(),
-                })
-                .map_err(codec_err)?;
-                emit(&progress)?;
-                let frame = encode_checkpoint_frame(&CheckpointFrame {
-                    shard: spec.shard as u32,
-                    num_shards: spec.num_shards as u32,
-                    config_digest: spec.config_digest,
-                    state: ckpt.to_bytes().map_err(codec_err)?,
-                })
-                .map_err(codec_err)?;
-                emit(&frame)?;
-                emitted += 1;
-                if spec.fault.fail_after_checkpoint == Some(emitted) {
-                    injected_crash = true;
-                    return Err(SimError::Checkpoint(
-                        "injected crash after the checkpoint".into(),
-                    ));
-                }
-                Ok(())
-            },
-        );
-        match run {
-            Ok(report) => report,
-            Err(_) if injected_crash => return Ok(WorkerOutput::Exit(101)),
-            Err(e) => return Err(e),
-        }
-    } else {
-        sim.run(factory)?
+    let mut emitted = 0u64;
+    let mut injected_crash = false;
+    let run = sim.run_with_checkpoints(
+        factory,
+        spec.checkpoint_every,
+        resume.as_ref(),
+        &mut |ckpt| {
+            let progress = encode_progress_frame(&ProgressFrame {
+                shard: spec.shard as u32,
+                num_shards: spec.num_shards as u32,
+                config_digest: spec.config_digest,
+                round: ckpt.round(),
+                rounds_total,
+                jobs_dispatched: ckpt.jobs_dispatched(),
+            })
+            .map_err(codec_err)?;
+            emit(&progress)?;
+            let frame = encode_checkpoint_frame(&CheckpointFrame {
+                shard: spec.shard as u32,
+                num_shards: spec.num_shards as u32,
+                config_digest: spec.config_digest,
+                state: ckpt.to_bytes().map_err(codec_err)?,
+            })
+            .map_err(codec_err)?;
+            emit(&frame)?;
+            emitted += 1;
+            if spec.fault.fail_after_checkpoint == Some(emitted) {
+                injected_crash = true;
+                return Err(SimError::Checkpoint(
+                    "injected crash after the checkpoint".into(),
+                ));
+            }
+            Ok(())
+        },
+    );
+    let report = match run {
+        Ok(report) => report,
+        Err(_) if injected_crash => return Ok(WorkerOutput::Exit(101)),
+        Err(e) => return Err(e),
     };
     let shard_report = ShardReport {
         shard: spec.shard,
@@ -305,23 +297,11 @@ pub fn run_worker(
         config_digest: spec.config_digest,
         report,
     };
-    // The legacy one-shot protocol stays byte-for-byte: a worker that
-    // neither checkpoints nor resumes seals the v2 envelope.
-    let (mut frame, header_len) = if streaming {
-        (
-            encode_final_frame(&shard_report).map_err(codec_err)?,
-            HEADER_LEN_V3,
-        )
-    } else {
-        (
-            encode_shard_report(&shard_report).map_err(codec_err)?,
-            HEADER_LEN_V2,
-        )
-    };
+    let mut frame = encode_final_frame(&shard_report).map_err(codec_err)?;
     if spec.fault.corrupt_frame {
         // Flip a bit in the first payload byte: past the header, so the
         // envelope still parses and the *checksum* is what catches it.
-        frame[header_len] ^= 0x01;
+        frame[HEADER_LEN] ^= 0x01;
     }
     if spec.fault.truncate_frame {
         frame.truncate(frame.len() / 2);
@@ -362,15 +342,15 @@ mod tests {
         }
     }
 
-    /// `run_worker` with a sink that rejects intermediate frames — the
-    /// legacy path must never emit any.
+    /// `run_worker` with a sink that rejects intermediate frames — a worker
+    /// without a checkpoint cadence must never emit any.
     fn run_oneshot(
         spec: &WorkerSpec,
         text: &str,
         factory: &dyn PolicyFactory,
     ) -> Result<WorkerOutput, SimError> {
         run_worker(spec, text, None, factory, &mut |_| {
-            panic!("the one-shot path must not stream frames")
+            panic!("a worker without a checkpoint cadence must not stream frames")
         })
     }
 

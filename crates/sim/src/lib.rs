@@ -24,16 +24,15 @@
 //! are identical across dispatchers (reciprocal rates, loads, solver keys)
 //! are computed **once** per round into a shared
 //! [`scd_model::RoundCache`] and handed to every policy through the context;
-//! and the [`runner::fan_out`] primitive — a persistent pool of parked
-//! workers ([`pool`]), work-stealing over an atomic index — is the single
-//! parallelism primitive every higher layer (comparisons, replications,
-//! experiment sweep grids) builds on, all of them bit-identical to
-//! sequential runs.
+//! and the [`runner::fan_out`] primitive — scoped threads work-stealing over
+//! an atomic index — is the single parallelism primitive every higher layer
+//! (comparisons, replications, experiment sweep grids) builds on, all of
+//! them bit-identical to sequential runs.
 //!
 //! For the next order of magnitude, the [`shard`] module partitions the
 //! servers into `k` independent shards — each with its own queues, RNG
-//! sub-streams and policy instances — steps them concurrently on the same
-//! pool, and merges their serializable [`ShardReport`]s into one
+//! sub-streams and policy instances — steps them concurrently through the
+//! same fan-out, and merges their serializable [`ShardReport`]s into one
 //! [`SimReport`] (bit-identical to [`Simulation::run`] for `k = 1`).
 //!
 //! # Example
@@ -56,10 +55,7 @@
 //! assert!(report.response_times.count() > 0);
 //! ```
 
-// `deny`, not `forbid`: the `pool` module opts in locally for the two
-// lifetime-erasure sites of the persistent fan-out pool (see its module
-// docs for the safety argument); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrivals;
@@ -67,7 +63,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod fabric;
-pub mod pool;
 pub mod queues;
 pub mod report;
 pub mod runner;
@@ -83,15 +78,14 @@ pub use config::{SimConfig, SimConfigBuilder};
 pub use engine::{SimError, Simulation};
 pub use fabric::{
     decode_frame, decode_shard_report, encode_checkpoint_frame, encode_final_frame,
-    encode_progress_frame, encode_shard_report, peek_frame_len, CheckpointFrame, CodecError,
-    FabricOutcome, FabricSpec, Frame, FrameKind, InjectedFault, ProgressFrame, WorkerFailure,
-    WorkerFaultPlan, EXIT_CONFIG_REJECTED, EXIT_RESUME_REJECTED,
+    encode_progress_frame, peek_frame_len, CheckpointFrame, CodecError, FabricOutcome, FabricSpec,
+    Frame, FrameKind, InjectedFault, ProgressFrame, WorkerFailure, WorkerFaultPlan,
+    EXIT_CONFIG_REJECTED, EXIT_RESUME_REJECTED,
 };
 pub use queues::SegmentQueue;
 pub use report::{DegradationMetrics, QueueSummary, SimReport};
 pub use runner::{
-    fan_out, fan_out_scoped, run_comparison, run_comparison_parallel, run_replications,
-    ComparisonResult,
+    fan_out, run_comparison, run_comparison_parallel, run_replications, ComparisonResult,
 };
 pub use scenario::{ScenarioSpec, StalenessSpec, MAX_STALENESS};
 pub use services::ServiceModel;

@@ -6,6 +6,8 @@ use crate::engine::{SimError, Simulation};
 use crate::report::SimReport;
 use scd_metrics::Table;
 use scd_model::PolicyFactory;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The reports of several policies run on the same configuration and seed.
 #[derive(Debug, Clone)]
@@ -165,94 +167,55 @@ pub fn run_replications(
     results.into_iter().collect()
 }
 
-/// Work-stealing index fan-out over the persistent worker pool: runs
-/// `worker` for every index in `0..count` on the calling thread plus up to
-/// `threads - 1` pool workers and returns the outputs in index order.
+/// Cap on the threads one [`fan_out`] spawns — far above any sensible
+/// request, but it bounds the damage of a caller passing e.g. `usize::MAX`.
+const MAX_THREADS: usize = 512;
+
+/// Work-stealing index fan-out: runs `worker` for every index in `0..count`
+/// on the calling thread plus up to `threads - 1` scoped threads and returns
+/// the outputs in index order.
 ///
 /// A `threads` value of 0 or 1 (or a single index) runs everything on the
-/// calling thread. This is the one thread-pool primitive of the workspace —
-/// the policy/seed runners above and `scd-experiments`' sweep executor are
-/// both built on it.
-///
-/// The pool ([`crate::pool`]) is built lazily on first use and its workers
-/// park between calls, so short fan-outs (sweeps over many small cells) no
-/// longer pay per-call thread-startup costs. Scheduling is invisible in the
+/// calling thread. This is the one parallelism primitive of the workspace —
+/// the policy/seed runners above, the sharded engine and `scd-experiments`'
+/// sweep executor are all built on it. Scheduling is invisible in the
 /// results: outputs come back in index order and every unit of work derives
-/// its behavior from its index alone, so pooled execution is bit-identical
-/// to [`fan_out_scoped`] and to a sequential loop (asserted below and by the
-/// engine/sweep determinism tests).
+/// its behavior from its index alone, so a fan-out is bit-identical to a
+/// sequential loop (asserted below and by the engine/sweep determinism
+/// tests).
+///
+/// # Panics
+/// Re-raises a panic of any `worker` invocation once every thread stopped.
 pub fn fan_out<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Send + Sync,
 {
-    use std::sync::Mutex;
-
     if count == 0 {
         return Vec::new();
     }
-    let threads = threads.max(1).min(count);
+    let threads = threads.clamp(1, MAX_THREADS).min(count);
     if threads == 1 {
         return (0..count).map(worker).collect();
     }
 
+    // Relaxed suffices: the counter only hands out indices; results travel
+    // through the slot mutexes and the scope's join.
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let task = |index: usize| {
+    let drain = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        if index >= count {
+            break;
+        }
         let output = worker(index);
         *slots[index].lock().expect("no poisoned locks") = Some(output);
     };
-    crate::pool::run_on_pool(count, threads, &task);
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned locks")
-                .expect("every slot was filled")
-        })
-        .collect()
-}
-
-/// The previous `fan_out` implementation — fresh scoped threads per call —
-/// retained as the reference the pooled path is benchmarked and
-/// equivalence-tested against (`BENCH_engine.json`'s "sweep" row records
-/// pooled vs scoped on a many-small-cells grid).
-///
-/// Semantics are identical to [`fan_out`]: same work-stealing index
-/// contract, same in-order results, bit-identical outputs.
-pub fn fan_out_scoped<R, F>(count: usize, threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Send + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(count);
-    if threads == 1 {
-        return (0..count).map(worker).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let worker_ref = &worker;
-    let next_ref = &next;
-    let slots_ref = &slots;
-
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || loop {
-                let index = next_ref.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let output = worker_ref(index);
-                *slots_ref[index].lock().expect("no poisoned locks") = Some(output);
-            });
+        for _ in 1..threads {
+            scope.spawn(drain);
         }
+        drain();
     });
 
     slots
@@ -399,8 +362,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_fan_out_matches_scoped_and_sequential() {
-        // Index-derived work: pooled, scoped and sequential execution must
+    fn fan_out_matches_sequential() {
+        // Index-derived work: parallel and sequential execution must
         // produce identical in-order outputs for every thread count.
         let work = |index: usize| {
             let mut acc = index as u64;
@@ -413,26 +376,16 @@ mod tests {
         };
         let sequential: Vec<(usize, u64)> = (0..97).map(work).collect();
         for threads in [2usize, 3, 8, 64] {
-            assert_eq!(
-                fan_out(97, threads, work),
-                sequential,
-                "pooled, {threads} threads"
-            );
-            assert_eq!(
-                fan_out_scoped(97, threads, work),
-                sequential,
-                "scoped, {threads} threads"
-            );
+            assert_eq!(fan_out(97, threads, work), sequential, "{threads} threads");
         }
         assert_eq!(fan_out(97, 1, work), sequential);
         assert!(fan_out(0, 8, work).is_empty());
-        assert!(fan_out_scoped(0, 8, work).is_empty());
     }
 
     #[test]
     fn pool_survives_many_small_fan_outs() {
-        // The motivating workload: lots of tiny jobs in quick succession.
-        // Each reuses the parked workers instead of spawning threads.
+        // Lots of tiny fan-outs in quick succession (the shape of a sweep
+        // over many short cells): each spawns and joins its own threads.
         for round in 0..200usize {
             let out = fan_out(3, 4, |i| i + round);
             assert_eq!(out, vec![round, round + 1, round + 2]);
@@ -441,12 +394,10 @@ mod tests {
 
     #[test]
     fn fan_out_honors_the_thread_cap_despite_a_larger_pool() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Grow the pool well past 2 workers with a wide call first.
+        // A wide call first: nothing it leaves behind may let a later
+        // threads=2 call run more than two ways parallel (the caller plus
+        // one helper). The bound is structural, not timing-dependent.
         let _ = fan_out(16, 8, |i| i);
-        // A threads=2 call may use the caller plus at most ONE pool helper,
-        // no matter how many workers are parked. The observed-concurrency
-        // bound is structural (helper cap), not timing-dependent.
         let current = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let _ = fan_out(64, 2, |i| {
@@ -465,8 +416,7 @@ mod tests {
 
     #[test]
     fn nested_fan_outs_complete() {
-        // A pool worker posting its own job must not deadlock: every caller
-        // participates in draining its own indices.
+        // A worker posting its own fan-out must not deadlock.
         let out = fan_out(4, 4, |outer| {
             let inner = fan_out(3, 2, move |i| (outer * 10 + i) as u64);
             inner.iter().sum::<u64>()
@@ -491,7 +441,7 @@ mod tests {
             result.is_err(),
             "a worker panic must re-raise in the caller"
         );
-        // The pool must remain usable afterwards.
+        // Fan-outs keep working afterwards.
         assert_eq!(fan_out(4, 4, |i| i * 2), vec![0, 2, 4, 6]);
     }
 

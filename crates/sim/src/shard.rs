@@ -7,10 +7,10 @@
 //! its own queues, RNG streams and policy instances, step the shards'
 //! round loops independently, and merge the per-shard statistics at the
 //! end. Nothing crosses a shard boundary during the run, so shards execute
-//! concurrently on the persistent [`fan_out`] worker pool
-//! (and, in a later PR, on separate processes or hosts: a [`ShardReport`]
-//! is a plain serializable value, deliberately shaped so that merging is
-//! the *only* cross-shard operation).
+//! concurrently through [`fan_out`] (or in separate worker processes, see
+//! [`crate::fabric`]: a [`ShardReport`] is a plain serializable value,
+//! deliberately shaped so that merging is the *only* cross-shard
+//! operation).
 //!
 //! # Semantics
 //!
@@ -239,7 +239,7 @@ pub fn merge_shard_reports(reports: &[ShardReport]) -> Result<SimReport, SimErro
 ///
 /// Construction derives one complete [`SimConfig`] per shard (sub-cluster,
 /// sub-master seed, same round clock and offered load); running steps every
-/// shard's round loop — sequentially or on the persistent worker pool — and
+/// shard's round loop — sequentially or on scoped threads — and
 /// merges the [`ShardReport`]s into one [`SimReport`].
 ///
 /// # Example
@@ -412,7 +412,7 @@ impl ShardedSimulation {
     }
 
     /// Runs every shard — on the calling thread plus up to `threads - 1`
-    /// pool workers — and returns the per-shard reports in shard order.
+    /// scoped threads — and returns the per-shard reports in shard order.
     ///
     /// Every shard derives all randomness from its own sub-master seed, so
     /// the reports are independent of `threads` (bit-identical to a
@@ -453,7 +453,7 @@ impl ShardedSimulation {
     }
 
     /// Like [`Self::run`] but fans the shards out over up to `threads` OS
-    /// threads on the persistent worker pool. Bit-identical to [`Self::run`]
+    /// threads. Bit-identical to [`Self::run`]
     /// for every thread count.
     ///
     /// # Errors

@@ -16,7 +16,7 @@
 //! ```
 
 use scd::prelude::*;
-use scd::sim::fabric::{decode_shard_report, encode_shard_report, FRAME_VERSION};
+use scd::sim::fabric::{decode_shard_report, encode_final_frame, FRAME_VERSION};
 
 fn main() {
     let rates: Vec<f64> = (0..12).map(|s| 1.0 + (s % 4) as f64).collect();
@@ -38,7 +38,7 @@ fn main() {
     println!("frame protocol v{FRAME_VERSION}, {k} shards:");
     let mut frames = Vec::new();
     for report in &reports {
-        let frame = encode_shard_report(report).expect("encodable report");
+        let frame = encode_final_frame(report).expect("encodable report");
         println!(
             "  shard {}: {} servers, {} jobs -> {} byte frame",
             report.shard,

@@ -55,9 +55,9 @@ fn warm_and_cold_scd_runs_are_bit_identical() {
     }
 }
 
-/// Disabling the engine's delta tracking (the PR 4-faithful round loop) must
-/// be invisible to every policy: dirty sets, the cache delta refresh and the
-/// per-batch push coalescing change costs only.
+/// Withholding the engine's dirty sets (`with_delta_rounds(false)`) must be
+/// invisible to every policy: dirty sets and the cache delta refresh change
+/// costs only.
 #[test]
 fn delta_tracking_on_and_off_produce_identical_reports() {
     let factories: Vec<Box<dyn PolicyFactory>> = vec![

@@ -13,8 +13,8 @@ use scd::metrics::{DecisionTimeHistogram, ResponseTimeHistogram};
 use scd::model::streams::{counter_draw, derive_stream_seed, unit_f64};
 use scd::sim::fabric::{
     decode_frame, decode_shard_report, encode_checkpoint_frame, encode_final_frame,
-    encode_progress_frame, encode_shard_report, peek_frame_len, CheckpointFrame, CodecError, Frame,
-    ProgressFrame, FRAME_VERSION, FRAME_VERSION_V2,
+    encode_progress_frame, peek_frame_len, CheckpointFrame, CodecError, Frame, ProgressFrame,
+    FRAME_VERSION,
 };
 use scd::sim::{DegradationMetrics, QueueSummary, ShardReport, SimReport};
 
@@ -68,9 +68,6 @@ fn random_report(case: u64) -> ShardReport {
     };
     let degradation = match g.next_in(3) {
         0 => None,
-        // The recovery counters stay zero here: these reports ride the v2
-        // envelope, which refuses counters it cannot represent (pinned by
-        // `recovery_counters_do_not_fit_the_v2_envelope` below).
         1 => Some(DegradationMetrics {
             server_down_rounds: g.next_u64(),
             dispatcher_offline_rounds: g.next_u64(),
@@ -80,8 +77,8 @@ fn random_report(case: u64) -> ShardReport {
             herding_rounds: g.next_u64(),
             shards_lost: g.next_in(16),
             rounds_lost: g.next_u64(),
-            checkpoints_taken: 0,
-            rounds_replayed: 0,
+            checkpoints_taken: g.next_u64(),
+            rounds_replayed: g.next_u64(),
         }),
         // Saturated counters — the merge's saturating discipline must
         // survive the wire unclamped.
@@ -94,8 +91,8 @@ fn random_report(case: u64) -> ShardReport {
             herding_rounds: u64::MAX,
             shards_lost: u64::MAX,
             rounds_lost: u64::MAX,
-            checkpoints_taken: 0,
-            rounds_replayed: 0,
+            checkpoints_taken: u64::MAX,
+            rounds_replayed: u64::MAX,
         }),
     };
     let num_shards = 1 + g.next_in(8) as usize;
@@ -130,11 +127,11 @@ fn random_report(case: u64) -> ShardReport {
 fn randomized_reports_round_trip_bit_for_bit() {
     for case in 0..64 {
         let report = random_report(case);
-        let frame = encode_shard_report(&report).unwrap();
+        let frame = encode_final_frame(&report).unwrap();
         let decoded = decode_shard_report(&frame).unwrap();
         assert_eq!(decoded, report, "case {case} did not survive the wire");
         // Encoding is deterministic: the same report yields the same bytes.
-        assert_eq!(frame, encode_shard_report(&decoded).unwrap());
+        assert_eq!(frame, encode_final_frame(&decoded).unwrap());
     }
 }
 
@@ -149,7 +146,7 @@ fn saturated_overflow_bucket_round_trips() {
         .report
         .response_times
         .record_many(ResponseTimeHistogram::MAX_RESPONSE_TIME + 12345, u64::MAX);
-    let frame = encode_shard_report(&report).unwrap();
+    let frame = encode_final_frame(&report).unwrap();
     assert!(frame.len() > 8 << 20, "overflow layout is the big one");
     assert_eq!(decode_shard_report(&frame).unwrap(), report);
 }
@@ -182,7 +179,7 @@ fn empty_shard_report_round_trips() {
             degradation: None,
         },
     };
-    let frame = encode_shard_report(&report).unwrap();
+    let frame = encode_final_frame(&report).unwrap();
     assert_eq!(decode_shard_report(&frame).unwrap(), report);
 }
 
@@ -193,7 +190,7 @@ fn nonfinite_payload_floats_survive_the_wire() {
     let mut report = random_report(7);
     report.report.decision_times_us = Some(DecisionTimeHistogram::new());
     report.report.offered_load = f64::INFINITY;
-    let frame = encode_shard_report(&report).unwrap();
+    let frame = encode_final_frame(&report).unwrap();
     let decoded = decode_shard_report(&frame).unwrap();
     assert_eq!(decoded.report.offered_load, f64::INFINITY);
     let decoded_hist = decoded.report.decision_times_us.as_ref().unwrap();
@@ -207,7 +204,7 @@ fn nonfinite_payload_floats_survive_the_wire() {
 #[test]
 fn every_prefix_of_every_frame_is_rejected() {
     for case in [0u64, 3, 11] {
-        let frame = encode_shard_report(&random_report(case)).unwrap();
+        let frame = encode_final_frame(&random_report(case)).unwrap();
         for len in 0..frame.len() {
             assert!(
                 decode_shard_report(&frame[..len]).is_err(),
@@ -220,7 +217,7 @@ fn every_prefix_of_every_frame_is_rejected() {
 #[test]
 fn single_byte_mutations_never_misdecode() {
     let report = random_report(42);
-    let frame = encode_shard_report(&report).unwrap();
+    let frame = encode_final_frame(&report).unwrap();
     for index in 0..frame.len() {
         let mut mutated = frame.clone();
         mutated[index] ^= 0x10;
@@ -238,7 +235,7 @@ fn single_byte_mutations_never_misdecode() {
 
 #[test]
 fn envelope_violations_are_classified_not_lumped() {
-    let frame = encode_shard_report(&random_report(1)).unwrap();
+    let frame = encode_final_frame(&random_report(1)).unwrap();
 
     let mut wrong_magic = frame.clone();
     wrong_magic[0] = b'X';
@@ -255,7 +252,7 @@ fn envelope_violations_are_classified_not_lumped() {
     ));
 
     let mut oversized = frame.clone();
-    oversized[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+    oversized[14..18].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decode_shard_report(&oversized),
         Err(CodecError::Oversized { .. })
@@ -269,7 +266,7 @@ fn envelope_violations_are_classified_not_lumped() {
     ));
 
     let mut corrupt = frame;
-    let payload_start = 17;
+    let payload_start = 18;
     corrupt[payload_start] ^= 0xFF;
     assert!(matches!(
         decode_shard_report(&corrupt),
@@ -278,16 +275,16 @@ fn envelope_violations_are_classified_not_lumped() {
 }
 
 // ---------------------------------------------------------------------------
-// The streaming (v3) envelope generation: progress heartbeats, checkpoint
-// frames and recovery-counter-bearing final frames.
+// The streaming frame kinds: progress heartbeats, checkpoint frames and
+// recovery-counter-bearing final frames.
 // ---------------------------------------------------------------------------
 
-/// v3 header layout: magic 0..4, version @4, kind @5, digest 6..14,
-/// payload length 14..18.
-const V3_VERSION_AT: usize = 4;
-const V3_KIND_AT: usize = 5;
-const V3_LEN_AT: usize = 14;
-const V3_HEADER_LEN: usize = 18;
+/// Header layout: magic 0..4, version @4, kind @5, digest 6..14, payload
+/// length 14..18.
+const VERSION_AT: usize = 4;
+const KIND_AT: usize = 5;
+const LEN_AT: usize = 14;
+const HEADER_LEN: usize = 18;
 
 fn random_progress(case: u64) -> ProgressFrame {
     let mut g = Gen::new(0x5050_0000 | case);
@@ -315,8 +312,7 @@ fn random_checkpoint(case: u64) -> CheckpointFrame {
     }
 }
 
-/// A report whose recovery counters are nonzero — only the v3 `Final`
-/// frame can carry it.
+/// A report of a partial merge whose recovery counters are nonzero.
 fn recovered_report(case: u64) -> ShardReport {
     let mut report = random_report(case);
     report.report.degradation = Some(DegradationMetrics {
@@ -349,7 +345,7 @@ fn streaming_frames_round_trip_bit_for_bit() {
             other => panic!("case {case}: checkpoint decoded as {other:?}"),
         }
     }
-    // A final frame with live recovery counters survives the v3 wire...
+    // A final frame with live recovery counters survives the wire.
     let report = recovered_report(5);
     let frame = encode_final_frame(&report).unwrap();
     assert_eq!(decode_shard_report(&frame).unwrap(), report);
@@ -357,26 +353,6 @@ fn streaming_frames_round_trip_bit_for_bit() {
         Frame::Final(decoded) => assert_eq!(decoded, report),
         other => panic!("final decoded as {other:?}"),
     }
-}
-
-#[test]
-fn recovery_counters_do_not_fit_the_v2_envelope() {
-    // ...while the legacy envelope refuses to silently drop them.
-    let report = recovered_report(6);
-    assert!(matches!(
-        encode_shard_report(&report),
-        Err(CodecError::Malformed(_))
-    ));
-    // A v2 frame of the same report with zeroed counters decodes with the
-    // counters zero-filled, not garbage.
-    let mut legacy = report.clone();
-    {
-        let degradation = legacy.report.degradation.as_mut().unwrap();
-        degradation.checkpoints_taken = 0;
-        degradation.rounds_replayed = 0;
-    }
-    let frame = encode_shard_report(&legacy).unwrap();
-    assert_eq!(decode_shard_report(&frame).unwrap(), legacy);
 }
 
 #[test]
@@ -412,7 +388,7 @@ fn every_prefix_of_every_streaming_frame_is_rejected_or_incomplete() {
             // ...and the stream peeker either keeps waiting or reports the
             // exact total length — a valid prefix is never an error.
             match peek_frame_len(&frame[..len]).unwrap() {
-                None => assert!(len < V3_HEADER_LEN),
+                None => assert!(len < HEADER_LEN),
                 Some(total) => assert_eq!(total, frame.len()),
             }
         }
@@ -440,11 +416,11 @@ fn single_byte_mutations_of_streaming_frames_never_misdecode() {
 #[test]
 fn length_prefix_lies_are_classified() {
     let frame = encode_progress_frame(&random_progress(21)).unwrap();
-    let declared = u32::from_le_bytes(frame[V3_LEN_AT..V3_LEN_AT + 4].try_into().unwrap());
+    let declared = u32::from_le_bytes(frame[LEN_AT..LEN_AT + 4].try_into().unwrap());
 
     // An inflated length makes the frame look incomplete, never panics.
     let mut inflated = frame.clone();
-    inflated[V3_LEN_AT..V3_LEN_AT + 4].copy_from_slice(&(declared + 4).to_le_bytes());
+    inflated[LEN_AT..LEN_AT + 4].copy_from_slice(&(declared + 4).to_le_bytes());
     assert!(matches!(
         decode_frame(&inflated),
         Err(CodecError::Truncated { .. })
@@ -452,7 +428,7 @@ fn length_prefix_lies_are_classified() {
 
     // A deflated length leaves trailing bytes behind the declared frame.
     let mut deflated = frame.clone();
-    deflated[V3_LEN_AT..V3_LEN_AT + 4].copy_from_slice(&(declared - 4).to_le_bytes());
+    deflated[LEN_AT..LEN_AT + 4].copy_from_slice(&(declared - 4).to_le_bytes());
     assert!(matches!(
         decode_frame(&deflated),
         Err(CodecError::TrailingBytes { .. })
@@ -461,7 +437,7 @@ fn length_prefix_lies_are_classified() {
     // An absurd length is rejected before any allocation, by the peeker
     // too — a stream reader must not wait 4 GiB for garbage.
     let mut absurd = frame;
-    absurd[V3_LEN_AT..V3_LEN_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    absurd[LEN_AT..LEN_AT + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         decode_frame(&absurd),
         Err(CodecError::Oversized { .. })
@@ -474,24 +450,26 @@ fn length_prefix_lies_are_classified() {
 
 #[test]
 fn version_and_kind_skew_is_rejected_not_misread() {
-    let v3 = encode_progress_frame(&random_progress(31)).unwrap();
-    let v2 = encode_shard_report(&random_report(31)).unwrap();
+    let frame = encode_progress_frame(&random_progress(31)).unwrap();
 
-    // A future version is refused outright, by the peeker too.
-    let mut future = v3.clone();
-    future[V3_VERSION_AT] = FRAME_VERSION + 1;
-    assert!(matches!(
-        decode_frame(&future),
-        Err(CodecError::UnsupportedVersion { .. })
-    ));
-    assert!(matches!(
-        peek_frame_len(&future),
-        Err(CodecError::UnsupportedVersion { .. })
-    ));
+    // Any other version — a future one, or the retired version 2 — is
+    // refused outright, by the peeker too.
+    for version in [FRAME_VERSION + 1, 2] {
+        let mut skewed = frame.clone();
+        skewed[VERSION_AT] = version;
+        assert!(matches!(
+            decode_frame(&skewed),
+            Err(CodecError::UnsupportedVersion { got }) if got == version
+        ));
+        assert!(matches!(
+            peek_frame_len(&skewed),
+            Err(CodecError::UnsupportedVersion { got }) if got == version
+        ));
+    }
 
     // An unknown kind byte fails fast in both entry points.
-    let mut unknown = v3.clone();
-    unknown[V3_KIND_AT] = 0x7F;
+    let mut unknown = frame.clone();
+    unknown[KIND_AT] = 0x7F;
     assert!(matches!(
         decode_frame(&unknown),
         Err(CodecError::UnknownKind { .. })
@@ -501,15 +479,15 @@ fn version_and_kind_skew_is_rejected_not_misread() {
         Err(CodecError::UnknownKind { .. })
     ));
 
-    // Cross-generation relabeling re-frames the header bytes, so the
-    // checksum (or the kind gate) must catch it — a classified error,
-    // never a silent misdecode or a panic.
-    let mut v3_as_v2 = v3;
-    v3_as_v2[V3_VERSION_AT] = FRAME_VERSION_V2;
-    assert!(decode_frame(&v3_as_v2).is_err());
-    let mut v2_as_v3 = v2;
-    v2_as_v3[V3_VERSION_AT] = FRAME_VERSION;
-    assert!(decode_frame(&v2_as_v3).is_err());
+    // Relabeling a valid kind as another re-types the payload, so the
+    // checksum must catch it — a classified error, never a silent
+    // misdecode or a panic.
+    let mut relabeled = frame;
+    relabeled[KIND_AT] = 3;
+    assert!(matches!(
+        decode_frame(&relabeled),
+        Err(CodecError::ChecksumMismatch { .. })
+    ));
 }
 
 #[test]
@@ -527,8 +505,8 @@ fn empty_checkpoint_state_is_rejected_at_both_ends() {
     let mut tiny = random_checkpoint(2);
     tiny.state = vec![0xAB];
     let forged = encode_checkpoint_frame(&tiny).unwrap();
-    let declared = u32::from_le_bytes(forged[V3_LEN_AT..V3_LEN_AT + 4].try_into().unwrap());
+    let declared = u32::from_le_bytes(forged[LEN_AT..LEN_AT + 4].try_into().unwrap());
     let mut shrunk = forged;
-    shrunk[V3_LEN_AT..V3_LEN_AT + 4].copy_from_slice(&(declared - 1).to_le_bytes());
+    shrunk[LEN_AT..LEN_AT + 4].copy_from_slice(&(declared - 1).to_le_bytes());
     assert!(decode_frame(&shrunk).is_err());
 }
