@@ -1,7 +1,9 @@
 //! End-to-end engine throughput in absolute terms: rounds/second (and
 //! µs/round) of SCD and the baselines on the paper's 100-server /
 //! 10-dispatcher cluster at 0.99 offered load, plus SCD on a 4-way sharded
-//! split of the same system and on a 10⁴-server two-class cluster.
+//! split of the same system and on two 10⁴-server clusters — one whose
+//! dispatch table groups servers by `(q, rate-class)` class, one where
+//! every server is its own group.
 //!
 //! Run with `cargo bench --bench engine_throughput`. Appends the measurements
 //! to the run history in `BENCH_engine.json` at the workspace root; a run is
@@ -24,7 +26,8 @@ const SEED: u64 = 7;
 /// Identifies this bench definition's run in the recorded history; change
 /// it when a row changes meaning, so earlier recordings stay auditable.
 const RUN_LABEL: &str = "absolute rounds/s per policy on the paper cell, SCD sharded k=4, \
-                         SCD on a 10^4-server two-class cluster (no live baselines)";
+                         SCD's dispatch kernel at 10^4 servers with class and per-server groups \
+                         (no live baselines)";
 /// Timed runs per row; `CRITERION_QUICK=1` drops to a single run (CI smoke
 /// test).
 fn repetitions() -> usize {
@@ -82,7 +85,7 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut record = |name: &'static str, rounds_per_sec: f64, note: &str| {
         println!(
-            "  {name:<8} {rounds_per_sec:>12.0} rounds/s | {:>10.2} us/round{note}",
+            "  {name:<9} {rounds_per_sec:>12.0} rounds/s | {:>10.2} us/round{note}",
             1e6 / rounds_per_sec
         );
         rows.push(Row {
@@ -123,32 +126,46 @@ fn main() {
     });
     record("SHARD", rate, &format!("  (SCD, k={SHARDS})"));
 
-    // Mean-field scale: SCD on a 10⁴-server **bimodal** cluster, the shape
-    // the class-compressed sampler targets (a continuous rate profile would
-    // make every server its own class and disable compression).
+    // SCD's dispatch kernel at 10⁴ servers, once per group source: a
+    // **bimodal** cluster (two rate classes, shallow queues) whose table
+    // holds `(q, rate-class)` classes, and a continuous U[1,10] profile at
+    // 0.99 load where every server is its own group.
     const SCALE_SERVERS: usize = 10_000;
     const SCALE_ROUNDS: u64 = 200;
-    let mut scale_rates = vec![1.0; SCALE_SERVERS / 2];
-    scale_rates.resize(SCALE_SERVERS, 4.0);
-    let scale_config =
-        SimConfig::builder(ClusterSpec::from_rates(scale_rates).expect("valid rates"))
+    let mut bimodal = vec![1.0; SCALE_SERVERS / 2];
+    bimodal.resize(SCALE_SERVERS, 4.0);
+    let continuous = RateProfile::paper_moderate()
+        .materialize(SCALE_SERVERS, &mut StdRng::seed_from_u64(SEED))
+        .expect("valid profile");
+    for (name, spec, load, note) in [
+        (
+            "SCD@10K-C",
+            ClusterSpec::from_rates(bimodal).expect("valid rates"),
+            0.9,
+            "bimodal, load 0.9, class groups",
+        ),
+        (
+            "SCD@10K-S",
+            continuous,
+            0.99,
+            "U[1,10], load 0.99, per-server groups",
+        ),
+    ] {
+        let scale_config = SimConfig::builder(spec)
             .dispatchers(DISPATCHERS)
             .rounds(SCALE_ROUNDS)
             .warmup_rounds(0)
             .seed(SEED)
-            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 })
+            .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: load })
             .histogram_metrics(true)
             .build()
             .expect("valid configuration");
-    let scale_sim = Simulation::new(scale_config).expect("valid configuration");
-    let rate = best_rate(SCALE_ROUNDS, || {
-        scale_sim.run(&scd).expect("clean run").jobs_completed
-    });
-    record(
-        "SCD@10K",
-        rate,
-        &format!("  ({SCALE_SERVERS} servers bimodal, load 0.9)"),
-    );
+        let scale_sim = Simulation::new(scale_config).expect("valid configuration");
+        let rate = best_rate(SCALE_ROUNDS, || {
+            scale_sim.run(&scd).expect("clean run").jobs_completed
+        });
+        record(name, rate, &format!("  ({SCALE_SERVERS} servers, {note})"));
+    }
 
     if std::env::var_os("CRITERION_QUICK").is_some() {
         println!("CRITERION_QUICK set: smoke run, not recording BENCH_engine.json");

@@ -14,6 +14,8 @@
 //! (Eq. 2). SCD measures every realizable (integral, randomized) assignment
 //! against this ideal.
 
+use scd_model::KeyOrder;
+
 /// Computes the ideal workload by sorting servers by their current load
 /// `q_s / µ_s` and then water-filling the `a` units of incoming work
 /// (Algorithm 3).
@@ -74,16 +76,13 @@ pub fn sorted_by_load_into(queues: &[u64], rates: &[f64], order: &mut Vec<usize>
 ///
 /// Algorithm 3-style consumers need the servers in non-decreasing load
 /// order every round ([`compute_iwl_with_order`] — the water-filling scan
-/// proper). Re-sorting costs
-/// `O(n log n)` per round even though, between consecutive rounds, only the
-/// dirty servers (dispatch targets ∪ servers with completions) moved. A
-/// `LoadOrder` keeps the full permutation across rounds and repairs it by
-/// **relocating only the dirty servers** (in-place binary search + a
-/// subrange rotation bounded by the displacement), with the full sort as
-/// the cold/fallback path —
-/// [`repair`](LoadOrder::repair) degrades to
-/// [`rebuild`](LoadOrder::rebuild) when the dirty set is dense enough that
-/// shifting would cost more than sorting.
+/// proper). Re-sorting costs `O(n log n)` per round even though, between
+/// consecutive rounds, only the dirty servers (dispatch targets ∪ servers
+/// with completions) moved. A `LoadOrder` keeps the permutation across
+/// rounds and repairs it with the SCD dispatch table's order repair
+/// ([`scd_model::KeyOrder`]): filter the moved servers out, sort them by
+/// their new loads, merge them back — `O(n + k log k)` for `k` moved
+/// servers, with the full sort as the cold path.
 ///
 /// # Invariant and exactness
 ///
@@ -92,9 +91,9 @@ pub fn sorted_by_load_into(queues: &[u64], rates: &[f64], order: &mut Vec<usize>
 /// composite keys are distinct, every state has a *unique* valid
 /// permutation, so an incrementally repaired order is **identical** (not
 /// merely equivalent) to a cold re-sort, and everything derived from it
-/// (e.g. the Algorithm 3 scan) is bit-identical. The loads used for
-/// comparisons are cached per server and recomputed only for dirty servers,
-/// with the same `q as f64 / µ` expression the cold sort uses.
+/// (e.g. the Algorithm 3 scan) is bit-identical. Loads are recomputed only
+/// for dirty servers, with the same `q as f64 / µ` expression the cold sort
+/// uses.
 ///
 /// # Example
 /// ```
@@ -111,11 +110,7 @@ pub fn sorted_by_load_into(queues: &[u64], rates: &[f64], order: &mut Vec<usize>
 #[derive(Debug, Clone, Default)]
 pub struct LoadOrder {
     /// Server indices sorted by `(load, index)`.
-    order: Vec<usize>,
-    /// Inverse permutation: `pos[order[i]] == i`.
-    pos: Vec<usize>,
-    /// Cached per-server loads `q_s/µ_s` the order is sorted by.
-    loads: Vec<f64>,
+    order: KeyOrder,
 }
 
 impl LoadOrder {
@@ -138,39 +133,29 @@ impl LoadOrder {
     /// The server indices in non-decreasing `(load, index)` order — directly
     /// consumable by [`compute_iwl_with_order`].
     pub fn order(&self) -> &[usize] {
-        &self.order
+        self.order.order()
     }
 
-    /// Cold path: full stable sort, reusing all buffers (`O(n log n)`).
+    /// Cold path: full sort, reusing all buffers (`O(n log n)`).
     pub fn rebuild(&mut self, queues: &[u64], rates: &[f64]) {
         assert_eq!(
             queues.len(),
             rates.len(),
             "queues and rates must have equal length"
         );
-        let n = queues.len();
-        self.loads.clear();
-        self.loads
-            .extend(queues.iter().zip(rates).map(|(&q, &mu)| q as f64 / mu));
-        sorted_by_load_into(queues, rates, &mut self.order);
-        self.pos.clear();
-        self.pos.resize(n, 0);
-        for (i, &s) in self.order.iter().enumerate() {
-            self.pos[s] = i;
-        }
+        self.order
+            .rebuild(queues.len(), |s| queues[s] as f64 / rates[s]);
     }
 
-    /// Warm path: re-reads the load of every server in `dirty` and restores
-    /// the sort invariant by rotating only the servers whose load actually
-    /// changed into their new slots — `O(k·(log n + d))` for `k` dirty
-    /// servers moving distance `d`, versus the full sort's `O(n log n)`.
+    /// Warm path: re-reads the load of every server in `dirty` and merges
+    /// the servers whose load changed back into place (see
+    /// [`KeyOrder::repair`]).
     ///
     /// `dirty` must list every server whose queue length changed since the
     /// last `rebuild`/`repair` (the engine's dirty set satisfies this);
     /// duplicates and unchanged servers are harmless. Falls back to
-    /// [`rebuild`](LoadOrder::rebuild) when the order is uninitialized, the
-    /// cluster size changed, or the dirty set is dense (`k ≥ n/4` — beyond
-    /// that the shifts approach the cost of a sort).
+    /// [`rebuild`](LoadOrder::rebuild) when the order is uninitialized or
+    /// the cluster size changed.
     ///
     /// # Panics
     /// Panics if `queues` and `rates` differ in length or a dirty index is
@@ -181,71 +166,11 @@ impl LoadOrder {
             rates.len(),
             "queues and rates must have equal length"
         );
-        let n = queues.len();
-        if self.order.len() != n || dirty.len() >= n / 4 {
+        if self.order.len() != queues.len() {
             self.rebuild(queues, rates);
             return;
         }
-        for &s in dirty {
-            let s = s as usize;
-            let load = queues[s] as f64 / rates[s];
-            if load == self.loads[s] {
-                continue;
-            }
-            // Binary-search the new slot by (load, index) *in place*: the
-            // two halves around `from` are each sorted, so the unique target
-            // slot (composite keys are distinct) falls out of at most two
-            // partition points — no removal, no `O(n)` memmove. The
-            // subrange rotation then shifts exactly the `d` displaced
-            // entries, making the per-server cost `O(log n + d)` — on quiet
-            // rounds loads barely move, so `d` stays tiny and the repair
-            // never touches `O(n)`.
-            let from = self.pos[s];
-            self.loads[s] = load;
-            let left = self.order[..from].partition_point(|&r| (self.loads[r], r) < (load, s));
-            if left < from {
-                // Target precedes `from`: rotate s back into place.
-                self.order[left..=from].rotate_right(1);
-                for i in left..=from {
-                    self.pos[self.order[i]] = i;
-                }
-            } else {
-                // Target is at or after `from`: search the right half (its
-                // indices shift down by one once s conceptually vacates
-                // `from`, which the left rotation below realizes).
-                let to = from
-                    + self.order[from + 1..].partition_point(|&r| (self.loads[r], r) < (load, s));
-                if to > from {
-                    self.order[from..=to].rotate_left(1);
-                    for i in from..=to {
-                        self.pos[self.order[i]] = i;
-                    }
-                }
-            }
-        }
-        // O(k) invariant spot-check around every dirty server (the cold
-        // full-order sweep would cost O(n) per repair even in debug runs at
-        // mean-field scale); the `repaired_order_is_identical_to_the_cold_
-        // sort` test pins down full equality with the stable sort.
-        #[cfg(debug_assertions)]
-        for &s in dirty {
-            let i = self.pos[s as usize];
-            let here = (self.loads[self.order[i]], self.order[i]);
-            if i > 0 {
-                let prev = self.order[i - 1];
-                debug_assert!(
-                    (self.loads[prev], prev) < here,
-                    "load order invariant broken before dirty server {s}"
-                );
-            }
-            if i + 1 < n {
-                let next = self.order[i + 1];
-                debug_assert!(
-                    here < (self.loads[next], next),
-                    "load order invariant broken after dirty server {s}"
-                );
-            }
-        }
+        self.order.repair(dirty, |s| queues[s] as f64 / rates[s]);
     }
 }
 
@@ -310,57 +235,6 @@ pub fn compute_iwl_with_order(
         iwl = next_load;
     }
     iwl
-}
-
-/// Computes the ideal workload over a **class-compressed** snapshot by the
-/// same Michelot-style iterative trimming the dense solver path uses: all
-/// members of one `(q, µ)` equivalence class share a load, so they enter
-/// and leave the active set together and the water-filling fixpoint can be
-/// found over `C` classes instead of `n` servers.
-///
-/// `cq`, `cmu` and `loads` are the per-class aggregates
-/// `count·q`, `count·µ` and `q/µ` (see `scd_model::ClassPartition`), all of
-/// length `C`. The fixpoint solves exactly the dense water-filling
-/// conditions; only the summation *grouping* differs from the per-server
-/// sweep, so the result can differ from the dense level in the last ulps —
-/// which is why the compressed dispatch path that consumes it is a
-/// deliberate sample-path change, not a drop-in.
-///
-/// The sweeps are branchless (mask multiplies contribute exactly `1.0·x`
-/// or `±0.0`, which never changes a float sum — bit-identical to a branchy
-/// accumulation) because active classes are scattered in canonical class
-/// order, where a data-dependent branch would mispredict heavily.
-pub fn iwl_by_trimming_grouped(cq: &[f64], cmu: &[f64], loads: &[f64], arrivals: f64) -> f64 {
-    debug_assert!(arrivals >= 1.0);
-    debug_assert_eq!(cq.len(), cmu.len());
-    debug_assert_eq!(cq.len(), loads.len());
-    let c = loads.len();
-    let sum_q: f64 = cq.iter().sum();
-    let sum_mu: f64 = cmu.iter().sum();
-    let mut level = (arrivals + sum_q) / sum_mu;
-    let mut active = c;
-    // Same termination argument as the dense trimming loop: the level is
-    // non-increasing (clamped against ulp-level oscillation when a class
-    // sits exactly on the waterline), so the active set shrinks
-    // monotonically and at most `C` iterations are needed.
-    for _ in 0..=c {
-        let mut sq = 0.0;
-        let mut smu = 0.0;
-        let mut count = 0usize;
-        for ((&load, &q_mass), &mu_mass) in loads.iter().zip(cq).zip(cmu) {
-            let member = load < level;
-            let mask = member as u64 as f64;
-            sq += mask * q_mass;
-            smu += mask * mu_mass;
-            count += member as usize;
-        }
-        if count == active || count == 0 {
-            break;
-        }
-        active = count;
-        level = level.min((arrivals + sq) / smu);
-    }
-    level
 }
 
 /// The ideally balanced (fractional) assignment `ā_s` implied by an ideal
@@ -640,7 +514,7 @@ mod tests {
         assert_eq!(order.order(), &sorted_by_load(&queues, &rates)[..]);
         assert_eq!(order.len(), 8);
         assert!(!order.is_empty());
-        // Dense dirty set (≥ n/4) → rebuild path; result identical anyway.
+        // Dense dirty set → re-sort path; result identical anyway.
         for (s, q) in queues.iter_mut().enumerate() {
             *q = (s as u64 * 3 + 1) % 7;
         }

@@ -10,7 +10,9 @@
 //! * [`solver`] — the stochastic-coordination quadratic program (Eq. 10) and
 //!   its two solvers: Algorithm 1 (`O(n²)`) and Algorithm 4
 //!   (`O(n log n)` / `O(n)` given the order), built on the KKT analysis and
-//!   Lemmas 1–2.
+//!   Lemmas 1–2 — the test oracles and Fig. 5/8 baselines of the dispatch
+//!   kernel ([`scd_model::ScdTable`]), which the round-level entry points
+//!   ([`solve_round_into`], [`solve_round_cached`]) run.
 //! * [`qp`] — reference machinery used to validate the fast solvers: the raw
 //!   objective function, an exhaustive `2ⁿ` subset search and a KKT-condition
 //!   checker.

@@ -5,25 +5,24 @@
 //!
 //! 1. observes the queue lengths `q_s(t)`;
 //! 2. estimates the total arrivals `a_est` from its own batch (Eq. 18);
-//! 3. computes the ideal workload (Algorithm 3);
-//! 4. computes the optimal dispatching probabilities (Algorithm 1 or 4);
-//! 5. draws an i.i.d. destination from `P` for every job in its batch.
+//! 3. computes the optimal dispatching probabilities (Eq. 10);
+//! 4. draws an i.i.d. destination from `P` for every job in its batch.
 //!
-//! The struct is allocation-free in steady state: the probability vector and
-//! the alias table are recomputed each round (they depend on the fresh queue
-//! state) but into buffers that persist across rounds, and the solver runs
-//! sort-free trimming passes over cached load/key vectors. No *decision*
-//! state is carried across rounds — SCD stays memoryless, which is what
-//! makes it robust to dispatcher churn.
+//! Steps 3 and 4 run on the dispatch kernel ([`scd_model::ScdTable`]): the
+//! servers sorted by their Corollary 1 key with prefix sums, built once per
+//! round and shared through the engine's [`scd_model::RoundCache`], then a
+//! binary search per dispatcher and an inverse-CDF draw per job. Rounds
+//! without a shared table (availability-masked or stale views, direct calls)
+//! build the same table privately. No *decision* state is carried across
+//! rounds — SCD stays memoryless, which is what makes it robust to
+//! dispatcher churn.
 
 use crate::estimator::ArrivalEstimator;
-use crate::solver::{
-    scd_dispatch_cached, scd_dispatch_compressed, solve_round_into, ScdScratch, SolverKind,
-};
+use crate::solver::{solve, solve_round_into, ScdScratch, SolverKind};
 use rand::RngCore;
 use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
-    PolicyFactory, ServerId,
+    DrawScratch, PolicyFactory, ScdTable, ServerId,
 };
 
 /// The Stochastically Coordinated Dispatching policy of the paper.
@@ -47,34 +46,21 @@ pub struct ScdPolicy {
     estimator: ArrivalEstimator,
     solver: SolverKind,
     name: String,
-    /// Reusable sort/key buffers for the per-round solve.
-    scratch: ScdScratch,
-    /// Reusable probability vector.
-    probabilities: Vec<f64>,
-    /// Reusable alias table for destination sampling.
+    /// Private dispatch table for rounds without a shared one.
+    table: ScdTable,
+    /// Reusable draw buffers.
+    draws: DrawScratch,
+    /// Reusable alias table for the Algorithm 1 baseline.
     sampler: AliasSampler,
     /// Reusable compacted queue/rate buffers for availability-masked rounds
     /// (down servers are removed before the solve; see `dispatch_into`).
     masked_queues: Vec<u64>,
     masked_rates: Vec<f64>,
-    /// Reusable per-class weight buffer for the compressed dispatch kernel.
-    class_weights: Vec<f64>,
-    /// Prefer the class-compressed dispatch kernel
-    /// ([`scd_dispatch_compressed`]) on engine rounds whose snapshot is
-    /// viable for compression, falling back to the dense kernel otherwise.
-    /// Samples the same per-round distribution through a different RNG
-    /// consumption pattern — see [`ScdPolicy::classic_sampler`].
-    compressed: bool,
-    /// Warm-start the solver's trimming iterations from the previous
-    /// accepted solve (verified, bit-identical — see
-    /// [`solve_round_cached`]). False only for the cold-solve reference
-    /// configuration ([`ScdPolicy::cold_solve`], the equivalence oracle).
-    warm_start: bool,
 }
 
 impl ScdPolicy {
     /// SCD with the paper's defaults: estimator `a_est = m·a(d)` and the
-    /// `O(n log n)` solver (Algorithm 4).
+    /// dispatch kernel.
     pub fn new() -> Self {
         Self::with_options(ArrivalEstimator::ScaledByDispatchers, SolverKind::Fast)
     }
@@ -89,14 +75,11 @@ impl ScdPolicy {
             estimator,
             solver,
             name,
-            scratch: ScdScratch::default(),
-            probabilities: Vec::new(),
+            table: ScdTable::new(),
+            draws: DrawScratch::default(),
             sampler: AliasSampler::default(),
             masked_queues: Vec::new(),
             masked_rates: Vec::new(),
-            class_weights: Vec::new(),
-            compressed: true,
-            warm_start: true,
         }
     }
 
@@ -105,39 +88,6 @@ impl ScdPolicy {
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
-    }
-
-    /// Disables solver warm starting — every round re-derives the trimming
-    /// fixpoints from scratch. Decisions are bit-identical to the warm
-    /// default for equal seeds; only the cost differs. Kept as the
-    /// equivalence oracle.
-    pub fn cold_solve(mut self) -> Self {
-        self.warm_start = false;
-        self
-    }
-
-    /// Disables the class-compressed dispatch kernel: every engine round
-    /// runs the dense per-server fill/normalize/alias chain of PR 8, even
-    /// when the snapshot compresses. The compressed kernel samples the
-    /// *same* per-round distribution (exactly — class members are
-    /// interchangeable under the solver's closed form) but consumes two RNG
-    /// draws per job instead of one, so the two configurations produce
-    /// different sample paths for equal seeds. Kept as the
-    /// distribution-equivalence oracle.
-    pub fn classic_sampler(mut self) -> Self {
-        self.compressed = false;
-        self
-    }
-
-    /// Whether the class-compressed dispatch kernel is preferred on viable
-    /// engine rounds.
-    pub fn compressed(&self) -> bool {
-        self.compressed
-    }
-
-    /// Whether the solver warm-starts from the previous accepted solve.
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
     }
 
     /// The estimator in use.
@@ -153,11 +103,10 @@ impl ScdPolicy {
     /// Computes this round's dispatching distribution without sampling —
     /// exposed for tests, examples and the decision-time benchmarks.
     ///
-    /// Runs the *same* solver pipeline as
-    /// [`dispatch_into`](DispatchPolicy::dispatch_into) (into a temporary
-    /// scratch), so the returned vector is exactly the distribution a
-    /// dispatch would sample from — including any last-ulp clipping at the
-    /// probable-set boundary.
+    /// Runs the *same* kernel as
+    /// [`dispatch_into`](DispatchPolicy::dispatch_into) on a private table,
+    /// so the returned vector is exactly the distribution a dispatch
+    /// samples from.
     pub fn distribution(&self, ctx: &DispatchContext<'_>, batch: usize) -> Vec<f64> {
         let a_est = self.estimator.estimate(batch as u64, ctx.num_dispatchers());
         let mut scratch = ScdScratch::default();
@@ -167,38 +116,30 @@ impl ScdPolicy {
             // down servers carry zero probability.
             let queues = ctx.queue_lengths();
             let rates = ctx.rates();
-            let compact_queues: Vec<u64> = avail
-                .up_list()
-                .iter()
-                .map(|&s| queues[s as usize])
-                .collect();
-            let compact_rates: Vec<f64> =
-                avail.up_list().iter().map(|&s| rates[s as usize]).collect();
+            let up = avail.up_list();
+            let compact_queues: Vec<u64> = up.iter().map(|&s| queues[s as usize]).collect();
+            let compact_rates: Vec<f64> = up.iter().map(|&s| rates[s as usize]).collect();
             let mut compact = Vec::new();
             solve_round_into(
                 &compact_queues,
                 &compact_rates,
                 a_est,
                 self.solver,
-                self.warm_start,
                 &mut scratch,
                 &mut compact,
             )
             .expect("the up subset of an engine cluster state is always valid");
             probabilities = vec![0.0; queues.len()];
-            for (pos, &s) in avail.up_list().iter().enumerate() {
-                probabilities[s as usize] = compact[pos];
+            for (&s, &p) in up.iter().zip(&compact) {
+                probabilities[s as usize] = p;
             }
             return probabilities;
         }
-        // A one-shot scratch carries no seed, so the warm flag is moot; pass
-        // the configured value anyway for symmetry.
         solve_round_into(
             ctx.queue_lengths(),
             ctx.rates(),
             a_est,
             self.solver,
-            self.warm_start,
             &mut scratch,
             &mut probabilities,
         )
@@ -219,8 +160,8 @@ impl DispatchPolicy for ScdPolicy {
     }
 
     fn round_cache_demand(&self) -> scd_model::CacheDemand {
-        // Loads and Corollary 1 keys come from the shared tables when the
-        // engine provides them (`solve_round_cached`).
+        // The round's dispatch table comes from the shared cache when the
+        // engine provides one.
         scd_model::CacheDemand::SolverTables
     }
 
@@ -246,98 +187,59 @@ impl DispatchPolicy for ScdPolicy {
             return;
         }
         let a_est = self.estimator.estimate(batch as u64, ctx.num_dispatchers());
-        if let Some(avail) = ctx.active_mask() {
-            // Availability-masked round: down servers must receive zero
-            // probability, which the water-filling solver expresses naturally
-            // when they are simply absent. Compact the up servers' (q, µ)
-            // into dense buffers, solve the reduced problem, and map sampled
-            // positions back through the up list. SCD stays memoryless, so
-            // the reduced problem is exactly SCD on the surviving cluster.
-            let queues = ctx.queue_lengths();
-            let rates = ctx.rates();
-            self.masked_queues.clear();
-            self.masked_rates.clear();
-            for &s in avail.up_list() {
-                self.masked_queues.push(queues[s as usize]);
-                self.masked_rates.push(rates[s as usize]);
+        let ScdPolicy {
+            solver,
+            table,
+            draws,
+            sampler,
+            masked_queues,
+            masked_rates,
+            ..
+        } = self;
+        // Availability-masked round: down servers must receive zero
+        // probability, which the solver expresses naturally when they are
+        // simply absent. Compact the up servers' (q, µ), solve the reduced
+        // problem, and map sampled positions back through the up list. SCD
+        // stays memoryless, so the reduced problem is exactly SCD on the
+        // surviving cluster.
+        let up = ctx.active_mask().map(|avail| avail.up_list());
+        let (queues, rates) = match up {
+            Some(up) => {
+                masked_queues.clear();
+                masked_rates.clear();
+                for &s in up {
+                    masked_queues.push(ctx.queue_lengths()[s as usize]);
+                    masked_rates.push(ctx.rates()[s as usize]);
+                }
+                (&masked_queues[..], &masked_rates[..])
             }
-            solve_round_into(
-                &self.masked_queues,
-                &self.masked_rates,
-                a_est,
-                self.solver,
-                self.warm_start,
-                &mut self.scratch,
-                &mut self.probabilities,
-            )
-            .expect("the up subset of an engine cluster state is always valid");
-            self.sampler
-                .rebuild(&self.probabilities)
+            None => (ctx.queue_lengths(), ctx.rates()),
+        };
+        let mut emit = |s: usize| out.push(ServerId::new(up.map_or(s, |up| up[s] as usize)));
+        if *solver == SolverKind::Quadratic {
+            // The Algorithm 1 baseline of Figures 5 and 8: a full solve per
+            // decision, then an alias table.
+            let solution = solve(queues, rates, a_est, *solver)
+                .expect("cluster state from the engine is always valid");
+            sampler
+                .rebuild(&solution.probabilities)
                 .expect("solver output is a valid probability vector");
-            out.extend(
-                (0..batch)
-                    .map(|_| ServerId::new(avail.up_list()[self.sampler.sample(rng)] as usize)),
-            );
+            (0..batch).for_each(|_| emit(sampler.sample(rng)));
             return;
         }
-        // Prefer the engine's shared per-round tables (loads, solver keys)
-        // when present; both entry points are bit-identical, so direct policy
-        // invocations without a cache behave exactly like engine runs.
-        match ctx.cache() {
-            // The one-call dispatch kernel: memoized solve + in-memo alias
-            // tables + sampling (warm mode) or the plain PR 4 decision path
-            // (cold mode) — bit-identical destinations either way.
-            Some(cache) => {
-                if self.compressed {
-                    let dispatched = scd_dispatch_compressed(
-                        ctx.queue_lengths(),
-                        ctx.rates(),
-                        cache,
-                        a_est,
-                        self.solver,
-                        batch,
-                        &mut self.class_weights,
-                        &mut self.sampler,
-                        out,
-                        rng,
-                    )
-                    .expect("cluster state from the engine is always valid");
-                    if dispatched.is_some() {
-                        return;
-                    }
+        // The round's shared table when the engine provides one (built by
+        // the round's first SCD dispatch), a private one otherwise — the
+        // same pure function of the snapshot either way.
+        if up.is_none() {
+            if let Some(shared) = ctx.cache().and_then(|cache| cache.scd_table()) {
+                if shared.num_servers() == queues.len() {
+                    shared.dispatch(a_est, batch, draws, rng, emit);
+                    return;
                 }
-                scd_dispatch_cached(
-                    ctx.queue_lengths(),
-                    ctx.rates(),
-                    cache,
-                    a_est,
-                    self.solver,
-                    self.warm_start,
-                    batch,
-                    &mut self.probabilities,
-                    &mut self.sampler,
-                    out,
-                    rng,
-                )
-                .expect("cluster state from the engine is always valid");
-            }
-            None => {
-                solve_round_into(
-                    ctx.queue_lengths(),
-                    ctx.rates(),
-                    a_est,
-                    self.solver,
-                    self.warm_start,
-                    &mut self.scratch,
-                    &mut self.probabilities,
-                )
-                .expect("cluster state from the engine is always valid");
-                self.sampler
-                    .rebuild(&self.probabilities)
-                    .expect("solver output is a valid probability vector");
-                out.extend((0..batch).map(|_| ServerId::new(self.sampler.sample(rng))));
             }
         }
+        table.refresh(queues, rates, None);
+        table.dispatch(a_est, batch, draws, rng, emit);
     }
 }
 
@@ -347,8 +249,6 @@ pub struct ScdFactory {
     estimator: ArrivalEstimator,
     solver: SolverKind,
     name: String,
-    warm_start: bool,
-    compressed: bool,
 }
 
 impl ScdFactory {
@@ -367,30 +267,12 @@ impl ScdFactory {
             estimator,
             solver,
             name,
-            warm_start: true,
-            compressed: true,
         }
     }
 
     /// Overrides the display name.
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
-        self
-    }
-
-    /// Builds cold-solve policies (see [`ScdPolicy::cold_solve`]),
-    /// bit-identical to the warm default for equal seeds. Reports carry the
-    /// same name so warm and cold runs of one seed compare equal.
-    pub fn cold_solve(mut self) -> Self {
-        self.warm_start = false;
-        self
-    }
-
-    /// Builds classic-sampler policies (see [`ScdPolicy::classic_sampler`])
-    /// — the dense per-server dispatch chain, kept as the sample-path
-    /// reference for the compressed kernel.
-    pub fn classic_sampler(mut self) -> Self {
-        self.compressed = false;
         self
     }
 }
@@ -407,15 +289,7 @@ impl PolicyFactory for ScdFactory {
     }
 
     fn build(&self, _dispatcher: DispatcherId, _spec: &ClusterSpec) -> BoxedPolicy {
-        let mut policy =
-            ScdPolicy::with_options(self.estimator, self.solver).with_name(self.name.clone());
-        if !self.warm_start {
-            policy = policy.cold_solve();
-        }
-        if !self.compressed {
-            policy = policy.classic_sampler();
-        }
-        Box::new(policy)
+        Box::new(ScdPolicy::with_options(self.estimator, self.solver).with_name(self.name.clone()))
     }
 }
 
@@ -534,25 +408,23 @@ mod tests {
         let p = ScdPolicy::with_options(ArrivalEstimator::Constant(8.0), SolverKind::Quadratic);
         assert_eq!(p.estimator(), ArrivalEstimator::Constant(8.0));
         assert_eq!(p.solver(), SolverKind::Quadratic);
-        assert!(p.compressed());
-        assert!(!p.classic_sampler().compressed());
+        assert_eq!(p.with_name("alg1").policy_name(), "alg1");
     }
 
     #[test]
     fn compressed_engine_dispatch_matches_the_distribution() {
         // A compressible cluster behind a shared round cache — the engine
-        // configuration the class kernel targets. The empirical destination
-        // frequencies must match the dense solver's distribution, which is
-        // what `distribution()` reports regardless of sampler choice.
-        let queues: Vec<u64> = (0..48).map(|s| ((s * 5 + 1) % 7) as u64).collect();
-        let rates: Vec<f64> = (0..48)
+        // configuration class groups target. The empirical destination
+        // frequencies must match `distribution()`.
+        let queues: Vec<u64> = (0..64).map(|s| ((s * 5 + 1) % 7) as u64).collect();
+        let rates: Vec<f64> = (0..64)
             .map(|s| if s % 4 == 0 { 3.0 } else { 1.0 })
             .collect();
         let mut cache = scd_model::RoundCache::new();
         cache.begin_round(&queues, &rates);
+        assert!(cache.scd_table().unwrap().uses_classes());
         let ctx = DispatchContext::with_cache(&queues, &rates, 1, 0, &cache);
         let mut policy = ScdPolicy::new();
-        assert!(policy.compressed());
         let expected = policy.distribution(&ctx, 9);
         let mut rng = StdRng::seed_from_u64(314);
         let mut counts = vec![0usize; queues.len()];

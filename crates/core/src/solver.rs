@@ -22,23 +22,29 @@
 //!
 //! Both return identical results (verified against each other and against an
 //! exhaustive subset search in this module's tests and in `qp.rs`).
+//!
+//! Neither runs on the engine's dispatch path. Because `Σ_s p_s = 1`, the
+//! IWL term of the objective, `−2·iwl·Σ_s p_s`, is a constant: `P*` depends
+//! only on the Corollary 1 key order, and the dispatch kernel
+//! ([`scd_model::ScdTable`]) finds it with one binary search over per-round
+//! key-sorted prefix sums. Algorithms 1 and 4 (with the IWL of Algorithm 3)
+//! and the single-job closed form stay as the kernel's test oracles and as
+//! the per-decision baselines of Figures 5 and 8.
 
 use crate::iwl::compute_iwl;
-use scd_model::{AliasSampler, RoundCache, WarmSeeds};
+use scd_model::{RoundCache, ScdTable, SINGLE_JOB_THRESHOLD};
 use std::error::Error;
 use std::fmt;
 
 /// Numerical slack used when testing primal feasibility (`p_s ≥ 0`).
 const FEASIBILITY_TOLERANCE: f64 = 1e-9;
 
-/// Arrivals within this distance of 1.0 take the closed-form single-job path
-/// (Eq. 9), which avoids dividing by `a − 1 ≈ 0`.
-const SINGLE_JOB_THRESHOLD: f64 = 1.0 + 1e-9;
-
 /// Which algorithm computes the dispatching probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolverKind {
-    /// Algorithm 4 — `O(n log n)` (optimal); the default used by SCD.
+    /// The `O(log n)`-per-dispatcher kernel over the round's key-sorted
+    /// table ([`scd_model::ScdTable`]) — the default used by SCD. The
+    /// allocating [`solve`] entry point runs Algorithm 4 for this kind.
     Fast,
     /// Algorithm 1 — `O(n²)`; kept for the run-time comparison of Fig. 5/8.
     Quadratic,
@@ -49,16 +55,6 @@ impl fmt::Display for SolverKind {
         match self {
             SolverKind::Fast => write!(f, "algorithm-4"),
             SolverKind::Quadratic => write!(f, "algorithm-1"),
-        }
-    }
-}
-
-impl SolverKind {
-    /// Stable discriminant used as the [`RoundCache`] solver-memo tag.
-    pub(crate) fn memo_tag(self) -> u8 {
-        match self {
-            SolverKind::Fast => 0,
-            SolverKind::Quadratic => 1,
         }
     }
 }
@@ -134,691 +130,20 @@ pub fn sorted_by_key(queues: &[u64], rates: &[f64]) -> Vec<usize> {
     order
 }
 
-/// Reusable buffers for the per-round SCD pipeline (IWL + probabilities).
-///
-/// A dispatcher-resident policy keeps one of these across rounds so the
-/// steady-state decision path performs no heap allocations: the load/key
-/// vectors are refilled in place every round and the reciprocal rates are
-/// computed once per run. (Earlier iterations of this scratch also carried
-/// sort-order permutations across rounds; the sort-free trimming solvers
-/// below made them unnecessary.)
+/// Reusable buffers for the cache-less SCD solve: a private dispatch table
+/// ([`ScdTable`]), rebuilt from each call's snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct ScdScratch {
-    /// Cached loads `q_s/µ_s` (Algorithm 3's water-filling inputs).
-    loads: Vec<f64>,
-    /// Cached candidate keys `(2q_s + 1)/µ_s` (Corollary 1 keys).
-    keys: Vec<f64>,
-    /// The rates the reciprocals below were computed for (rates are static
-    /// per run, so this almost never changes after the first round).
-    rates_snapshot: Vec<f64>,
-    /// Cached reciprocal rates `1/µ_s`. Turning the solver's per-round
-    /// divisions (loads, keys, probability fill) into multiplications is a
-    /// large win: f64 division is several times the latency of
-    /// multiplication and the per-decision pipeline performs `O(n)` of them
-    /// per pass.
-    inv_rates: Vec<f64>,
-    /// Warm-start seeds (previous solve's level and multiplier) for the
-    /// cache-less entry point; the engine path keeps its seeds in the shared
-    /// [`RoundCache`] instead.
-    warm: WarmSeeds,
+    table: ScdTable,
 }
 
-impl ScdScratch {
-    /// Refreshes the cached reciprocal rates if `rates` changed (length or
-    /// contents). The comparison is a single cheap pass; rates are fixed for
-    /// the lifetime of a simulation run, so the rebuild happens once.
-    fn refresh_inv_rates(&mut self, rates: &[f64]) {
-        scd_model::refresh_reciprocal_rates(&mut self.rates_snapshot, &mut self.inv_rates, rates);
-    }
-
-    /// The warm-start seed store of this scratch (exposed for tests: the
-    /// `(accepts, fallbacks)` counters show whether the warm path ran).
-    pub fn warm_seeds(&self) -> &WarmSeeds {
-        &self.warm
-    }
-}
-
-/// Computes the ideal workload by Michelot-style iterative trimming instead
-/// of Algorithm 3's sort-and-scan: start from the water level of the full
-/// server set, drop every server whose load is already above the level,
-/// recompute, repeat.
+/// Solves one SCD round without a shared cache, writing the distribution
+/// into `probabilities` and reusing the scratch's buffers.
 ///
-/// Each removal can only lower the level (removing `x` with `load_x ≥ w`
-/// changes it by `µ_x·Σµ·(w − load_x) ≤ 0`), so dropped servers stay
-/// dropped, the loop terminates after at most `n` rounds — typically 2–4 —
-/// and the fixpoint satisfies exactly the water-filling conditions, i.e. it
-/// *is* the unique IWL of Algorithm 3. Unlike the sort, the passes are
-/// sequential, branch-predictable and allocation-free, which is what the
-/// engine hot path cares about.
-fn iwl_by_trimming(queues: &[u64], rates: &[f64], loads: &[f64], arrivals: f64) -> f64 {
-    debug_assert!(arrivals >= 1.0);
-    let n = loads.len();
-    // Full-set water level.
-    let sum_q: f64 = queues.iter().map(|&q| q as f64).sum();
-    let sum_mu: f64 = rates.iter().sum();
-    let mut level = (arrivals + sum_q) / sum_mu;
-    let mut active = n;
-    // In exact arithmetic the level is non-increasing and the active set
-    // shrinks every iteration, so at most `n` iterations are needed. In
-    // floating point a server sitting exactly on the water level can flip
-    // membership and bounce the level by an ulp forever; clamping the level
-    // to be non-increasing restores guaranteed termination (the membership
-    // set then shrinks monotonically), and the cap is pure defensiveness.
-    for _ in 0..=n {
-        let mut sq = 0.0;
-        let mut smu = 0.0;
-        let mut count = 0usize;
-        for s in 0..n {
-            if loads[s] < level {
-                sq += queues[s] as f64;
-                smu += rates[s];
-                count += 1;
-            }
-        }
-        if count == active || count == 0 {
-            break;
-        }
-        active = count;
-        level = level.min((arrivals + sq) / smu);
-    }
-    level
-}
-
-/// Computes the optimal Lagrange multiplier `Λ0` by the same iterative
-/// trimming, applied to the probability problem: with `t_s = 2·iwl − key_s`,
-/// the KKT solution is `p_s ∝ µ_s·(t_s − Λ0)⁺` with
-/// `Λ0 = (Σ_S µt − 2(a−1)) / Σ_S µ` over the probable set
-/// `S = {s : t_s > Λ0}`. Starting from all servers and dropping violators
-/// raises `Λ0` monotonically, so the loop terminates (at most `n` rounds,
-/// typically 2–4) at the unique KKT point — the same solution Algorithm 4
-/// finds by scanning sorted prefixes, without sorting.
-///
-/// `S` can never become empty: `Σ_S µ(t − Λ0) = 2(a−1) > 0` guarantees some
-/// member strictly exceeds `Λ0`.
-fn lambda0_by_trimming(rates: &[f64], keys: &[f64], arrivals: f64, iwl: f64) -> f64 {
-    debug_assert!(arrivals > 1.0);
-    let n = keys.len();
-    let c = 2.0 * iwl;
-    let mut num = -2.0 * (arrivals - 1.0);
-    let mut den = 0.0;
-    for s in 0..n {
-        num += rates[s] * (c - keys[s]);
-        den += rates[s];
-    }
-    let mut lambda0 = num / den;
-    let mut active = n;
-    // Mirror image of the IWL loop: `Λ0` is non-decreasing in exact
-    // arithmetic, so clamping it to be non-decreasing prevents ulp-level
-    // oscillation when a server's `t` lands exactly on `Λ0` (its probability
-    // is 0 either way); the iteration cap is pure defensiveness.
-    for _ in 0..=n {
-        let mut nm = -2.0 * (arrivals - 1.0);
-        let mut dn = 0.0;
-        let mut count = 0usize;
-        for s in 0..n {
-            let t = c - keys[s];
-            if t > lambda0 {
-                nm += rates[s] * t;
-                dn += rates[s];
-                count += 1;
-            }
-        }
-        if count == active || count == 0 {
-            break;
-        }
-        active = count;
-        lambda0 = lambda0.max(nm / dn);
-    }
-    lambda0
-}
-
-/// Computes `Λ0` over a **class-compressed** snapshot by the same iterative
-/// trimming as [`lambda0_by_trimming`]: members of one `(q, µ)` class share
-/// the margin `t = 2·iwl − key`, so they cross the multiplier threshold
-/// together and the KKT fixpoint can be found over `C` classes. `cmu` holds
-/// the per-class aggregate rates `count·µ` and `keys` the per-class
-/// Corollary 1 keys (see `scd_model::ClassPartition`). Like the grouped
-/// water level, only the summation grouping differs from the dense sweep,
-/// so the multiplier can differ in the last ulps.
-fn lambda0_by_trimming_grouped(cmu: &[f64], keys: &[f64], arrivals: f64, iwl: f64) -> f64 {
-    debug_assert!(arrivals > 1.0);
-    debug_assert_eq!(cmu.len(), keys.len());
-    let n = keys.len();
-    let c = 2.0 * iwl;
-    let mut num = -2.0 * (arrivals - 1.0);
-    let mut den = 0.0;
-    for (&mu_mass, &key) in cmu.iter().zip(keys) {
-        num += mu_mass * (c - key);
-        den += mu_mass;
-    }
-    let mut lambda0 = num / den;
-    let mut active = n;
-    // Same monotone-clamped termination argument as the dense loop; the
-    // sweeps are branchless for the same scattered-membership reason.
-    for _ in 0..=n {
-        let mut nm = -2.0 * (arrivals - 1.0);
-        let mut dn = 0.0;
-        let mut count = 0usize;
-        for (&mu_mass, &key) in cmu.iter().zip(keys) {
-            let t = c - key;
-            let member = t > lambda0;
-            let mask = member as u64 as f64;
-            nm += mask * (mu_mass * t);
-            dn += mask * mu_mass;
-            count += member as usize;
-        }
-        if count == active || count == 0 {
-            break;
-        }
-        active = count;
-        lambda0 = lambda0.max(nm / dn);
-    }
-    lambda0
-}
-
-/// How many verification/refinement passes a warm **water-level** attempt
-/// may spend before giving up. A candidate seeded from a *different*
-/// estimate's active set typically lands above the fixpoint (pouring the
-/// new arrival mass over the old set) and then descends monotonically, one
-/// boundary server per pass — exactly like the cold iteration but starting
-/// nearby instead of at the full set. Each refinement costs one pass, the
-/// same as a cold iteration, so a generous budget only converts would-be
-/// fallbacks (which pay the full cold restart) into successes.
-const WARM_IWL_REFINEMENTS: usize = 6;
-
-/// Refinement budget of the warm **multiplier** attempt. Its fused
-/// verification pass doubles as the probability fill, which makes failed
-/// passes pricier than cold iterations — and in practice the multiplier's
-/// probable set barely moves between nearby solves (first-pass acceptance
-/// dominates), so the budget stays small.
-const WARM_REFINEMENTS: usize = 2;
-
-/// Half-width of the near-boundary rejection window of the warm
-/// verification passes, as a fraction of the candidate's scale. A warm
-/// result is accepted only when **no** server's load (respectively key
-/// margin) lies this close to the verified level (multiplier): near the
-/// boundary the cold iteration's monotonicity clamps can bind, making the
-/// cold result trajectory-dependent rather than the pure fixpoint the warm
-/// path reproduces. The window is ~5 orders of magnitude wider than the
-/// worst-case accumulated rounding of the trimming sums, so clamp-binding
-/// states always fall back to the cold oracle; states this close to
-/// degeneracy are rare, so the fallback costs nothing measurable.
-const WARM_BOUNDARY_GUARD: f64 = 1e-9;
-
-/// The warm level candidate shared by [`warm_iwl`] and
-/// [`warm_fast_solve`]. Preferred source: the active-set sums of an earlier
-/// accepted solve of *this round* (same snapshot, different estimate — the
-/// set was verified as a threshold set of these very loads, so its
-/// index-order sums are exactly what the cold iteration would recompute
-/// over it), which makes the candidate `O(1)`. Otherwise pay one
-/// membership pass over the previous round's accepted level. Returns the
-/// candidate and its set size; `None` when no seed exists or the seed's
-/// set is empty.
-fn level_candidate(
-    queues: &[u64],
-    rates: &[f64],
-    loads: &[f64],
-    arrivals: f64,
-    seeds: &WarmSeeds,
-) -> Option<(f64, usize)> {
-    if let Some((sq, smu, cached_count)) = seeds.level_sums() {
-        return Some(((arrivals + sq) / smu, cached_count));
-    }
-    let seed = seeds.level()?;
-    let mut sq = 0.0;
-    let mut smu = 0.0;
-    let mut count = 0usize;
-    // Branchless membership (the mask multiplies are exactly 1.0 or 0.0,
-    // so the accumulated sums are bit-for-bit the branchy — i.e. cold —
-    // sums: `x + 0.0·y` never changes a non-negative float sum): the
-    // members are scattered in index order, so a data-dependent branch
-    // here mispredicts roughly half the time.
-    for ((&load, &q), &mu) in loads.iter().zip(queues).zip(rates) {
-        let member = load < seed;
-        let mask = member as u64 as f64;
-        sq += mask * (q as f64);
-        smu += mask * mu;
-        count += member as usize;
-    }
-    if count == 0 {
-        return None;
-    }
-    Some(((arrivals + sq) / smu, count))
-}
-
-/// Attempts to reproduce the [`iwl_by_trimming`] fixpoint from the previous
-/// solve's water level instead of descending from the full-set level.
-///
-/// The cold iteration terminates at a *count-stable* pair `(S, L)`:
-/// `L = (a + Σ_S q)/(Σ_S µ)` with `S = {s : loads_s < L}` (its break
-/// condition compares only set sizes, but strict-threshold sets over one
-/// load vector are nested, so equal counts mean equal sets). This function
-/// seeds the membership test with the previous level, recomputes the level
-/// from that set **with the cold iteration's exact expressions and
-/// index-order sums**, and accepts only a verified count-stable fixpoint.
-/// Such a fixpoint is unique (removing a member with `load ≥ L` can only
-/// lower the level, adding one can only raise it — the standard
-/// water-filling exchange argument), so an accepted level is bit-for-bit
-/// the level the cold iteration returns.
-///
-/// Returns `None` — caller falls back to the cold solve — when the seed's
-/// set is empty, the refinement budget is exhausted, or any server sits
-/// *near* the candidate level (within [`WARM_BOUNDARY_GUARD`] of it,
-/// relative to the level's magnitude). Near-boundary servers are where the
-/// cold iteration's monotonicity clamp can bind, which makes its result
-/// trajectory-dependent and **not** a pure fixpoint; the guard window is
-/// many orders of magnitude wider than the accumulated rounding error of
-/// the sums (`n·ε ≈ 1e-14` at `n = 100` versus `1e-9`), so whenever the
-/// clamp could possibly have engaged, the warm path refuses to guess and
-/// lets the oracle decide.
-fn warm_iwl(
-    queues: &[u64],
-    rates: &[f64],
-    loads: &[f64],
-    arrivals: f64,
-    seeds: &WarmSeeds,
-) -> Option<f64> {
-    debug_assert!(arrivals >= 1.0);
-    debug_assert_eq!(loads.len(), queues.len());
-    let (mut level, mut count) = level_candidate(queues, rates, loads, arrivals, seeds)?;
-    for _ in 0..WARM_IWL_REFINEMENTS {
-        // Verification pass: the candidate is accepted iff its own threshold
-        // set is the set it was computed from (count equality suffices —
-        // nested sets) and no load sits near the level (see the guard
-        // constant; the loads and the level are sums of positives, so the
-        // level's rounding error is a small multiple of `ε·level`).
-        let guard = WARM_BOUNDARY_GUARD * (1.0 + level.abs());
-        let mut sq2 = 0.0;
-        let mut smu2 = 0.0;
-        let mut count2 = 0usize;
-        let mut boundary = 0usize;
-        for ((&load, &q), &mu) in loads.iter().zip(queues).zip(rates) {
-            boundary += ((load - level).abs() <= guard) as usize;
-            let member = load < level;
-            let mask = member as u64 as f64;
-            sq2 += mask * (q as f64);
-            smu2 += mask * mu;
-            count2 += member as usize;
-        }
-        if boundary > 0 || count2 == 0 {
-            return None;
-        }
-        if count2 == count {
-            // The verification pass's sums are over the accepted set:
-            // publish them so later solves of this round start O(1).
-            seeds.set_level_sums(sq2, smu2, count2);
-            return Some(level);
-        }
-        count = count2;
-        level = (arrivals + sq2) / smu2;
-    }
-    None
-}
-
-/// Attempts to reproduce the [`lambda0_by_trimming`] fixpoint from the
-/// previous solve's multiplier, filling `out` with the probability vector in
-/// the same pass the verification runs.
-///
-/// Mirror image of [`warm_iwl`]: the cold iteration terminates at a
-/// count-stable `(S, Λ0)` with `S = {s : 2·iwl − key_s > Λ0}` and
-/// `Λ0 = (Σ_S µ(2·iwl − key) − 2(a−1)) / Σ_S µ`, which is unique by the same
-/// exchange argument, so a verified candidate is bit-for-bit the cold
-/// result. The fill uses exactly [`fill_probabilities_cached`]'s arithmetic
-/// (including the final rescale — the running total skips only exact zeros,
-/// which never change a float sum), so an accepted solve's probabilities are
-/// indistinguishable from the cold solve's.
-///
-/// Returns `None` (cold fallback) on an empty seed set, exhausted
-/// refinements, or any margin `2·iwl − key_s` within the near-boundary
-/// guard window of `Λ0` (the multiplier's numerator can cancel, so the
-/// window is scaled by the terms feeding it, not just by `Λ0`).
-fn warm_lambda0_fill(
-    rates: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    iwl: f64,
-    seed: f64,
-    out: &mut Vec<f64>,
-) -> Option<(f64, f64)> {
-    let (lambda0, dn, count) = lambda_candidate_from_seed(rates, keys, arrivals, 2.0 * iwl, seed)?;
-    warm_lambda_verify_fill(rates, keys, arrivals, iwl, lambda0, dn, count, out)
-}
-
-/// Λ0 pass 1: the candidate multiplier of the seed's probable set, with the
-/// cold iteration's exact accumulation. Returns `(Λ0, Σ_S µ, |S|)`, or
-/// `None` when the seed's set is empty.
-fn lambda_candidate_from_seed(
-    rates: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    c: f64,
-    seed: f64,
-) -> Option<(f64, f64, usize)> {
-    let mut nm = -2.0 * (arrivals - 1.0);
-    let mut dn = 0.0;
-    let mut count = 0usize;
-    // Branchless membership; the mask multiplies add exact ±0.0 for
-    // non-members, which never changes a float sum — bit-identical to the
-    // cold accumulation (see `warm_fast_solve` for why this matters here).
-    for (&key, &mu) in keys.iter().zip(rates) {
-        let t = c - key;
-        let member = t > seed;
-        let mask = member as u64 as f64;
-        nm += mask * (mu * t);
-        dn += mask * mu;
-        count += member as usize;
-    }
-    if count == 0 {
-        return None;
-    }
-    Some((nm / dn, dn, count))
-}
-
-/// The verification/refinement loop of the warm multiplier stage, starting
-/// from a caller-supplied candidate (`lambda_candidate_from_seed`, or the
-/// speculative fused pass inside [`warm_fast_solve`]). On acceptance `out`
-/// holds the normalized distribution and the returned pair is
-/// `(Λ0, exact index-order sum of out)`.
-#[allow(clippy::too_many_arguments)] // internal stage: the solve's full table set, not a config surface
-fn warm_lambda_verify_fill(
-    rates: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    iwl: f64,
-    mut lambda0: f64,
-    mut dn: f64,
-    mut count: usize,
-    out: &mut Vec<f64>,
-) -> Option<(f64, f64)> {
-    debug_assert!(arrivals > 1.0);
-    debug_assert_eq!(keys.len(), rates.len());
-    let c = 2.0 * iwl;
-    let inv_2a1 = 1.0 / (2.0 * (arrivals - 1.0));
-    for _ in 0..WARM_REFINEMENTS {
-        // Fused verification + speculative fill: when the candidate
-        // verifies, `out` already holds the (unscaled) distribution. The
-        // guard scale accounts for the cancellation in the numerator: the
-        // member margins are bounded by |c| + |Λ0| and the constant term by
-        // 2(a−1)/Σµ, so the window dominates the sum's rounding error.
-        let guard =
-            WARM_BOUNDARY_GUARD * (1.0 + c.abs() + lambda0.abs() + 2.0 * (arrivals - 1.0) / dn);
-        let c2 = 2.0 * iwl - lambda0;
-        let mut nm2 = -2.0 * (arrivals - 1.0);
-        let mut dn2 = 0.0;
-        let mut count2 = 0usize;
-        let mut boundary = 0usize;
-        let mut total = 0.0;
-        out.clear();
-        // Branchless membership + select-based fill (clipped entries store
-        // and add exact 0.0, which never changes a float sum) — members and
-        // clipped servers are scattered in index order, so data-dependent
-        // branches here would mispredict heavily.
-        for (&key, &mu) in keys.iter().zip(rates) {
-            let t = c - key;
-            boundary += ((t - lambda0).abs() <= guard) as usize;
-            let member = t > lambda0;
-            let mask = member as u64 as f64;
-            nm2 += mask * (mu * t);
-            dn2 += mask * mu;
-            count2 += member as usize;
-            let p = mu * (c2 - key) * inv_2a1;
-            let kept = if p > 0.0 { p } else { 0.0 };
-            total += kept;
-            out.push(kept);
-        }
-        if boundary > 0 || count2 == 0 {
-            return None;
-        }
-        if count2 == count {
-            // Accepted: rescale exactly like `normalize` would, and
-            // accumulate the post-rescale sum in the same pass — the
-            // index-order sum of the stored values, i.e. bit-for-bit what
-            // `AliasSampler::rebuild` would recompute over them (adding
-            // exact zeros never changes a float sum), so the caller can
-            // hand the table construction a precomputed total.
-            debug_assert!(
-                (total - 1.0).abs() < 1e-6,
-                "solver produced probabilities summing to {total}"
-            );
-            let mut post_total = total;
-            if total > 0.0 {
-                let inv_total = 1.0 / total;
-                post_total = 0.0;
-                for p in out.iter_mut() {
-                    *p *= inv_total;
-                    post_total += *p;
-                }
-            }
-            return Some((lambda0, post_total));
-        }
-        count = count2;
-        dn = dn2;
-        lambda0 = nm2 / dn2;
-    }
-    None
-}
-
-/// The complete warm Fast-pipeline solve over shared per-round tables:
-/// verified warm water level with the **multiplier's candidate pass fused
-/// into the level's verification pass** (speculative — from the second
-/// verification on, the level candidate almost always verifies, so the
-/// extra per-element work is spent exactly when it pays), then the fused
-/// multiplier verification/fill.
-///
-/// Returns `None` only when the *level* stage cannot be warm-verified (the
-/// caller then runs the full cold solve). A verified level with a failed
-/// multiplier stage falls back to the cold multiplier internally and still
-/// returns the solve — `(iwl, Some(exact probability sum))` on a fully warm
-/// fill, `(iwl, None)` when the cold fill ran.
-fn warm_fast_solve(
-    queues: &[u64],
-    rates: &[f64],
-    loads: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    seeds: &WarmSeeds,
-    out: &mut Vec<f64>,
-) -> Option<(f64, Option<f64>)> {
-    debug_assert!(arrivals > SINGLE_JOB_THRESHOLD);
-    let (mut level, mut count) = level_candidate(queues, rates, loads, arrivals, seeds)?;
-    let lambda_seed = seeds.lambda();
-    // Λ0 candidate computed alongside an accepted level verification, when
-    // the fused pass ran: (Λ0, Σ_S µ, |S|).
-    let mut lambda_cand: Option<(f64, f64, usize)> = None;
-    let mut accepted = false;
-    for attempt in 0..WARM_IWL_REFINEMENTS {
-        // Verification pass: the candidate is accepted iff its own threshold
-        // set is the set it was computed from (count equality suffices —
-        // nested sets) and no load sits near the level (see the guard
-        // constant; the loads and the level are sums of positives, so the
-        // level's rounding error is a small multiple of `ε·level`).
-        let guard = WARM_BOUNDARY_GUARD * (1.0 + level.abs());
-        let mut sq2 = 0.0;
-        let mut smu2 = 0.0;
-        let mut count2 = 0usize;
-        let mut boundary = 0usize;
-        // Branchless membership everywhere in these sweeps: the mask
-        // multiplies contribute exactly `1.0·x` or `±0.0`, which never
-        // changes a non-negative (or any) float sum, so the accumulated
-        // values are bit-for-bit the branchy — i.e. cold — sums. Members
-        // are scattered in index order, so data-dependent branches would
-        // mispredict roughly half the time; the selects keep the sweeps
-        // superscalar.
-        //
-        // Speculative fusion: a first verification of a cross-estimate
-        // candidate usually fails even in sorted dispatch order (at high
-        // load the balanced queues pack tightly around the waterline, so
-        // nearly every estimate change moves the active set), but a
-        // *refined* candidate almost always verifies — so from the second
-        // pass on, accumulate the multiplier's seed-set sums (with the
-        // speculative `c = 2·level`) in the same sweep.
-        let speculate = lambda_seed.is_some() && attempt >= 1;
-        if speculate {
-            let lseed = lambda_seed.expect("speculation requires a multiplier seed");
-            let c = 2.0 * level;
-            let mut nm = -2.0 * (arrivals - 1.0);
-            let mut dn = 0.0;
-            let mut lcount = 0usize;
-            for (((&load, &q), &mu), &key) in loads.iter().zip(queues).zip(rates).zip(keys) {
-                boundary += ((load - level).abs() <= guard) as usize;
-                let member = load < level;
-                let mask = member as u64 as f64;
-                sq2 += mask * (q as f64);
-                smu2 += mask * mu;
-                count2 += member as usize;
-                let t = c - key;
-                let lmember = t > lseed;
-                let lmask = lmember as u64 as f64;
-                nm += lmask * (mu * t);
-                dn += lmask * mu;
-                lcount += lmember as usize;
-            }
-            if lcount > 0 {
-                lambda_cand = Some((nm / dn, dn, lcount));
-            }
-        } else {
-            for ((&load, &q), &mu) in loads.iter().zip(queues).zip(rates) {
-                boundary += ((load - level).abs() <= guard) as usize;
-                let member = load < level;
-                let mask = member as u64 as f64;
-                sq2 += mask * (q as f64);
-                smu2 += mask * mu;
-                count2 += member as usize;
-            }
-        }
-        if boundary > 0 || count2 == 0 {
-            return None;
-        }
-        if count2 == count {
-            // The verification pass's sums are over the accepted set:
-            // publish them so later solves of this round start O(1).
-            seeds.set_level_sums(sq2, smu2, count2);
-            accepted = true;
-            break;
-        }
-        lambda_cand = None; // computed against a rejected level
-        count = count2;
-        level = (arrivals + sq2) / smu2;
-    }
-    if !accepted {
-        return None;
-    }
-    seeds.record_accept();
-    seeds.set_level(level);
-    let iwl = level;
-
-    // Multiplier stage: speculative candidate, or a dedicated pass when the
-    // level verified before any fused pass ran.
-    let candidate = lambda_cand.or_else(|| {
-        lambda_seed
-            .and_then(|seed| lambda_candidate_from_seed(rates, keys, arrivals, 2.0 * iwl, seed))
-    });
-    if let Some((lambda0, dn, lcount)) = candidate {
-        if let Some((lambda0, post_total)) =
-            warm_lambda_verify_fill(rates, keys, arrivals, iwl, lambda0, dn, lcount, out)
-        {
-            seeds.record_accept();
-            seeds.set_lambda(lambda0);
-            #[cfg(debug_assertions)]
-            crate::qp::check_kkt(out, queues, rates, arrivals, iwl, 1e-6)
-                .expect("warm-started solve violates the KKT certificate");
-            return Some((iwl, Some(post_total)));
-        }
-        seeds.record_fallback();
-    }
-    let lambda0 = lambda0_by_trimming(rates, keys, arrivals, iwl);
-    fill_probabilities_cached(rates, keys, arrivals, iwl, lambda0, out);
-    seeds.set_lambda(lambda0);
-    Some((iwl, None))
-}
-
-/// The ideal-workload stage shared by the round solvers: warm-started and
-/// verified when `warm` is set and a seed exists, cold otherwise. Always
-/// deposits the accepted level as the next solve's seed (warm mode only).
-fn iwl_stage(
-    queues: &[u64],
-    rates: &[f64],
-    loads: &[f64],
-    arrivals: f64,
-    warm: bool,
-    seeds: &WarmSeeds,
-) -> f64 {
-    if !warm {
-        return iwl_by_trimming(queues, rates, loads, arrivals);
-    }
-    let attemptable = seeds.level_sums().is_some() || seeds.level().is_some();
-    if attemptable {
-        if let Some(level) = warm_iwl(queues, rates, loads, arrivals, seeds) {
-            seeds.record_accept();
-            seeds.set_level(level);
-            return level;
-        }
-        seeds.record_fallback();
-    }
-    let level = iwl_by_trimming(queues, rates, loads, arrivals);
-    seeds.set_level(level);
-    level
-}
-
-/// The multiplier-and-fill stage of the Fast pipeline: warm-started and
-/// verified when `warm` is set, cold otherwise. Returns the exact
-/// index-order sum of the filled probabilities when the pass computed one
-/// (warm accepts do, for free), so dispatch callers can skip the alias
-/// table's summation pass. In debug builds every warm-accepted distribution
-/// is additionally certified against the KKT conditions (`qp::check_kkt`,
-/// Eq. 12) — the release-mode gate is the *stronger* exact fixpoint
-/// verification, which guarantees bit-identity with the cold solve rather
-/// than mere toleranced optimality.
-#[allow(clippy::too_many_arguments)] // internal stage: the solve's full table set, not a config surface
-fn lambda_fill_stage(
-    queues: &[u64],
-    rates: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    iwl: f64,
-    warm: bool,
-    seeds: &WarmSeeds,
-    out: &mut Vec<f64>,
-) -> Option<f64> {
-    if warm {
-        if let Some(seed) = seeds.lambda() {
-            if let Some((lambda0, post_total)) =
-                warm_lambda0_fill(rates, keys, arrivals, iwl, seed, out)
-            {
-                seeds.record_accept();
-                seeds.set_lambda(lambda0);
-                #[cfg(debug_assertions)]
-                crate::qp::check_kkt(out, queues, rates, arrivals, iwl, 1e-6)
-                    .expect("warm-started solve violates the KKT certificate");
-                return Some(post_total);
-            }
-            seeds.record_fallback();
-        }
-    }
-    let lambda0 = lambda0_by_trimming(rates, keys, arrivals, iwl);
-    fill_probabilities_cached(rates, keys, arrivals, iwl, lambda0, out);
-    if warm {
-        seeds.set_lambda(lambda0);
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = queues;
-    None
-}
-
-/// Solves one complete SCD round — ideal workload (Algorithm 3) plus optimal
-/// probabilities — writing the distribution into `probabilities` and reusing
-/// every intermediate buffer from `scratch`. Returns the ideal workload.
-///
-/// This is the engine-facing, allocation-free counterpart of [`solve`]; the
-/// results are identical.
-///
-/// With `warm` set, the [`SolverKind::Fast`] pipeline seeds its trimming
-/// iterations from the scratch's previous accepted solve and verifies the
-/// result as an exact fixpoint of the cold iteration (see the module's
-/// warm-verification helpers), falling back to the cold solve on any
-/// verification failure — so the output is **bit-identical** for either
-/// flag value; only the cost differs. [`SolverKind::Quadratic`] (the
-/// run-time comparison baseline) always solves cold.
+/// [`SolverKind::Fast`] runs the dispatch kernel ([`ScdTable`]) on a
+/// private table, so the result is exactly the distribution an engine
+/// dispatch samples; [`SolverKind::Quadratic`] runs Algorithm 1 after
+/// Algorithm 3 (the run-time comparison baseline, which allocates).
 ///
 /// # Errors
 /// See [`SolverError`].
@@ -827,453 +152,63 @@ pub fn solve_round_into(
     rates: &[f64],
     arrivals: f64,
     kind: SolverKind,
-    warm: bool,
     scratch: &mut ScdScratch,
     probabilities: &mut Vec<f64>,
-) -> Result<f64, SolverError> {
+) -> Result<(), SolverError> {
     validate(queues, rates, arrivals)?;
-    scratch.refresh_inv_rates(rates);
-    let warm = warm && kind == SolverKind::Fast;
-    // The scratch path sees fresh queues on every call, so the in-round
-    // active-set sums can never be reused — advancing the generation keeps
-    // them invalid (only the engine's per-round cache shares them).
-    scratch.warm.advance_generation();
-
-    // Ideal workload by sort-free iterative trimming over cached loads.
-    scratch.loads.clear();
-    scratch.loads.extend(
-        queues
-            .iter()
-            .zip(&scratch.inv_rates)
-            .map(|(&q, &inv_mu)| q as f64 * inv_mu),
-    );
-    let iwl = iwl_stage(queues, rates, &scratch.loads, arrivals, warm, &scratch.warm);
-
-    if arrivals <= SINGLE_JOB_THRESHOLD {
-        single_job_probabilities_into(queues, rates, probabilities);
-        return Ok(iwl);
-    }
-
     match kind {
         SolverKind::Fast => {
-            scratch.keys.clear();
-            scratch.keys.extend(
-                queues
-                    .iter()
-                    .zip(&scratch.inv_rates)
-                    .map(|(&q, &inv_mu)| (2.0 * q as f64 + 1.0) * inv_mu),
-            );
-            lambda_fill_stage(
-                queues,
-                rates,
-                &scratch.keys,
-                arrivals,
-                iwl,
-                warm,
-                &scratch.warm,
-                probabilities,
-            );
+            scratch.table.refresh(queues, rates, None);
+            scratch.table.probabilities_into(arrivals, probabilities);
         }
         SolverKind::Quadratic => {
-            // Algorithm 1 is kept for run-time comparisons only; it allocates
-            // internally by design.
-            let solution = quadratic(queues, rates, arrivals, iwl)?;
+            let solution = solve(queues, rates, arrivals, kind)?;
             probabilities.clear();
             probabilities.extend_from_slice(&solution.probabilities);
         }
     }
-    Ok(iwl)
+    Ok(())
 }
 
-/// Like [`solve_round_into`] but reading the per-round tables (loads and
-/// Corollary 1 keys) from the engine's shared [`RoundCache`] instead of
-/// recomputing them into the policy's private scratch. With `m` dispatchers
-/// per round this amortizes the `O(n)` solver setup `m`-fold.
-///
-/// The solve is additionally **memoized** in the cache, keyed by
-/// `(arrivals, kind)`: within one round the remaining inputs (snapshot,
-/// rates) are fixed, so dispatchers whose batch-size estimates collide —
-/// the common case under the paper's `a_est = m·a(d)` estimator with
-/// equal-rate dispatchers — share one solve per distinct estimate. A memo
-/// hit copies back bit-for-bit the vector the fresh solve produced, so
-/// memoization never changes decisions, and since the memo is a pure
-/// function cache no dispatcher ever observes another's private state.
-///
-/// The cache computes its tables with exactly the arithmetic
-/// [`ScdScratch`] uses, so for any input the two entry points return
-/// **bit-identical** probabilities (asserted by this module's tests).
-///
-/// The cache must have been refreshed (`begin_round`) from exactly this
-/// `queues`/`rates` pair.
-///
-/// With `warm` set, the [`SolverKind::Fast`] pipeline additionally seeds its
-/// trimming iterations from the cache's [`WarmSeeds`] — the level and
-/// multiplier of the most recent accepted solve, whether from an earlier
-/// round or an earlier dispatcher of this round — and verifies each result
-/// as an exact fixpoint of the cold iteration, falling back to the cold
-/// solve whenever verification fails. Warm and cold are therefore
-/// **bit-identical** in output; the seeds, like the memo, are pure
-/// accelerators (the engine equivalence tests pin this down).
+/// Like [`solve_round_into`] but reading the round's shared table from the
+/// engine's [`RoundCache`], which must have been refreshed from exactly this
+/// `queues`/`rates` pair. The table is the same pure function of the
+/// snapshot as the private one, so both entry points return bit-identical
+/// probabilities. [`SolverKind::Quadratic`] never touches the cache.
 ///
 /// # Errors
-/// See [`SolverError`].
+/// See [`SolverError`]; a cache describing another cluster, or refreshed
+/// without [`CacheDemand::SolverTables`](scd_model::CacheDemand), is an
+/// [`SolverError::InvalidCluster`].
 pub fn solve_round_cached(
     queues: &[u64],
     rates: &[f64],
     cache: &RoundCache,
     arrivals: f64,
     kind: SolverKind,
-    warm: bool,
     probabilities: &mut Vec<f64>,
-) -> Result<f64, SolverError> {
+) -> Result<(), SolverError> {
     validate(queues, rates, arrivals)?;
-    // A stale, mismatched, or under-filled cache (e.g. one refreshed with a
-    // reciprocal-only demand) would yield a silently wrong distribution or
-    // an out-of-bounds panic, so reject it like any other malformed cluster
-    // description — in release builds too.
-    if cache.num_servers() != queues.len()
-        || cache.loads().len() != queues.len()
-        || cache.scd_keys().len() != queues.len()
-    {
-        return Err(SolverError::InvalidCluster {
-            queues: queues.len(),
-            rates: cache.loads().len().min(cache.num_servers()),
-        });
-    }
-
-    if let Some(iwl) = cache.solver_memo_lookup(arrivals, kind.memo_tag(), probabilities) {
-        return Ok(iwl);
-    }
-
-    let (iwl, _total) = solve_round_cached_inner(
-        queues,
-        rates,
-        cache,
-        arrivals,
-        kind,
-        warm,
-        true,
-        probabilities,
-    )?;
-    Ok(iwl)
-}
-
-/// The memo-missed solve shared by [`solve_round_cached`] and
-/// [`scd_dispatch_cached`]: returns the ideal workload plus, when a warm
-/// fill computed it, the exact index-order sum of the probabilities.
-/// `store_probs` controls whether the result is recorded in the
-/// probability memo (the dispatch kernel records finished alias tables
-/// instead — storing the distribution too would be pure copying cost).
-#[allow(clippy::too_many_arguments)] // internal stage: the solve's full table set, not a config surface
-fn solve_round_cached_inner(
-    queues: &[u64],
-    rates: &[f64],
-    cache: &RoundCache,
-    arrivals: f64,
-    kind: SolverKind,
-    warm: bool,
-    store_probs: bool,
-    probabilities: &mut Vec<f64>,
-) -> Result<(f64, Option<f64>), SolverError> {
-    let warm = warm && kind == SolverKind::Fast;
-    let seeds = cache.warm_seeds();
-
-    // The warm cached Fast pipeline runs both stages through the fused
-    // `warm_fast_solve`; every other combination goes through the separate
-    // stages.
-    if warm && kind == SolverKind::Fast && arrivals > SINGLE_JOB_THRESHOLD {
-        // Fallbacks are counted only when a seed existed to attempt (the
-        // first solve of a run has nothing to fall back *from*).
-        let attemptable = seeds.level_sums().is_some() || seeds.level().is_some();
-        let solved = warm_fast_solve(
+    if kind == SolverKind::Quadratic {
+        return solve_round_into(
             queues,
             rates,
-            cache.loads(),
-            cache.scd_keys(),
-            arrivals,
-            seeds,
-            probabilities,
-        );
-        let (iwl, total) = match solved {
-            Some(result) => result,
-            None => {
-                // The level stage could not be warm-verified: full cold
-                // solve, re-seeding both stages for the next attempt.
-                if attemptable {
-                    seeds.record_fallback();
-                }
-                let iwl = iwl_by_trimming(queues, rates, cache.loads(), arrivals);
-                seeds.set_level(iwl);
-                let keys = cache.scd_keys();
-                let lambda0 = lambda0_by_trimming(rates, keys, arrivals, iwl);
-                fill_probabilities_cached(rates, keys, arrivals, iwl, lambda0, probabilities);
-                seeds.set_lambda(lambda0);
-                (iwl, None)
-            }
-        };
-        if store_probs {
-            cache.solver_memo_store(arrivals, kind.memo_tag(), iwl, probabilities);
-        }
-        return Ok((iwl, total));
-    }
-
-    let iwl = iwl_stage(queues, rates, cache.loads(), arrivals, warm, seeds);
-
-    if arrivals <= SINGLE_JOB_THRESHOLD {
-        single_job_probabilities_into(queues, rates, probabilities);
-        if store_probs {
-            cache.solver_memo_store(arrivals, kind.memo_tag(), iwl, probabilities);
-        }
-        return Ok((iwl, None));
-    }
-
-    let mut total = None;
-    match kind {
-        SolverKind::Fast => {
-            total = lambda_fill_stage(
-                queues,
-                rates,
-                cache.scd_keys(),
-                arrivals,
-                iwl,
-                warm,
-                seeds,
-                probabilities,
-            );
-        }
-        SolverKind::Quadratic => {
-            let solution = quadratic(queues, rates, arrivals, iwl)?;
-            probabilities.clear();
-            probabilities.extend_from_slice(&solution.probabilities);
-        }
-    }
-    if store_probs {
-        cache.solver_memo_store(arrivals, kind.memo_tag(), iwl, probabilities);
-    }
-    Ok((iwl, total))
-}
-
-/// One-call dispatch kernel for the engine path: memoized solve,
-/// alias-table construction and destination sampling, with every sharing
-/// opportunity exploited.
-///
-/// * In warm mode the per-round memo holds **finished alias tables built in
-///   place**: the first dispatcher with a given `(a_est, kind)` solves and
-///   builds the table directly inside the memo entry; later equal-estimate
-///   dispatchers sample straight from it — no solve, no construction, no
-///   copying anywhere ([`RoundCache::sampler_memo_draw`]).
-/// * A warm-accepted fill already knows the exact index-order sum of the
-///   probabilities, so the table construction skips its validation and
-///   summation passes ([`AliasSampler::rebuild_with_total`]).
-/// * With `warm == false` the kernel is exactly the PR 4 decision path:
-///   probability memo, a full [`AliasSampler::rebuild`] into the policy's
-///   private `sampler`, then per-job draws. (`sampler` also serves as the
-///   warm path's fallback table when the memo is at capacity.)
-///
-/// The table is a deterministic function of the probability vector, the
-/// solve is bit-identical for either `warm` flag, and every path draws with
-/// the same per-job arithmetic from bit-identical tables, so the appended
-/// destinations are **bit-identical across all of these paths** — the
-/// engine equivalence tests pin this down end to end.
-///
-/// # Errors
-/// See [`SolverError`].
-#[allow(clippy::too_many_arguments)] // engine-facing kernel: the full decision state, not a config surface
-pub fn scd_dispatch_cached(
-    queues: &[u64],
-    rates: &[f64],
-    cache: &RoundCache,
-    arrivals: f64,
-    kind: SolverKind,
-    warm: bool,
-    batch: usize,
-    probabilities: &mut Vec<f64>,
-    sampler: &mut AliasSampler,
-    out: &mut Vec<scd_model::ServerId>,
-    rng: &mut dyn rand::RngCore,
-) -> Result<f64, SolverError> {
-    validate(queues, rates, arrivals)?;
-    if cache.num_servers() != queues.len()
-        || cache.loads().len() != queues.len()
-        || cache.scd_keys().len() != queues.len()
-    {
-        return Err(SolverError::InvalidCluster {
-            queues: queues.len(),
-            rates: cache.loads().len().min(cache.num_servers()),
-        });
-    }
-    let tag = kind.memo_tag();
-    if warm {
-        if let Some(iwl) = cache.sampler_memo_draw(arrivals, tag, batch, out, rng) {
-            return Ok(iwl);
-        }
-        let (iwl, total) = solve_round_cached_inner(
-            queues,
-            rates,
-            cache,
             arrivals,
             kind,
-            true,
-            false,
+            &mut ScdScratch::default(),
             probabilities,
-        )?;
-        if !cache.sampler_memo_build_draw(arrivals, tag, iwl, probabilities, total, batch, out, rng)
-        {
-            // Memo at capacity: build a private table and draw from it —
-            // same table bits, same draw arithmetic.
-            match total {
-                Some(total) if total > 0.0 => sampler.rebuild_with_total(probabilities, total),
-                _ => sampler
-                    .rebuild(probabilities)
-                    .expect("solver output is a valid probability vector"),
-            }
-            out.extend((0..batch).map(|_| scd_model::ServerId::new(sampler.sample(rng))));
-        }
-        return Ok(iwl);
+        );
     }
-    // Cold: the PR 4 decision path, verbatim.
-    let iwl = match cache.solver_memo_lookup(arrivals, tag, probabilities) {
-        Some(iwl) => iwl,
-        None => {
-            let (iwl, _total) = solve_round_cached_inner(
-                queues,
-                rates,
-                cache,
-                arrivals,
-                kind,
-                false,
-                true,
-                probabilities,
-            )?;
-            iwl
-        }
+    let mismatch = SolverError::InvalidCluster {
+        queues: queues.len(),
+        rates: cache.num_servers(),
     };
-    sampler
-        .rebuild(probabilities)
-        .expect("solver output is a valid probability vector");
-    out.extend((0..batch).map(|_| scd_model::ServerId::new(sampler.sample(rng))));
-    Ok(iwl)
-}
-
-/// Class-compressed dispatch kernel — the mean-field-scale counterpart of
-/// [`scd_dispatch_cached`]. Instead of materializing a per-server
-/// probability vector (`O(n)` fill + normalize + alias build per distinct
-/// estimate), it solves the round over the snapshot's `(q, µ)` equivalence
-/// classes (`scd_model::ClassPartition`, `O(C)` with `C ≪ n`), builds a
-/// class-level alias table once per distinct estimate, and samples each
-/// destination with two `u64` draws: an alias draw over classes followed by
-/// a uniform member pick inside the chosen class.
-///
-/// The sampled **distribution is exact**: all members of a class carry
-/// identical probability under the solver's closed form, so
-/// `P(s) = w_c/Σw · 1/count_c` equals the per-server probability of *this*
-/// solve. The grouped trimming fixpoints can differ from the dense sweeps
-/// in the last ulps, and each job consumes two RNG draws instead of one, so
-/// adopting this kernel is a deliberate sample-path change (the engine
-/// goldens were re-captured when it landed). The kernel itself is a pure
-/// function of the snapshot: delta-repaired, cold, and sharded rounds all
-/// make identical decisions for identical seeds.
-///
-/// Returns `Ok(None)` — caller falls back to the dense kernel — when the
-/// snapshot is not viable for compression (cell budget exceeded, see the
-/// partition docs) or `kind` is not [`SolverKind::Fast`] (the quadratic
-/// baseline exists to measure the dense algorithm). `Ok(Some(iwl))` means
-/// `batch` destinations were appended to `out`.
-///
-/// # Errors
-/// See [`SolverError`].
-#[allow(clippy::too_many_arguments)] // engine-facing kernel: the full decision state, not a config surface
-pub fn scd_dispatch_compressed(
-    queues: &[u64],
-    rates: &[f64],
-    cache: &RoundCache,
-    arrivals: f64,
-    kind: SolverKind,
-    batch: usize,
-    class_weights: &mut Vec<f64>,
-    sampler: &mut AliasSampler,
-    out: &mut Vec<scd_model::ServerId>,
-    rng: &mut dyn rand::RngCore,
-) -> Result<Option<f64>, SolverError> {
-    validate(queues, rates, arrivals)?;
-    if cache.num_servers() != queues.len() {
-        return Err(SolverError::InvalidCluster {
-            queues: queues.len(),
-            rates: cache.num_servers(),
-        });
+    let table = cache.scd_table().ok_or(mismatch.clone())?;
+    if table.num_servers() != queues.len() {
+        return Err(mismatch);
     }
-    if kind != SolverKind::Fast {
-        return Ok(None);
-    }
-    let tag = kind.memo_tag();
-    if let Some(iwl) = cache.class_sampler_memo_draw(arrivals, tag, batch, out, rng) {
-        return Ok(Some(iwl));
-    }
-    let Some(part) = cache.class_partition() else {
-        return Ok(None);
-    };
-
-    // Grouped solve over the canonical class tables: water level, then
-    // either the single-job closed form (Eq. 9) or the KKT multiplier with
-    // the per-class weight `w_c = count_c·p_member = count_c·µ·(2·iwl − Λ0
-    // − key_c)⁺ / (2(a−1))`, accumulated in class order so the alias build
-    // can skip its summation pass.
-    let iwl = crate::iwl::iwl_by_trimming_grouped(part.cq(), part.cmu(), part.loads(), arrivals);
-    class_weights.clear();
-    let mut total = 0.0;
-    if arrivals <= SINGLE_JOB_THRESHOLD {
-        // Single arriving job: all mass spreads uniformly over the servers
-        // minimizing the Corollary 1 key — i.e. class weight ∝ member count
-        // for the minimal-key classes (same tie tolerance as the dense
-        // closed form).
-        let min_key = part.keys().iter().copied().fold(f64::INFINITY, f64::min);
-        let tol = 1e-12 * (1.0 + min_key.abs());
-        for (&key, &count) in part.keys().iter().zip(part.counts()) {
-            let w = if (key - min_key).abs() <= tol {
-                count as f64
-            } else {
-                0.0
-            };
-            total += w;
-            class_weights.push(w);
-        }
-    } else {
-        let lambda0 = lambda0_by_trimming_grouped(part.cmu(), part.keys(), arrivals, iwl);
-        let inv_2a1 = 1.0 / (2.0 * (arrivals - 1.0));
-        let c2 = 2.0 * iwl - lambda0;
-        for (&mu_mass, &key) in part.cmu().iter().zip(part.keys()) {
-            let w = mu_mass * (c2 - key) * inv_2a1;
-            let kept = if w > 0.0 { w } else { 0.0 };
-            total += kept;
-            class_weights.push(kept);
-        }
-    }
-
-    if !cache.class_sampler_memo_build_draw(
-        arrivals,
-        tag,
-        iwl,
-        class_weights,
-        (total > 0.0).then_some(total),
-        batch,
-        out,
-        rng,
-    ) {
-        // Memo at capacity: build a private class table and run the same
-        // two-level draws against it.
-        if total > 0.0 {
-            sampler.rebuild_with_total(class_weights, total);
-        } else {
-            sampler
-                .rebuild(class_weights)
-                .expect("grouped solver output is a valid weight vector");
-        }
-        out.extend((0..batch).map(|_| {
-            let class = sampler.sample(rng);
-            scd_model::ServerId::new(part.member(class, rng.next_u64()) as usize)
-        }));
-    }
-    Ok(Some(iwl))
+    table.probabilities_into(arrivals, probabilities);
+    Ok(())
 }
 
 fn validate(queues: &[u64], rates: &[f64], arrivals: f64) -> Result<(), SolverError> {
@@ -1612,34 +547,6 @@ fn fill_probabilities(
     probable_set_size
 }
 
-/// Division-light variant of [`fill_probabilities`] from cached keys:
-/// `p_s = µ_s·(2·iwl − λ0 − key_s) / (2(a−1))`, clipped at zero. Returns the
-/// probable-set size.
-fn fill_probabilities_cached(
-    rates: &[f64],
-    keys: &[f64],
-    arrivals: f64,
-    iwl: f64,
-    lambda0: f64,
-    out: &mut Vec<f64>,
-) -> usize {
-    let inv_2a1 = 1.0 / (2.0 * (arrivals - 1.0));
-    let c = 2.0 * iwl - lambda0;
-    out.clear();
-    let mut probable_set_size = 0;
-    for (&mu, &key) in rates.iter().zip(keys) {
-        let p = mu * (c - key) * inv_2a1;
-        if p > 0.0 {
-            probable_set_size += 1;
-            out.push(p);
-        } else {
-            out.push(0.0);
-        }
-    }
-    normalize(out);
-    probable_set_size
-}
-
 fn fast_with_order(
     queues: &[u64],
     rates: &[f64],
@@ -1925,14 +832,7 @@ mod tests {
             };
             for kind in [SolverKind::Fast, SolverKind::Quadratic] {
                 let reference = solve(&queues, &rates, a, kind).unwrap();
-                let iwl =
-                    solve_round_into(&queues, &rates, a, kind, true, &mut scratch, &mut probs)
-                        .unwrap();
-                assert!(
-                    (iwl - reference.iwl).abs() < 1e-12,
-                    "case {case} ({kind}): iwl {iwl} vs {}",
-                    reference.iwl
-                );
+                solve_round_into(&queues, &rates, a, kind, &mut scratch, &mut probs).unwrap();
                 assert_eq!(probs.len(), reference.probabilities.len());
                 for (got, want) in probs.iter().zip(&reference.probabilities) {
                     assert!(
@@ -1954,7 +854,15 @@ mod tests {
         for case in 0..200 {
             let n = rng.gen_range(1..60);
             let queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..30)).collect();
-            let rates: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..20.0)).collect();
+            // Every third case draws from three rates, so small shallow
+            // snapshots take the class-grouped table.
+            let rates: Vec<f64> = if case % 3 == 0 {
+                (0..n)
+                    .map(|_| [1.0, 2.0, 4.0][rng.gen_range(0..3)])
+                    .collect()
+            } else {
+                (0..n).map(|_| rng.gen_range(0.5..20.0)).collect()
+            };
             let a = if case % 7 == 0 {
                 1.0
             } else {
@@ -1962,26 +870,11 @@ mod tests {
             };
             cache.begin_round(&queues, &rates);
             for kind in [SolverKind::Fast, SolverKind::Quadratic] {
-                let iwl_a = solve_round_into(
-                    &queues,
-                    &rates,
-                    a,
-                    kind,
-                    true,
-                    &mut scratch,
-                    &mut probs_scratch,
-                )
-                .unwrap();
-                let iwl_b =
-                    solve_round_cached(&queues, &rates, &cache, a, kind, true, &mut probs_cached)
-                        .unwrap();
-                // Bit-identical, not merely close: the cached tables use the
-                // same arithmetic as the private scratch.
-                assert_eq!(
-                    iwl_a.to_bits(),
-                    iwl_b.to_bits(),
-                    "case {case} ({kind}): iwl"
-                );
+                solve_round_into(&queues, &rates, a, kind, &mut scratch, &mut probs_scratch)
+                    .unwrap();
+                solve_round_cached(&queues, &rates, &cache, a, kind, &mut probs_cached).unwrap();
+                // Bit-identical, not merely close: both tables are the same
+                // pure function of the snapshot.
                 assert_eq!(probs_scratch.len(), probs_cached.len());
                 for (s, (pa, pb)) in probs_scratch.iter().zip(&probs_cached).enumerate() {
                     assert_eq!(
@@ -1996,39 +889,28 @@ mod tests {
 
     #[test]
     fn cached_solver_memoizes_equal_estimates_to_one_solve() {
-        // m = 10 dispatchers sharing one round snapshot with equal batch
-        // sizes: the first solve is a miss, the other nine are hits, and
-        // every hit returns bit-for-bit the missed solve's output.
+        // m = 10 dispatchers sharing one round snapshot: the first builds
+        // the round's table, the other nine are served from it, and every
+        // one returns bit-for-bit the private solve's output.
         let queues = [7u64, 0, 3, 1, 0, 9];
         let rates = [4.0, 1.0, 2.5, 1.0, 8.0, 0.5];
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
         let a_est = 30.0; // m·a(d) with equal a(d)
-        let mut scratch = ScdScratch::default();
         let mut reference = Vec::new();
-        let ref_iwl = solve_round_into(
+        solve_round_into(
             &queues,
             &rates,
             a_est,
             SolverKind::Fast,
-            true,
-            &mut scratch,
+            &mut ScdScratch::default(),
             &mut reference,
         )
         .unwrap();
         let mut probs = Vec::new();
         for dispatcher in 0..10 {
-            let iwl = solve_round_cached(
-                &queues,
-                &rates,
-                &cache,
-                a_est,
-                SolverKind::Fast,
-                true,
-                &mut probs,
-            )
-            .unwrap();
-            assert_eq!(iwl.to_bits(), ref_iwl.to_bits(), "dispatcher {dispatcher}");
+            solve_round_cached(&queues, &rates, &cache, a_est, SolverKind::Fast, &mut probs)
+                .unwrap();
             assert_eq!(probs.len(), reference.len());
             for (s, (got, want)) in probs.iter().zip(&reference).enumerate() {
                 assert_eq!(
@@ -2047,37 +929,38 @@ mod tests {
         let rates = [2.0, 1.0, 5.0];
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
-        let mut probs = Vec::new();
-        // Three distinct estimates, each solved twice: 3 misses + 3 hits.
+        // Three distinct estimates, each solved twice, all from one table;
+        // each estimate gets its own distribution.
+        let mut seen: Vec<Vec<f64>> = Vec::new();
         for _ in 0..2 {
             for a_est in [5.0, 10.0, 15.0] {
-                solve_round_cached(
-                    &queues,
-                    &rates,
-                    &cache,
-                    a_est,
-                    SolverKind::Fast,
-                    true,
-                    &mut probs,
-                )
-                .unwrap();
+                let mut probs = Vec::new();
+                solve_round_cached(&queues, &rates, &cache, a_est, SolverKind::Fast, &mut probs)
+                    .unwrap();
+                let reference = solve(&queues, &rates, a_est, SolverKind::Fast).unwrap();
+                for (got, want) in probs.iter().zip(&reference.probabilities) {
+                    assert!((got - want).abs() < 1e-12, "a = {a_est}");
+                }
+                seen.push(probs);
             }
         }
-        assert_eq!(cache.solver_memo_stats(), (3, 3));
-        // A different solver kind must not hit the Fast entries.
+        assert_ne!(seen[0], seen[1]);
+        assert_ne!(seen[1], seen[2]);
+        assert_eq!(seen[0], seen[3]);
+        assert_eq!(cache.solver_memo_stats(), (5, 1));
+        // The quadratic baseline never reads the table.
+        let mut probs = Vec::new();
         solve_round_cached(
             &queues,
             &rates,
             &cache,
             5.0,
             SolverKind::Quadratic,
-            true,
             &mut probs,
         )
         .unwrap();
-        assert_eq!(cache.solver_memo_stats(), (3, 4));
-        // A new round invalidates the entries: the same estimate re-solves
-        // against the fresh snapshot.
+        assert_eq!(cache.solver_memo_stats(), (5, 1));
+        // A new round rebuilds the table against the fresh snapshot.
         cache.begin_round(&[9, 9, 9], &rates);
         let mut fresh = Vec::new();
         solve_round_cached(
@@ -2086,11 +969,10 @@ mod tests {
             &cache,
             5.0,
             SolverKind::Fast,
-            true,
             &mut fresh,
         )
         .unwrap();
-        assert_eq!(cache.solver_memo_stats(), (3, 5));
+        assert_eq!(cache.solver_memo_stats(), (5, 2));
         let reference = solve(&[9, 9, 9], &rates, 5.0, SolverKind::Fast).unwrap();
         for (got, want) in fresh.iter().zip(&reference.probabilities) {
             assert!((got - want).abs() < 1e-12);
@@ -2105,18 +987,8 @@ mod tests {
         cache.begin_round(&queues, &rates);
         let mut probs = Vec::new();
         for _ in 0..3 {
-            let iwl = solve_round_cached(
-                &queues,
-                &rates,
-                &cache,
-                1.0,
-                SolverKind::Fast,
-                true,
-                &mut probs,
-            )
-            .unwrap();
+            solve_round_cached(&queues, &rates, &cache, 1.0, SolverKind::Fast, &mut probs).unwrap();
             assert_eq!(probs, vec![0.0, 1.0, 0.0]);
-            assert!(iwl.is_finite());
         }
         assert_eq!(cache.solver_memo_stats(), (2, 1));
     }
@@ -2133,39 +1005,55 @@ mod tests {
             &cache,
             5.0,
             SolverKind::Fast,
-            true,
+            &mut probs,
+        )
+        .unwrap_err();
+        assert!(matches!(err, SolverError::InvalidCluster { .. }));
+        // So is a cache refreshed without the solver tables.
+        cache.begin_round_for(
+            &[1, 2],
+            &[1.0, 2.0],
+            scd_model::CacheDemand::ReciprocalRates,
+        );
+        let err = solve_round_cached(
+            &[1, 2],
+            &[1.0, 2.0],
+            &cache,
+            5.0,
+            SolverKind::Fast,
             &mut probs,
         )
         .unwrap_err();
         assert!(matches!(err, SolverError::InvalidCluster { .. }));
     }
 
+    /// A homogeneous state whose probable-set boundary falls exactly on a
+    /// key shared by four servers (the servers with q = 5).
+    fn boundary_instance() -> (Vec<u64>, Vec<f64>) {
+        let queues: Vec<u64> = vec![10, 8, 7, 0, 8, 0, 9, 2, 0, 5, 11, 5, 5, 7, 7, 5, 9, 4, 9, 1];
+        (queues, vec![3.0f64; 20])
+    }
+
     #[test]
     fn trimming_terminates_on_boundary_oscillation_instance() {
-        // Regression: on this homogeneous-cluster state the Λ0 trimming
-        // fixpoint used to bounce between two adjacent representable values
-        // forever (servers with q = 5 sit exactly on the probable-set
-        // boundary). The monotonicity clamp must terminate and still match
-        // the sorted Algorithm 4 solution.
-        let queues: Vec<u64> = vec![10, 8, 7, 0, 8, 0, 9, 2, 0, 5, 11, 5, 5, 7, 7, 5, 9, 4, 9, 1];
-        let rates = vec![3.0f64; 20];
+        // Regression instance of the former iterative solver (its fixpoint
+        // bounced between two representable values here); the kernel must
+        // match the sorted Algorithm 4 solution.
+        let (queues, rates) = boundary_instance();
         let a = 44.0;
         let reference = solve(&queues, &rates, a, SolverKind::Fast).unwrap();
-        let mut scratch = ScdScratch::default();
         let mut probs = Vec::new();
-        let iwl = solve_round_into(
+        solve_round_into(
             &queues,
             &rates,
             a,
             SolverKind::Fast,
-            true,
-            &mut scratch,
+            &mut ScdScratch::default(),
             &mut probs,
         )
         .unwrap();
-        assert!((iwl - reference.iwl).abs() < 1e-9);
         for (got, want) in probs.iter().zip(&reference.probabilities) {
-            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         }
     }
 
@@ -2182,29 +1070,29 @@ mod tests {
                 &rates,
                 9.0,
                 SolverKind::Fast,
-                true,
                 &mut scratch,
                 &mut probs,
             )
             .unwrap();
+            assert_eq!(probs.len(), n);
             for (got, want) in probs.iter().zip(&reference.probabilities) {
                 assert!((got - want).abs() < 1e-12, "n={n}: {got} vs {want}");
             }
         }
     }
 
-    /// The PR 5 warm-start guarantee, hammered at the unit level: over long
-    /// drifting queue trajectories (arrivals/departures mutate a few servers
-    /// per round, like the engine's rounds do), the warm-started cached
-    /// solver returns **bit-for-bit** the cold solver's output every round,
-    /// and the warm path actually engages (accept counter advances).
+    /// The delta-round guarantee at the unit level: over long drifting
+    /// queue trajectories (a few servers change per round, like the
+    /// engine's rounds), a table repaired from the dirty sets ("warm")
+    /// returns bit-for-bit the distribution of one re-sorted every round
+    /// ("cold"), and the repair path actually engages.
     #[test]
     fn warm_started_solves_are_bit_identical_to_cold_over_drifting_rounds() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A3D);
         for case in 0..30 {
             let n = rng.gen_range(2..80);
             // Mix of heterogeneous and homogeneous clusters — the latter
-            // produce exact key/load ties, the warm path's hardest inputs.
+            // produce exact key ties and class-grouped rounds.
             let rates: Vec<f64> = if case % 3 == 0 {
                 vec![rng.gen_range(1..5) as f64; n]
             } else {
@@ -2213,10 +1101,13 @@ mod tests {
             let mut queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..15)).collect();
             let mut warm_cache = RoundCache::new();
             let mut cold_cache = RoundCache::new();
+            let demand = scd_model::CacheDemand::SolverTables;
+            warm_cache.begin_round(&queues, &rates);
             let mut warm_probs = Vec::new();
             let mut cold_probs = Vec::new();
             for round in 0..120 {
                 // Drift a handful of queues (including occasional spikes).
+                let mut dirty = Vec::new();
                 for _ in 0..rng.gen_range(0..n.div_ceil(8) + 1) {
                     let s = rng.gen_range(0..n);
                     queues[s] = if rng.gen_range(0..4) == 0 {
@@ -2224,8 +1115,9 @@ mod tests {
                     } else {
                         (queues[s] + rng.gen_range(0..3)).saturating_sub(rng.gen_range(0..3))
                     };
+                    dirty.push(s as u32);
                 }
-                warm_cache.begin_round(&queues, &rates);
+                warm_cache.begin_round_delta(&queues, &rates, &dirty, demand);
                 cold_cache.begin_round(&queues, &rates);
                 // A couple of nearby estimates per round, like m dispatchers
                 // whose batch sizes fluctuate.
@@ -2235,31 +1127,11 @@ mod tests {
                     } else {
                         rng.gen_range(2..60) as f64 + f64::from(rng.gen_range(0..2))
                     };
-                    let warm_iwl = solve_round_cached(
-                        &queues,
-                        &rates,
-                        &warm_cache,
-                        a,
-                        SolverKind::Fast,
-                        true,
-                        &mut warm_probs,
-                    )
-                    .unwrap();
-                    let cold_iwl = solve_round_cached(
-                        &queues,
-                        &rates,
-                        &cold_cache,
-                        a,
-                        SolverKind::Fast,
-                        false,
-                        &mut cold_probs,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        warm_iwl.to_bits(),
-                        cold_iwl.to_bits(),
-                        "case {case} round {round}: iwl diverged"
-                    );
+                    let kind = SolverKind::Fast;
+                    solve_round_cached(&queues, &rates, &warm_cache, a, kind, &mut warm_probs)
+                        .unwrap();
+                    solve_round_cached(&queues, &rates, &cold_cache, a, kind, &mut cold_probs)
+                        .unwrap();
                     assert_eq!(warm_probs.len(), cold_probs.len());
                     for (s, (w, c)) in warm_probs.iter().zip(&cold_probs).enumerate() {
                         assert_eq!(
@@ -2270,101 +1142,68 @@ mod tests {
                     }
                 }
             }
-            let (accepts, _fallbacks) = warm_cache.warm_seeds().stats();
-            assert!(
-                accepts > 0,
-                "case {case}: warm path never engaged over 120 drifting rounds"
-            );
+            if case % 3 != 0 {
+                let (repairs, _resorts) = warm_cache.warm_seeds().stats();
+                assert!(
+                    repairs > 0,
+                    "case {case}: repair path never engaged over 120 drifting rounds"
+                );
+            }
         }
     }
 
     #[test]
     fn warm_scratch_path_matches_cold_scratch_path_bit_for_bit() {
+        // A scratch reused across rounds ("warm" buffers) answers exactly
+        // like a fresh one.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
         let n = 40usize;
         let rates: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..10.0)).collect();
         let mut queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..12)).collect();
         let mut warm_scratch = ScdScratch::default();
-        let mut cold_scratch = ScdScratch::default();
         let mut warm_probs = Vec::new();
         let mut cold_probs = Vec::new();
         for round in 0..200 {
             let s = rng.gen_range(0..n);
             queues[s] = rng.gen_range(0..12);
             let a = rng.gen_range(2..40) as f64;
-            let warm_iwl = solve_round_into(
-                &queues,
-                &rates,
-                a,
-                SolverKind::Fast,
-                true,
-                &mut warm_scratch,
-                &mut warm_probs,
-            )
-            .unwrap();
-            let cold_iwl = solve_round_into(
-                &queues,
-                &rates,
-                a,
-                SolverKind::Fast,
-                false,
-                &mut cold_scratch,
-                &mut cold_probs,
-            )
-            .unwrap();
-            assert_eq!(warm_iwl.to_bits(), cold_iwl.to_bits(), "round {round}");
+            let kind = SolverKind::Fast;
+            solve_round_into(&queues, &rates, a, kind, &mut warm_scratch, &mut warm_probs).unwrap();
+            let mut cold_scratch = ScdScratch::default();
+            solve_round_into(&queues, &rates, a, kind, &mut cold_scratch, &mut cold_probs).unwrap();
             for (w, c) in warm_probs.iter().zip(&cold_probs) {
                 assert_eq!(w.to_bits(), c.to_bits(), "round {round}");
             }
         }
-        let (accepts, _) = warm_scratch.warm_seeds().stats();
-        assert!(accepts > 0, "warm scratch path never engaged");
     }
 
     #[test]
     fn warm_path_survives_the_boundary_oscillation_instance() {
-        // The homogeneous regression state whose Λ0 fixpoint sits on an
-        // exact probable-set boundary: the warm path must either verify or
-        // fall back — and in both cases reproduce the cold bits.
-        let queues: Vec<u64> = vec![10, 8, 7, 0, 8, 0, 9, 2, 0, 5, 11, 5, 5, 7, 7, 5, 9, 4, 9, 1];
-        let rates = vec![3.0f64; 20];
-        let mut cache = RoundCache::new();
-        cache.begin_round(&queues, &rates);
+        // Reach the boundary instance by repairs from nearby states — each
+        // repaired table must equal the re-sorted one, bit for bit.
+        let (target, rates) = boundary_instance();
         let mut cold = Vec::new();
-        let cold_iwl = solve_round_cached(
-            &queues,
+        solve_round_into(
+            &target,
             &rates,
-            &cache,
             44.0,
             SolverKind::Fast,
-            false,
+            &mut ScdScratch::default(),
             &mut cold,
         )
         .unwrap();
-        // Seed the warm path with adversarial levels around the fixpoint —
-        // verification must reject any seed that would change the result.
-        for seed_shift in [-1.0, -1e-12, 0.0, 1e-12, 1.0] {
-            let warm_cache = {
-                let mut c = RoundCache::new();
-                c.begin_round(&queues, &rates);
-                c.warm_seeds().set_level(cold_iwl + seed_shift);
-                c.warm_seeds().set_lambda(-0.25 + seed_shift);
-                c
-            };
+        for shifted in 0..target.len() {
+            let mut start = target.clone();
+            start[shifted] += 3;
+            let mut cache = RoundCache::new();
+            cache.begin_round(&start, &rates);
+            cache.scd_table();
+            let demand = scd_model::CacheDemand::SolverTables;
+            cache.begin_round_delta(&target, &rates, &[shifted as u32], demand);
             let mut warm = Vec::new();
-            let warm_iwl = solve_round_cached(
-                &queues,
-                &rates,
-                &warm_cache,
-                44.0,
-                SolverKind::Fast,
-                true,
-                &mut warm,
-            )
-            .unwrap();
-            assert_eq!(warm_iwl.to_bits(), cold_iwl.to_bits(), "shift {seed_shift}");
+            solve_round_cached(&target, &rates, &cache, 44.0, SolverKind::Fast, &mut warm).unwrap();
             for (w, c) in warm.iter().zip(&cold) {
-                assert_eq!(w.to_bits(), c.to_bits(), "shift {seed_shift}");
+                assert_eq!(w.to_bits(), c.to_bits(), "shifted server {shifted}");
             }
         }
     }
@@ -2375,8 +1214,6 @@ mod tests {
         let rates = [2.0, 1.0, 5.0];
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
-        cache.warm_seeds().set_level(123.0);
-        cache.warm_seeds().set_lambda(-9.0);
         let mut probs = Vec::new();
         solve_round_cached(
             &queues,
@@ -2384,7 +1221,6 @@ mod tests {
             &cache,
             7.0,
             SolverKind::Quadratic,
-            true,
             &mut probs,
         )
         .unwrap();
@@ -2392,9 +1228,9 @@ mod tests {
         for (got, want) in probs.iter().zip(&reference.probabilities) {
             assert!((got - want).abs() < 1e-12);
         }
-        // The quadratic baseline neither consumed nor updated the seeds.
+        // The quadratic baseline neither built nor read the table.
         assert_eq!(cache.warm_seeds().stats(), (0, 0));
-        assert_eq!(cache.warm_seeds().level(), Some(123.0));
+        assert_eq!(cache.solver_memo_stats(), (0, 0));
     }
 
     #[test]
@@ -2426,74 +1262,48 @@ mod tests {
     }
 
     /// A compressible heterogeneous snapshot: two hardware generations,
-    /// bounded queues — the case the class kernel exists for.
+    /// bounded queues — the case class groups exist for.
     fn bimodal_cluster(n: usize) -> (Vec<u64>, Vec<f64>) {
         let queues: Vec<u64> = (0..n).map(|s| ((s * 7 + 3) % 11) as u64).collect();
         let rates: Vec<f64> = (0..n).map(|s| if s % 3 == 0 { 4.0 } else { 1.0 }).collect();
         (queues, rates)
     }
 
+    /// `trials` draws from a freshly built table, as per-server frequencies.
+    fn frequencies(table: &ScdTable, a: f64, batch: usize, trials: usize, seed: u64) -> Vec<f64> {
+        use rand::rngs::StdRng;
+        let mut counts = vec![0u64; table.num_servers()];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draws = scd_model::DrawScratch::default();
+        for _ in 0..trials / batch {
+            table.dispatch(a, batch, &mut draws, &mut rng, |s| counts[s] += 1);
+        }
+        let total: u64 = counts.iter().sum();
+        counts.iter().map(|&c| c as f64 / total as f64).collect()
+    }
+
     #[test]
     fn compressed_kernel_samples_the_dense_distribution() {
-        use rand::rngs::StdRng;
-        let (queues, rates) = bimodal_cluster(60);
+        let (queues, rates) = bimodal_cluster(120);
         let a = 24.0;
-        let mut cache = scd_model::RoundCache::new();
-        cache.begin_round(&queues, &rates);
-        // The dense reference distribution of the same round.
-        let mut dense = Vec::new();
-        solve_round_cached(
-            &queues,
-            &rates,
-            &cache,
-            a,
-            SolverKind::Fast,
-            false,
-            &mut dense,
-        )
-        .unwrap();
-        // Draw a large sample through the compressed kernel (memo build on
-        // the first call, memo hits afterwards — both paths draw).
-        let mut weights = Vec::new();
-        let mut sampler = AliasSampler::default();
-        let mut out = Vec::new();
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
-        let trials = 200_000usize;
-        let iwl = scd_dispatch_compressed(
-            &queues,
-            &rates,
-            &cache,
-            a,
-            SolverKind::Fast,
-            trials,
-            &mut weights,
-            &mut sampler,
-            &mut out,
-            &mut rng,
-        )
-        .unwrap()
-        .expect("bimodal snapshot must be viable for compression");
-        assert!((iwl - compute_iwl(&queues, &rates, a)).abs() < 1e-9);
-        assert_eq!(out.len(), trials);
-        let mut counts = vec![0u64; queues.len()];
-        for s in &out {
-            counts[s.index()] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            let freq = c as f64 / trials as f64;
-            assert!(
-                (freq - dense[s]).abs() < 0.01,
-                "server {s}: empirical {freq}, dense {}",
-                dense[s]
-            );
-        }
-        // Equal-probability servers (same class) must agree exactly in the
-        // underlying distribution: spot-check two same-class members.
-        let same: Vec<usize> = (0..queues.len())
-            .filter(|&s| queues[s] == queues[0] && rates[s] == rates[0])
-            .collect();
-        for &s in &same {
-            assert_eq!(dense[s].to_bits(), dense[same[0]].to_bits());
+        let mut table = ScdTable::new();
+        table.refresh(&queues, &rates, None);
+        assert!(table.uses_classes(), "the bimodal snapshot groups by class");
+        // The per-server reference: Algorithm 4.
+        let dense = solve(&queues, &rates, a, SolverKind::Fast)
+            .unwrap()
+            .probabilities;
+        let (prefix, _) = table.probable_prefix(a);
+        // Small batches take the inverse-CDF search, batches beyond the
+        // probable prefix the alias table; both sample `dense`.
+        for batch in [1, prefix + 1] {
+            let freq = frequencies(&table, a, batch, 200_000, 0xC0DE);
+            for (s, (&f, &p)) in freq.iter().zip(&dense).enumerate() {
+                assert!(
+                    (f - p).abs() < 0.01,
+                    "batch {batch}, server {s}: {f} vs {p}"
+                );
+            }
         }
     }
 
@@ -2501,178 +1311,112 @@ mod tests {
     fn compressed_kernel_memo_hits_replay_the_same_table() {
         use rand::rngs::StdRng;
         let (queues, rates) = bimodal_cluster(40);
-        let a = 12.0;
-        let mut cache = scd_model::RoundCache::new();
+        let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
-        let mut weights = Vec::new();
-        let mut sampler = AliasSampler::default();
-        // First call builds the class table into the memo; a second call
-        // with an identical RNG stream must replay identical destinations
-        // through the memoized entry.
-        let mut first = Vec::new();
-        scd_dispatch_compressed(
-            &queues,
-            &rates,
-            &cache,
-            a,
-            SolverKind::Fast,
-            500,
-            &mut weights,
-            &mut sampler,
-            &mut first,
-            &mut StdRng::seed_from_u64(9),
-        )
-        .unwrap()
-        .unwrap();
-        let (hits_before, _) = cache.solver_memo_stats();
-        let mut second = Vec::new();
-        scd_dispatch_compressed(
-            &queues,
-            &rates,
-            &cache,
-            a,
-            SolverKind::Fast,
-            500,
-            &mut weights,
-            &mut sampler,
-            &mut second,
-            &mut StdRng::seed_from_u64(9),
-        )
-        .unwrap()
-        .unwrap();
-        let (hits_after, _) = cache.solver_memo_stats();
-        assert_eq!(first, second);
-        assert_eq!(
-            hits_after,
-            hits_before + 1,
-            "second call must be a memo hit"
-        );
+        // Two dispatchers with identical RNG streams draw identical
+        // destinations: the first builds the round's table, the second is
+        // served from it.
+        let mut draws = scd_model::DrawScratch::default();
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            let table = cache.scd_table().unwrap();
+            table.dispatch(12.0, 500, &mut draws, &mut StdRng::seed_from_u64(9), |s| {
+                out.push(s)
+            });
+            runs.push(out);
+        }
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(cache.solver_memo_stats(), (1, 1));
     }
 
     #[test]
     fn compressed_kernel_declines_unviable_and_quadratic_rounds() {
-        use rand::rngs::StdRng;
-        // All-distinct rates with deep queues blow the cell budget.
+        // All-distinct rates: the cell table R·(q_max + 1) exceeds n/4 even
+        // for empty queues, so every server is its own group.
         let n = 64usize;
-        let queues: Vec<u64> = (0..n).map(|s| s as u64 * 9).collect();
         let rates: Vec<f64> = (0..n).map(|s| 1.0 + s as f64 * 0.01).collect();
-        let mut cache = scd_model::RoundCache::new();
-        cache.begin_round(&queues, &rates);
-        let mut weights = Vec::new();
-        let mut sampler = AliasSampler::default();
-        let mut out = Vec::new();
-        let mut rng = StdRng::seed_from_u64(1);
-        let unviable = scd_dispatch_compressed(
-            &queues,
+        let mut table = ScdTable::new();
+        table.refresh(&vec![0; n], &rates, None);
+        assert!(!table.uses_classes());
+        assert_eq!(table.num_groups(), n);
+        // Two rates with q_max = 7: 2·8 = 16 cells fit in 64/4.
+        let (queues, rates) = bimodal_cluster(64);
+        let shallow: Vec<u64> = queues.iter().map(|&q| q % 8).collect();
+        table.refresh(&shallow, &rates, None);
+        assert!(table.uses_classes());
+        assert!(table.num_groups() <= 16);
+        // q_max = 10: 22 cells do not.
+        table.refresh(&queues, &rates, None);
+        assert!(!table.uses_classes());
+        // The quadratic baseline measures the dense algorithm and never
+        // builds a table.
+        let mut cache = RoundCache::new();
+        cache.begin_round(&shallow, &rates);
+        let mut probs = Vec::new();
+        solve_round_cached(
+            &shallow,
             &rates,
             &cache,
             8.0,
-            SolverKind::Fast,
-            10,
-            &mut weights,
-            &mut sampler,
-            &mut out,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(unviable.is_none());
-        assert!(out.is_empty());
-        // The quadratic baseline measures the dense algorithm; the class
-        // kernel must stand aside even on a compressible snapshot.
-        let (q2, r2) = bimodal_cluster(30);
-        cache.begin_round(&q2, &r2);
-        let quad = scd_dispatch_compressed(
-            &q2,
-            &r2,
-            &cache,
-            8.0,
             SolverKind::Quadratic,
-            10,
-            &mut weights,
-            &mut sampler,
-            &mut out,
-            &mut rng,
+            &mut probs,
         )
         .unwrap();
-        assert!(quad.is_none());
-        assert!(out.is_empty());
+        assert_eq!(cache.solver_memo_stats(), (0, 0));
     }
 
     #[test]
     fn compressed_single_job_spreads_uniformly_over_min_key_ties() {
-        use rand::rngs::StdRng;
         // Four idle µ=2 servers share the minimal key; everyone else is
-        // excluded by the single-job closed form.
+        // excluded by the single-job closed form. Class and per-server
+        // groups must agree.
         let queues = [0u64, 3, 0, 1, 0, 3, 0, 1];
         let rates = [2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0];
-        let mut cache = scd_model::RoundCache::new();
-        cache.begin_round(&queues, &rates);
-        let mut weights = Vec::new();
-        let mut sampler = AliasSampler::default();
-        let mut out = Vec::new();
-        let mut rng = StdRng::seed_from_u64(77);
-        let trials = 40_000usize;
-        scd_dispatch_compressed(
-            &queues,
-            &rates,
-            &cache,
-            1.0,
-            SolverKind::Fast,
-            trials,
-            &mut weights,
-            &mut sampler,
-            &mut out,
-            &mut rng,
-        )
-        .unwrap()
-        .unwrap();
         let winners = [0usize, 2, 4, 6];
-        let mut counts = vec![0u64; queues.len()];
-        for s in &out {
-            counts[s.index()] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            let freq = c as f64 / trials as f64;
-            if winners.contains(&s) {
-                assert!((freq - 0.25).abs() < 0.01, "winner {s} drew {freq}");
-            } else {
-                assert_eq!(c, 0, "non-minimal server {s} must never be drawn");
+        let mut table = ScdTable::new();
+        for copies in [1usize, 8] {
+            // Eight copies of the cluster make its 2·4 cells fit in n/4.
+            let q: Vec<u64> = queues.repeat(copies);
+            let r: Vec<f64> = rates.repeat(copies);
+            table.refresh(&q, &r, None);
+            assert_eq!(table.uses_classes(), copies == 8);
+            let freq = frequencies(&table, 1.0, 1, 40_000, 77);
+            for (s, &f) in freq.iter().enumerate() {
+                if winners.contains(&(s % 8)) {
+                    let share = 1.0 / (4 * copies) as f64;
+                    assert!((f - share).abs() < 0.01, "winner {s} drew {f}");
+                } else {
+                    assert_eq!(f, 0.0, "non-minimal server {s} must never be drawn");
+                }
             }
         }
     }
 
     #[test]
     fn grouped_trimming_matches_the_dense_fixpoints() {
-        use scd_model::ClassPartition;
+        // Class groups and per-server groups solve the same problem; only
+        // the summation grouping differs.
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x6E0);
-        let mut part = ClassPartition::new();
         for case in 0..60 {
-            let n = rng.gen_range(2..80);
+            let n = rng.gen_range(48..160);
             let rates: Vec<f64> = (0..n)
                 .map(|_| [1.0, 2.0, 4.0][rng.gen_range(0..3)])
                 .collect();
-            let queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..9)).collect();
+            let queues: Vec<u64> = (0..n).map(|_| rng.gen_range(0..4)).collect();
             let arrivals = rng.gen_range(1.5..40.0);
-            assert!(part.build(&queues, &rates), "case {case} must compress");
-            let dense_iwl = compute_iwl(&queues, &rates, arrivals);
-            let grouped_iwl =
-                crate::iwl::iwl_by_trimming_grouped(part.cq(), part.cmu(), part.loads(), arrivals);
-            assert!(
-                (dense_iwl - grouped_iwl).abs() < 1e-9 * (1.0 + dense_iwl.abs()),
-                "case {case}: dense IWL {dense_iwl} vs grouped {grouped_iwl}"
-            );
-            let keys: Vec<f64> = queues
-                .iter()
-                .zip(&rates)
-                .map(|(&q, &mu)| (2.0 * q as f64 + 1.0) / mu)
-                .collect();
-            let dense_lambda = lambda0_by_trimming(&rates, &keys, arrivals, dense_iwl);
-            let grouped_lambda =
-                lambda0_by_trimming_grouped(part.cmu(), part.keys(), arrivals, grouped_iwl);
-            assert!(
-                (dense_lambda - grouped_lambda).abs() < 1e-9 * (1.0 + dense_lambda.abs()),
-                "case {case}: dense Λ0 {dense_lambda} vs grouped {grouped_lambda}"
-            );
+            let mut grouped = ScdTable::new();
+            grouped.refresh(&queues, &rates, None);
+            assert!(grouped.uses_classes(), "case {case} must group by class");
+            let mut p = Vec::new();
+            grouped.probabilities_into(arrivals, &mut p);
+            let dense = solve(&queues, &rates, arrivals, SolverKind::Fast).unwrap();
+            for (s, (got, want)) in p.iter().zip(&dense.probabilities).enumerate() {
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "case {case}, server {s}: grouped {got} vs dense {want}"
+                );
+            }
         }
     }
 }

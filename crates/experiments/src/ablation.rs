@@ -5,21 +5,24 @@
 //!   large constant (weighted-random-like limit). Section 5.2 of the paper
 //!   argues the paper's rule lands between the two extremes; this experiment
 //!   quantifies that on the simulator.
-//! * **Solver-equivalence spot check** — Algorithm 1 and Algorithm 4 run on
-//!   the *same* streams and must produce statistically identical dispatching
-//!   (their response-time histograms coincide exactly because they compute
-//!   the same probabilities and consume randomness identically).
+//! * **Solver-equivalence spot check** — along a simulated SCD run, every
+//!   decision's distribution from the dispatch kernel is compared with
+//!   Algorithm 1's on the same view; the two must agree per server.
 
 use crate::output::OutputSink;
 use crate::response::{cluster_for_system, mix_seed};
 use crate::sweep::SweepGrid;
 use scd_core::estimator::ArrivalEstimator;
 use scd_core::policy::ScdFactory;
+use scd_core::policy::ScdPolicy;
 use scd_core::solver::SolverKind;
 use scd_metrics::Table;
-use scd_model::RateProfile;
+use scd_model::{
+    BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId, RateProfile, ServerId,
+};
 use scd_sim::{ArrivalSpec, ServiceModel, SimConfig, Simulation};
 use std::io;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of the estimator ablation.
 #[derive(Debug, Clone)]
@@ -158,8 +161,71 @@ impl EstimatorAblation {
     }
 }
 
-/// Verifies that SCD via Algorithm 1 and via Algorithm 4 produce identical
-/// simulated behaviour on the same streams; returns `(alg4 mean, alg1 mean)`.
+/// What [`solver_equivalence_check`] measured.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolverEquivalence {
+    /// Dispatch decisions whose distributions were compared.
+    pub decisions: u64,
+    /// The largest per-server `|p_kernel − p_Alg1|` over those decisions.
+    pub max_gap: f64,
+}
+
+/// SCD that, before every dispatch, also solves the decision with
+/// Algorithm 1 and records the largest per-server gap between the two
+/// distributions.
+struct ComparingScd {
+    kernel: ScdPolicy,
+    quadratic: ScdPolicy,
+    result: Arc<Mutex<SolverEquivalence>>,
+}
+
+impl DispatchPolicy for ComparingScd {
+    fn policy_name(&self) -> &str {
+        self.kernel.policy_name()
+    }
+
+    fn round_cache_demand(&self) -> scd_model::CacheDemand {
+        self.kernel.round_cache_demand()
+    }
+
+    fn dispatch_batch(
+        &mut self,
+        ctx: &DispatchContext<'_>,
+        batch: usize,
+        rng: &mut dyn rand::RngCore,
+    ) -> Vec<ServerId> {
+        let mut out = Vec::with_capacity(batch);
+        self.dispatch_into(ctx, batch, &mut out, rng);
+        out
+    }
+
+    fn dispatch_into(
+        &mut self,
+        ctx: &DispatchContext<'_>,
+        batch: usize,
+        out: &mut Vec<ServerId>,
+        rng: &mut dyn rand::RngCore,
+    ) {
+        if batch > 0 {
+            let kernel = self.kernel.distribution(ctx, batch);
+            let quadratic = self.quadratic.distribution(ctx, batch);
+            let gap = kernel
+                .iter()
+                .zip(&quadratic)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            let mut result = self.result.lock().expect("no panics while held");
+            result.decisions += 1;
+            result.max_gap = result.max_gap.max(gap);
+        }
+        self.kernel.dispatch_into(ctx, batch, out, rng);
+    }
+}
+
+/// Verifies that Algorithm 1 agrees with SCD's dispatch kernel (the
+/// Algorithm 4 problem) on every decision of a simulated SCD run: both
+/// distributions are computed on each dispatcher's view and compared per
+/// server.
 pub fn solver_equivalence_check(
     profile: &RateProfile,
     n: usize,
@@ -167,7 +233,7 @@ pub fn solver_equivalence_check(
     offered_load: f64,
     rounds: u64,
     seed: u64,
-) -> (f64, f64) {
+) -> SolverEquivalence {
     let cluster = cluster_for_system(profile, n, seed, 3);
     let config = SimConfig {
         spec: cluster,
@@ -182,21 +248,30 @@ pub fn solver_equivalence_check(
         scenario: scd_sim::ScenarioSpec::default(),
         workload: scd_sim::WorkloadSpec::default(),
     };
-    let simulation = Simulation::new(config).expect("valid configuration");
-    // Pin both runs to the classic per-server sampler: the equivalence claim
-    // is about the solvers, and the compressed kernel (Fast-only) consumes
-    // the RNG stream differently, so the sample paths would diverge even
-    // with identical per-round distributions.
-    let fast = ScdFactory::with_options(ArrivalEstimator::ScaledByDispatchers, SolverKind::Fast)
-        .classic_sampler();
-    let quad =
-        ScdFactory::with_options(ArrivalEstimator::ScaledByDispatchers, SolverKind::Quadratic);
-    let fast_report = simulation.run(&fast).expect("SCD runs cleanly");
-    let quad_report = simulation.run(&quad).expect("SCD(alg1) runs cleanly");
-    (
-        fast_report.mean_response_time(),
-        quad_report.mean_response_time(),
-    )
+    let result = Arc::new(Mutex::new(SolverEquivalence {
+        decisions: 0,
+        max_gap: 0.0,
+    }));
+    let shared = Arc::clone(&result);
+    let factory = move |_: DispatcherId, _: &ClusterSpec| -> BoxedPolicy {
+        Box::new(ComparingScd {
+            kernel: ScdPolicy::with_options(
+                ArrivalEstimator::ScaledByDispatchers,
+                SolverKind::Fast,
+            ),
+            quadratic: ScdPolicy::with_options(
+                ArrivalEstimator::ScaledByDispatchers,
+                SolverKind::Quadratic,
+            ),
+            result: Arc::clone(&shared),
+        })
+    };
+    Simulation::new(config)
+        .expect("valid configuration")
+        .run(&factory)
+        .expect("SCD runs cleanly");
+    let outcome = *result.lock().expect("no panics while held");
+    outcome
 }
 
 #[cfg(test)]
@@ -226,12 +301,8 @@ mod tests {
 
     #[test]
     fn solver_equivalence_holds_in_simulation() {
-        let (fast, quad) =
-            solver_equivalence_check(&RateProfile::paper_moderate(), 10, 3, 0.9, 500, 77);
-        // Identical probabilities + identical random streams → identical runs.
-        assert!(
-            (fast - quad).abs() < 1e-9,
-            "solver variants diverged: {fast} vs {quad}"
-        );
+        let check = solver_equivalence_check(&RateProfile::paper_moderate(), 10, 3, 0.9, 500, 77);
+        assert!(check.decisions > 1_000, "{check:?}");
+        assert!(check.max_gap < 1e-9, "solvers diverged: {check:?}");
     }
 }

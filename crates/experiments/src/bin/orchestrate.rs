@@ -14,13 +14,8 @@
 use scd_experiments::fabric::{run_orchestrate, OrchestrateOptions};
 
 fn main() {
-    let options = match OrchestrateOptions::parse(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
+    let options = OrchestrateOptions::parse(std::env::args().skip(1))
+        .unwrap_or_else(|outcome| outcome.exit());
     if let Err(message) = run_orchestrate(&options) {
         eprintln!("orchestrate: {message}");
         std::process::exit(1);

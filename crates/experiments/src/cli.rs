@@ -109,14 +109,63 @@ impl Default for CliOptions {
     }
 }
 
+/// Why a binary's flag parser produced no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print this usage to stdout and exit 0.
+    Help(String),
+    /// An unknown flag or a malformed value: print the message to stderr
+    /// and exit 2.
+    Invalid(String),
+}
+
+impl CliError {
+    /// The process exit code for this outcome.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            CliError::Help(_) => 0,
+            CliError::Invalid(_) => 2,
+        }
+    }
+
+    /// The text to print: the usage for `--help`, the error otherwise.
+    pub fn message(&self) -> &str {
+        match self {
+            CliError::Help(text) | CliError::Invalid(text) => text,
+        }
+    }
+
+    /// Prints the message — the usage to stdout, an error to stderr — and
+    /// exits with [`exit_code`](CliError::exit_code).
+    pub fn exit(&self) -> ! {
+        match self {
+            CliError::Help(text) => println!("{text}"),
+            CliError::Invalid(text) => eprintln!("{text}"),
+        }
+        std::process::exit(self.exit_code())
+    }
+}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError::Invalid(message)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(message: &str) -> Self {
+        CliError::Invalid(message.to_string())
+    }
+}
+
 impl CliOptions {
     /// Parses options from an iterator of argument strings (without the
     /// program name).
     ///
     /// # Errors
-    /// Returns a human-readable message for unknown flags or malformed
-    /// values.
-    pub fn parse<I>(args: I) -> Result<Self, String>
+    /// [`CliError::Help`] for `--help`/`-h`; [`CliError::Invalid`] with a
+    /// human-readable message for unknown flags or malformed values.
+    pub fn parse<I>(args: I) -> Result<Self, CliError>
     where
         I: IntoIterator<Item = String>,
     {
@@ -152,7 +201,7 @@ impl CliOptions {
                         .parse::<usize>()
                         .map_err(|_| format!("invalid --servers value: {value}"))?;
                     if parsed == 0 {
-                        return Err("--servers must be at least 1".to_string());
+                        return Err("--servers must be at least 1".into());
                     }
                     options.servers = Some(parsed);
                 }
@@ -170,7 +219,7 @@ impl CliOptions {
                         .parse::<usize>()
                         .map_err(|_| format!("invalid --replications value: {value}"))?;
                     if parsed == 0 {
-                        return Err("--replications must be at least 1".to_string());
+                        return Err("--replications must be at least 1".into());
                     }
                     options.replications = parsed;
                 }
@@ -180,7 +229,7 @@ impl CliOptions {
                         .parse::<usize>()
                         .map_err(|_| format!("invalid --shards value: {value}"))?;
                     if parsed == 0 {
-                        return Err("--shards must be at least 1".to_string());
+                        return Err("--shards must be at least 1".into());
                     }
                     options.shards = parsed;
                 }
@@ -190,7 +239,7 @@ impl CliOptions {
                         .parse::<usize>()
                         .map_err(|_| format!("invalid --processes value: {value}"))?;
                     if parsed == 0 {
-                        return Err("--processes must be at least 1".to_string());
+                        return Err("--processes must be at least 1".into());
                     }
                     options.processes = Some(parsed);
                 }
@@ -200,7 +249,7 @@ impl CliOptions {
                         .parse::<u64>()
                         .map_err(|_| format!("invalid --worker-timeout value: {value}"))?;
                     if parsed == 0 {
-                        return Err("--worker-timeout must be at least 1 ms".to_string());
+                        return Err("--worker-timeout must be at least 1 ms".into());
                     }
                     options.worker_timeout_ms = parsed;
                 }
@@ -246,34 +295,27 @@ impl CliOptions {
                         .parse::<f64>()
                         .map_err(|_| format!("invalid --fail-rate value: {value}"))?;
                     if !(0.0..1.0).contains(&parsed) {
-                        return Err(format!("--fail-rate must be in [0, 1): {value}"));
+                        return Err(format!("--fail-rate must be in [0, 1): {value}").into());
                     }
                     options.fail_rate = Some(parsed);
                 }
                 "--paper" => options.paper = true,
                 "--quick" => options.quick = true,
                 "--tail" => options.tail = true,
-                "--help" | "-h" => {
-                    return Err(usage());
-                }
-                other => return Err(format!("unknown flag {other}\n{}", usage())),
+                "--help" | "-h" => return Err(CliError::Help(usage())),
+                other => return Err(format!("unknown flag {other}\n{}", usage()).into()),
             }
         }
         if options.paper && options.quick {
-            return Err("--paper and --quick are mutually exclusive".to_string());
+            return Err("--paper and --quick are mutually exclusive".into());
         }
         Ok(options)
     }
 
-    /// Parses the process arguments, printing usage and exiting on error.
+    /// Parses the process arguments. `--help` prints the usage to stdout
+    /// and exits 0; a bad flag prints the error to stderr and exits 2.
     pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(options) => options,
-            Err(message) => {
-                eprintln!("{message}");
-                std::process::exit(2);
-            }
-        }
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|outcome| outcome.exit())
     }
 }
 
@@ -322,7 +364,7 @@ fn parse_systems(value: &str) -> Result<Vec<(usize, usize)>, String> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<CliOptions, String> {
+    fn parse(args: &[&str]) -> Result<CliOptions, CliError> {
         CliOptions::parse(args.iter().map(|s| s.to_string()))
     }
 
@@ -428,5 +470,23 @@ mod tests {
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--paper", "--quick"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn help_exits_zero_with_the_usage_and_bad_flags_exit_two() {
+        for flag in ["--help", "-h"] {
+            let outcome = parse(&["--quick", flag]).unwrap_err();
+            assert_eq!(outcome, CliError::Help(usage()));
+            assert_eq!(outcome.exit_code(), 0);
+        }
+        let outcome = parse(&["--wat"]).unwrap_err();
+        assert_eq!(outcome.exit_code(), 2);
+        assert!(outcome.message().starts_with("unknown flag --wat"));
+        let outcome = parse(&["--rounds", "x"]).unwrap_err();
+        assert_eq!(
+            outcome,
+            CliError::Invalid("invalid --rounds value: x".into())
+        );
+        assert_eq!(outcome.exit_code(), 2);
     }
 }

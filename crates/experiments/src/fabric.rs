@@ -24,6 +24,7 @@
 //! The `sweep` binary's `--processes K` flag reuses [`fabric_run`] to route
 //! every grid cell through worker processes instead of in-process shards.
 
+use crate::cli::CliError;
 use crate::response::cluster_for_system;
 use scd_model::RateProfile;
 use scd_policies::factory_by_name;
@@ -395,9 +396,10 @@ impl OrchestrateOptions {
     /// Parses the `orchestrate` flag set.
     ///
     /// # Errors
-    /// Returns a human-readable message (or the usage string for
-    /// `--help`) on unknown flags and malformed values.
-    pub fn parse<I>(args: I) -> Result<Self, String>
+    /// [`CliError::Help`] with the usage for `--help`/`-h`;
+    /// [`CliError::Invalid`] with a human-readable message on unknown flags
+    /// and malformed values.
+    pub fn parse<I>(args: I) -> Result<Self, CliError>
     where
         I: IntoIterator<Item = String>,
     {
@@ -479,8 +481,10 @@ impl OrchestrateOptions {
                 "--verify-inprocess" => options.verify_inprocess = true,
                 "--worker" => options.worker = Some(PathBuf::from(value_of("--worker")?)),
                 "--quick" => options.quick = true,
-                "--help" | "-h" => return Err(orchestrate_usage()),
-                other => return Err(format!("unknown flag {other}\n{}", orchestrate_usage())),
+                "--help" | "-h" => return Err(CliError::Help(orchestrate_usage())),
+                other => {
+                    return Err(format!("unknown flag {other}\n{}", orchestrate_usage()).into())
+                }
             }
         }
         if !options.inject_crash_after_checkpoint.is_empty() && options.checkpoint_every == 0 {
@@ -653,7 +657,7 @@ pub fn run_orchestrate(options: &OrchestrateOptions) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<OrchestrateOptions, String> {
+    fn parse(args: &[&str]) -> Result<OrchestrateOptions, CliError> {
         OrchestrateOptions::parse(args.iter().map(|s| s.to_string()))
     }
 

@@ -48,6 +48,6 @@ pub mod shard_sweep;
 pub mod sweep;
 pub mod tail;
 
-pub use cli::CliOptions;
+pub use cli::{CliError, CliOptions};
 pub use figures::{FigureKind, FigureSpec};
 pub use sweep::{GridPoint, SweepGrid};

@@ -1,26 +1,21 @@
-//! `(rate, queue-length)` equivalence classes — the compressed snapshot
-//! representation behind the mean-field-scale SCD sampler.
+//! `(rate, queue-length)` equivalence classes — the grouped snapshot behind
+//! the SCD dispatch table at mean-field scale.
 //!
-//! At datacenter scale (`n = 10^5..10^6` servers) the dominant SCD round
-//! cost is the per-distinct-estimate `fill → normalize → alias-rebuild`
-//! chain, three `O(n)` passes per solve. But the optimal distribution
-//! `p_s = µ_s·(2·iwl − Λ0 − key_s)⁺ / (2(a−1))` is a pure function of the
-//! pair `(q_s, µ_s)`: every two servers with the same queue length and the
-//! same rate carry *exactly* the same probability. Real clusters have a
-//! handful of hardware generations (a handful of distinct rates `R`) and
-//! bounded queue lengths, so the number of **distinct** `(q, µ)` pairs `C`
-//! is tiny compared to `n` — typically `O(R·q_max) ≈ 10^1..10^3`.
+//! The optimal SCD distribution `p_s ∝ µ_s·(c − key_s)⁺` is a pure function
+//! of the pair `(q_s, µ_s)`: every two servers with the same queue length
+//! and the same rate carry *exactly* the same probability. Real clusters
+//! have a handful of hardware generations (a handful of distinct rates `R`)
+//! and bounded queue lengths, so the number of **distinct** `(q, µ)` pairs
+//! `C` is tiny compared to `n` — typically `O(R·q_max) ≈ 10^1..10^3`.
 //!
 //! A [`ClassPartition`] groups the round's servers into those classes once
-//! (`O(n)` counting sort over a dense `(q, rate-class)` cell table), after
-//! which every solve and every alias-table build is `O(C)` instead of
-//! `O(n)`, and sampling a destination is two uniform draws: one alias draw
-//! over the classes, one uniform member pick inside the chosen class.
-//! Because members of one class are exactly interchangeable under the
-//! solver's distribution, the two-level sampler draws from *the same*
-//! per-server distribution the dense chain materializes — only the RNG
-//! consumption differs (two `u64` per job instead of one), which is why
-//! adopting it is a deliberate sample-path change (goldens re-captured).
+//! (`O(n)` counting sort over a dense `(q, rate-class)` cell table). The
+//! SCD table ([`ScdTable`](crate::ScdTable)) then sorts and sums `C`
+//! classes instead of `n` servers, and sampling a destination is one draw
+//! over the classes plus one uniform member pick inside the chosen class.
+//! Because members of one class are exactly interchangeable, the two-level
+//! draw samples *the same* per-server distribution as single-server
+//! groups.
 //!
 //! # Canonical class order
 //!
@@ -33,11 +28,13 @@
 //!
 //! The dense cell table has `R·(q_max + 1)` entries. When rates are
 //! all-distinct (e.g. a continuous `Uniform` rate profile, `R = n`) or
-//! queues are extremely deep, the table would dwarf `n` and the compression
-//! buys nothing — [`ClassPartition::build`] then reports the round as not
-//! viable and callers fall back to the dense per-server path. The predicate
-//! is a pure function of the snapshot, so the fallback decision is
-//! deterministic and identical across delta/full/sharded replays.
+//! queues are extremely deep, the table would dwarf `n` and the grouping
+//! buys nothing — [`ClassPartition::build`] (and
+//! [`build_within`](ClassPartition::build_within) with the caller's own
+//! ceiling; the SCD table uses `n/4`) then reports the round as not viable
+//! and callers fall back to single-server groups. The predicate is a pure
+//! function of the snapshot, so the decision is deterministic and identical
+//! across delta/full/sharded replays.
 
 /// Maximum dense-cell-table size, as a multiple of `n` (plus a small
 /// constant floor so tiny clusters always compress): beyond this the
@@ -78,10 +75,6 @@ pub struct ClassPartition {
     class_count: Vec<u32>,
     /// Per-class Corollary 1 key `(2q + 1)·(1/µ)`.
     class_key: Vec<f64>,
-    /// Per-class load `q·(1/µ)`.
-    class_load: Vec<f64>,
-    /// Per-class aggregate queue mass `count·q`.
-    class_cq: Vec<f64>,
     /// Per-class aggregate rate `count·µ`.
     class_cmu: Vec<f64>,
     /// Start offset of each class's members in `members`.
@@ -133,6 +126,17 @@ impl ClassPartition {
     /// # Panics
     /// Panics if `queues` and `rates` differ in length.
     pub fn build(&mut self, queues: &[u64], rates: &[f64]) -> bool {
+        let budget = CELL_BUDGET_FACTOR * queues.len() + CELL_BUDGET_FLOOR;
+        self.build_within(queues, rates, budget)
+    }
+
+    /// Like [`build`](ClassPartition::build) with an explicit ceiling on
+    /// the `R·(q_max + 1)` cell table: the snapshot is viable only when the
+    /// table has at most `max_cells` cells.
+    ///
+    /// # Panics
+    /// Panics if `queues` and `rates` differ in length.
+    pub fn build_within(&mut self, queues: &[u64], rates: &[f64], max_cells: usize) -> bool {
         assert_eq!(
             queues.len(),
             rates.len(),
@@ -147,9 +151,8 @@ impl ClassPartition {
         self.refresh_rate_classes(rates);
         let r = self.unique_rates.len();
         let qmax = queues.iter().copied().max().unwrap_or(0);
-        let budget = (CELL_BUDGET_FACTOR * n + CELL_BUDGET_FLOOR) as u128;
         let cells_len = (qmax as u128 + 1) * r as u128;
-        if cells_len > budget {
+        if cells_len > max_cells as u128 {
             return false;
         }
         let cells_len = cells_len as usize;
@@ -166,8 +169,6 @@ impl ClassPartition {
         self.class_mu.clear();
         self.class_count.clear();
         self.class_key.clear();
-        self.class_load.clear();
-        self.class_cq.clear();
         self.class_cmu.clear();
         self.offsets.clear();
         let mut cursor = 0u32;
@@ -185,8 +186,6 @@ impl ClassPartition {
             self.class_mu.push(mu);
             self.class_count.push(count);
             self.class_key.push((2.0 * qf + 1.0) * inv);
-            self.class_load.push(qf * inv);
-            self.class_cq.push(count as f64 * qf);
             self.class_cmu.push(count as f64 * mu);
             self.offsets.push(cursor);
             self.cells[cell] = cursor;
@@ -243,18 +242,7 @@ impl ClassPartition {
         &self.class_key[..self.num_classes]
     }
 
-    /// Per-class loads `q/µ`.
-    pub fn loads(&self) -> &[f64] {
-        &self.class_load[..self.num_classes]
-    }
-
-    /// Per-class aggregate queue mass `count·q` (the water-filling sweep's
-    /// grouped numerator terms).
-    pub fn cq(&self) -> &[f64] {
-        &self.class_cq[..self.num_classes]
-    }
-
-    /// Per-class aggregate rates `count·µ` (the grouped denominator terms).
+    /// Per-class aggregate rates `count·µ`.
     pub fn cmu(&self) -> &[f64] {
         &self.class_cmu[..self.num_classes]
     }
@@ -311,8 +299,6 @@ mod tests {
         assert_eq!(part.class_members(3), &[1, 4]);
         // Derived tables use the canonical reciprocal arithmetic.
         assert_eq!(part.keys()[2], (2.0 * 1.0 + 1.0) * (1.0 / 4.0));
-        assert_eq!(part.loads()[3], 2.0 * (1.0 / 1.0));
-        assert_eq!(part.cq(), &[0.0, 0.0, 1.0, 4.0]);
         assert_eq!(part.cmu(), &[1.0, 8.0, 4.0, 2.0]);
     }
 

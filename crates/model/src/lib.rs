@@ -9,10 +9,12 @@
 //!   i.e. the per-server processing rates `µ_s`.
 //! * [`DispatchContext`] — the information a dispatcher observes at the
 //!   beginning of a round (true queue lengths, rates, number of dispatchers).
-//! * [`RoundCache`] — derived per-round tables (reciprocal rates, loads,
-//!   solver keys) computed once by the engine and shared read-only by all
+//! * [`RoundCache`] — derived per-round tables (reciprocal rates, the SCD
+//!   dispatch table) computed once per round and shared read-only by all
 //!   dispatchers of a round (see `ARCHITECTURE.md`, "Per-round shared
 //!   compute cache").
+//! * [`ScdTable`] — the SCD dispatch kernel: key-sorted prefix sums, the
+//!   per-dispatcher prefix solve and inverse-CDF draws.
 //! * [`DispatchPolicy`] / [`PolicyFactory`] — the trait every dispatching
 //!   policy implements, and the factory used by the simulator to instantiate
 //!   one (stateful) policy object per dispatcher.
@@ -59,10 +61,12 @@ pub mod classes;
 pub mod degraded;
 pub mod error;
 pub mod ids;
+pub mod key_order;
 pub mod policy;
 pub mod probability;
 pub mod round_cache;
 pub mod sampler;
+pub mod scd_table;
 pub mod snapshot;
 pub mod spec;
 pub mod state_bytes;
@@ -72,12 +76,14 @@ pub use classes::ClassPartition;
 pub use degraded::{Availability, DegradedView, ProbeLossOracle};
 pub use error::ModelError;
 pub use ids::{DispatcherId, ServerId};
+pub use key_order::KeyOrder;
 pub use policy::{BoxedPolicy, DispatchPolicy, PolicyFactory};
 pub use probability::ProbabilityVector;
 pub use round_cache::{
-    reciprocal_rates, refresh_reciprocal_rates, CacheDemand, RoundCache, WarmSeeds,
+    reciprocal_rates, refresh_reciprocal_rates, CacheDemand, RoundCache, TableBuilds,
 };
 pub use sampler::{AliasSampler, CdfSampler};
+pub use scd_table::{DrawScratch, ScdTable, SINGLE_JOB_THRESHOLD};
 pub use snapshot::DispatchContext;
 pub use spec::{ClusterSpec, RateProfile};
 pub use state_bytes::{StateReader, StateWriter};

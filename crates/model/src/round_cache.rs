@@ -2,40 +2,35 @@
 //!
 //! Within one simulation round every dispatcher observes the *same* queue
 //! snapshot and the *same* (static) service rates, so the derived tables the
-//! decision procedures consume — reciprocal rates `1/µ_s`, loads `q_s/µ_s`
-//! (Algorithm 3's water-filling inputs) and the Corollary 1 candidate keys
-//! `(2q_s + 1)/µ_s` — are identical across all `m` dispatchers. Before this
-//! cache existed every policy instance recomputed them privately, paying the
-//! `O(n)` setup `m` times per round.
+//! decision procedures consume are identical across all `m` dispatchers: the
+//! reciprocal rates `1/µ_s` (SED) and the SCD dispatch table
+//! ([`ScdTable`]: servers or `(q, rate-class)` classes sorted by their
+//! Corollary 1 key, with prefix sums). A [`RoundCache`] computes them once
+//! per round instead of once per dispatcher.
 //!
-//! A [`RoundCache`] is owned by the simulation engine, refreshed **once** at
-//! the start of each round ([`RoundCache::begin_round`]), and handed to every
-//! dispatcher as an immutable view through
+//! The cache is owned by the simulation engine, refreshed at the start of
+//! each round ([`RoundCache::begin_round_for`] or, with the engine's dirty
+//! set, [`RoundCache::begin_round_delta`]), and handed to every dispatcher as
+//! an immutable view through
 //! [`DispatchContext::with_cache`](crate::DispatchContext::with_cache).
-//! Dispatcher independence is preserved: policies only *read* the tables, and
-//! every per-dispatcher quantity (arrival estimates, local queue copies,
-//! RNG streams) stays inside the policy objects.
+//! Dispatcher independence is preserved: policies only *read* the tables,
+//! and every per-dispatcher quantity (arrival estimates, RNG streams) stays
+//! inside the policy objects.
 //!
-//! The tables are computed with exactly the arithmetic the policies would use
-//! privately (`1.0/µ`, then multiplications by the reciprocal), so runs with
-//! and without the cache are **bit-identical** — the property the engine
-//! equivalence tests pin down.
+//! # The lazy SCD table
 //!
-//! # The per-round solver memo
-//!
-//! Beyond the derived tables, the cache carries a *solver memo*: within one
-//! round, a dispatcher's SCD solve is a pure function of `(queue snapshot,
-//! rates, a_est, solver kind)` — and the snapshot and rates are fixed for
-//! the round. With `m` dispatchers whose batch-size estimates collide (the
-//! common case under the paper's `a_est = m·a(d)` estimator at equal
-//! arrival rates), up to `m` identical Algorithm-1/4 solves per round dedupe
-//! to one solve per *distinct* estimate. The memo is engine-owned,
-//! invalidated by [`begin_round`](RoundCache::begin_round), and accessed
-//! through interior mutability ([`std::cell::RefCell`]) so policies can
-//! populate it through the same shared immutable view they read the tables
-//! from. Dispatcher independence is preserved: the memo is a pure function
-//! cache — a hit returns bit-for-bit the vector a fresh solve would produce,
-//! never any policy's private state.
+//! The refresh itself only records the snapshot and the dirty set. The SCD
+//! table is built by the round's first [`scd_table`](RoundCache::scd_table)
+//! call — inside the first SCD dispatch, so decision timers include the
+//! shared per-round work — through interior mutability
+//! ([`std::cell::RefCell`]); later dispatchers of the round read the built
+//! table. Dirty sets accumulate until the next build, which repairs the
+//! table's server order from them instead of re-sorting it. The table is a
+//! pure function of the snapshot, so repaired and re-sorted tables, and runs
+//! with and without the cache, make bit-identical decisions.
+
+use crate::ScdTable;
+use std::cell::{Cell, Ref, RefCell};
 
 /// The reciprocal-rate table `inv[s] = 1.0/µ_s`, as a fresh vector.
 ///
@@ -71,156 +66,53 @@ pub enum CacheDemand {
     None,
     /// Only [`RoundCache::inv_rates`] — static per run, refreshed for free.
     ReciprocalRates,
-    /// The full per-round tables: [`RoundCache::loads`] and
-    /// [`RoundCache::scd_keys`] too (two `O(n)` fills per round).
+    /// The SCD dispatch table too ([`RoundCache::scd_table`]).
     SolverTables,
 }
 
-/// Upper bound on live solver-memo entries per round. One entry exists per
-/// distinct `(a_est, kind)` pair, which is bounded by the dispatcher count;
-/// the cap keeps the linear memo scan cheap for very wide systems (excess
-/// distinct estimates simply solve unmemoized).
-const SOLVER_MEMO_CAP: usize = 32;
-
-/// Warm-start seeds for an iterative solver, plus accept/fallback counters.
-///
-/// The cells are opaque to this crate: the SCD solver (in `scd-core`) stores
-/// the previous solve's water level and Lagrange multiplier here and uses
-/// them to seed the next solve's trimming iterations. Seeds are **hints, not
-/// state**: every use is verified against the current inputs and discarded
-/// on verification failure, so a stale (or adversarial) seed can cost time
-/// but never change a result. They therefore survive
-/// [`RoundCache::begin_round`] deliberately — the previous round's level is
-/// exactly the warm start the next round wants.
-///
-/// Interior mutability (like the solver memo) lets the solver update the
-/// seeds through the shared immutable view policies hold.
+/// Cumulative `(repairs, re-sorts)` of a cache's SCD table builds: a repair
+/// merges the round's moved servers back into the previous order, a
+/// re-sort orders every group from scratch (first use, no dirty set, a
+/// dense dirty set, or class groups).
 #[derive(Debug, Clone, Default)]
-pub struct WarmSeeds {
-    level: std::cell::Cell<Option<f64>>,
-    lambda: std::cell::Cell<Option<f64>>,
-    /// `(Σ_S q, Σ_S µ, |S|)` of the last accepted level's active set,
-    /// valid only within the round (generation) it was computed in: the
-    /// sums read the round's queue snapshot, which the next `begin_round*`
-    /// invalidates.
-    level_sums: std::cell::Cell<Option<(f64, f64, usize)>>,
-    /// The cache generation `level_sums` belongs to.
-    sums_generation: std::cell::Cell<u64>,
-    /// Bumped by the owner on every round refresh (see
-    /// [`RoundCache::begin_round_for`]).
-    generation: std::cell::Cell<u64>,
-    accepts: std::cell::Cell<u64>,
-    fallbacks: std::cell::Cell<u64>,
+pub struct TableBuilds {
+    repairs: Cell<u64>,
+    resorts: Cell<u64>,
 }
 
-impl WarmSeeds {
-    /// Creates empty seeds (first use always takes the cold path).
-    pub fn new() -> Self {
-        WarmSeeds::default()
-    }
-
-    /// The previous solve's water level, if any.
-    pub fn level(&self) -> Option<f64> {
-        self.level.get()
-    }
-
-    /// Stores the accepted water level for the next solve.
-    pub fn set_level(&self, level: f64) {
-        self.level.set(Some(level));
-    }
-
-    /// The previous solve's Lagrange multiplier, if any.
-    pub fn lambda(&self) -> Option<f64> {
-        self.lambda.get()
-    }
-
-    /// Stores the accepted multiplier for the next solve.
-    pub fn set_lambda(&self, lambda: f64) {
-        self.lambda.set(Some(lambda));
-    }
-
-    /// The `(Σ_S q, Σ_S µ, |S|)` sums of the last accepted level's active
-    /// set, if they were recorded **in the current generation** (i.e. for
-    /// this round's snapshot). Within one round the snapshot is fixed, so a
-    /// later solve of the same round can derive its level candidate from
-    /// these sums in `O(1)` instead of a membership pass.
-    pub fn level_sums(&self) -> Option<(f64, f64, usize)> {
-        if self.sums_generation.get() == self.generation.get() {
-            self.level_sums.get()
-        } else {
-            None
-        }
-    }
-
-    /// Records the accepted level's active-set sums for the current
-    /// generation.
-    pub fn set_level_sums(&self, sq: f64, smu: f64, count: usize) {
-        self.level_sums.set(Some((sq, smu, count)));
-        self.sums_generation.set(self.generation.get());
-    }
-
-    /// Starts a new generation (round): in-round caches like
-    /// [`level_sums`](WarmSeeds::level_sums) become stale; the cross-round
-    /// seeds (level, lambda) stay.
-    pub fn advance_generation(&self) {
-        self.generation.set(self.generation.get().wrapping_add(1));
-    }
-
-    /// Counts one verified warm solve.
-    pub fn record_accept(&self) {
-        self.accepts.set(self.accepts.get() + 1);
-    }
-
-    /// Counts one rejected warm attempt (the solve fell back to cold).
-    pub fn record_fallback(&self) {
-        self.fallbacks.set(self.fallbacks.get() + 1);
-    }
-
-    /// Cumulative `(accepts, fallbacks)` over this seed store's lifetime.
+impl TableBuilds {
+    /// Cumulative `(repairs, re-sorts)` over the cache's lifetime.
     pub fn stats(&self) -> (u64, u64) {
-        (self.accepts.get(), self.fallbacks.get())
+        (self.repairs.get(), self.resorts.get())
     }
 
-    /// Drops the seeds (counters survive); the next solve runs cold.
-    pub fn clear(&self) {
-        self.level.set(None);
-        self.lambda.set(None);
-        self.level_sums.set(None);
+    fn record(&self, repaired: bool) {
+        let counter = if repaired {
+            &self.repairs
+        } else {
+            &self.resorts
+        };
+        counter.set(counter.get() + 1);
     }
 }
 
-/// One memoized per-round solver result.
+/// The lazily built SCD table and the dirty servers it has not seen yet.
 #[derive(Debug, Clone, Default)]
-struct SolverMemoEntry {
-    /// The estimate the solve was keyed by (compared bit-for-bit).
-    a_est: f64,
-    /// Caller-chosen discriminant for the solver algorithm.
-    kind: u8,
-    /// The ideal workload the solve produced.
-    iwl: f64,
-    /// The probability vector the solve produced.
-    probabilities: Vec<f64>,
-    /// The alias table built from `probabilities`, once some dispatcher
-    /// attached it ([`RoundCache::sampler_memo_attach`]); later dispatchers
-    /// with the same estimate copy the finished table instead of rebuilding
-    /// it.
-    sampler: crate::sampler::AliasSampler,
-    /// Whether `sampler` holds the table for this entry's probabilities.
-    has_sampler: bool,
-    /// Whether `sampler` is a **class-level** table over the round's
-    /// [`ClassPartition`](crate::ClassPartition) (its columns are class
-    /// indices, resolved to servers by a second uniform member draw) rather
-    /// than a per-server table. Per-server consumers must never draw from a
-    /// class table and vice versa — the lookup paths filter on this flag.
-    class_sampler: bool,
+struct TableSlot {
+    table: ScdTable,
+    /// Servers whose queue may have changed since the last build.
+    pending: Vec<u32>,
+    /// Whether `pending` covers every change since the last build; false
+    /// after a refresh without a dirty set, which forces a re-sort.
+    pending_complete: bool,
 }
 
 /// Derived per-round tables shared (read-only) by all dispatchers of a round.
 ///
 /// All buffers are reused across rounds; after the first round at a given
-/// cluster size [`begin_round`](RoundCache::begin_round) performs no heap
-/// allocations. The reciprocal rates are recomputed only when the rates
-/// change, which happens once per simulation run.
+/// cluster size a refresh and a table build perform no heap allocations.
+/// The reciprocal rates are recomputed only when the rates change, which
+/// happens once per simulation run.
 ///
 /// # Example
 /// ```
@@ -228,8 +120,9 @@ struct SolverMemoEntry {
 /// let mut cache = RoundCache::new();
 /// cache.begin_round(&[3, 0], &[2.0, 1.0]);
 /// assert_eq!(cache.inv_rates(), &[0.5, 1.0]);
-/// assert_eq!(cache.loads(), &[1.5, 0.0]);
-/// assert_eq!(cache.scd_keys(), &[3.5, 1.0]);
+/// let mut p = Vec::new();
+/// cache.scd_table().unwrap().probabilities_into(1.0, &mut p);
+/// assert_eq!(p, [0.0, 1.0]); // keys 3.5 and 1.0: one job goes to server 1
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RoundCache {
@@ -237,36 +130,22 @@ pub struct RoundCache {
     rates_snapshot: Vec<f64>,
     /// Reciprocal rates `1/µ_s`.
     inv_rates: Vec<f64>,
-    /// Loads `q_s/µ_s` (computed as `q_s · (1/µ_s)`).
-    loads: Vec<f64>,
-    /// Corollary 1 candidate keys `(2q_s + 1)/µ_s` (same reciprocal trick).
-    scd_keys: Vec<f64>,
-    /// The queue snapshot the tables were last refreshed from — the change
-    /// detector that lets [`begin_round_delta`](RoundCache::begin_round_delta)
-    /// repair only the servers the engine reports dirty.
+    /// The queue snapshot of the current round.
     queues_snapshot: Vec<u64>,
-    /// The demand level the last refresh actually filled tables for.
+    /// The demand level of the last refresh.
     ready_demand: CacheDemand,
-    /// Warm-start seeds for the SCD solver (see [`WarmSeeds`]).
-    warm: WarmSeeds,
-    /// Per-round solver memo (see the module docs). Entries beyond
-    /// `memo_live` are dead but keep their buffers for reuse.
-    memo: std::cell::RefCell<Vec<SolverMemoEntry>>,
-    /// Number of live memo entries this round.
-    memo_live: std::cell::Cell<usize>,
-    /// Cumulative (per cache lifetime, i.e. per run) memo hit counter.
-    memo_hits: std::cell::Cell<u64>,
-    /// Cumulative memo miss counter.
-    memo_misses: std::cell::Cell<u64>,
-    /// The round's `(rate, q)` class partition
-    /// ([`ClassPartition`](crate::ClassPartition)), built lazily on the
-    /// first [`class_partition`](RoundCache::class_partition) call of a
-    /// round through the same interior mutability the memo uses.
-    classes: std::cell::RefCell<crate::ClassPartition>,
-    /// The `round_generation` the partition was last built for.
-    classes_generation: std::cell::Cell<u64>,
     /// Bumped by every `begin_round*`; 0 means "no round begun yet".
-    round_generation: std::cell::Cell<u64>,
+    round_generation: u64,
+    /// The SCD table, built on the round's first `scd_table` call.
+    scd: RefCell<TableSlot>,
+    /// The round generation the table was last built for (0: never).
+    scd_round: Cell<u64>,
+    /// Table repairs vs re-sorts.
+    builds: TableBuilds,
+    /// `scd_table` calls served by a table already built this round.
+    served: Cell<u64>,
+    /// `scd_table` calls that built the round's table.
+    built: Cell<u64>,
 }
 
 impl RoundCache {
@@ -276,8 +155,8 @@ impl RoundCache {
         RoundCache::default()
     }
 
-    /// Recomputes all per-round tables from this round's queue snapshot
-    /// (equivalent to [`begin_round_for`](RoundCache::begin_round_for) with
+    /// Starts a round with every table available (equivalent to
+    /// [`begin_round_for`](RoundCache::begin_round_for) with
     /// [`CacheDemand::SolverTables`]).
     ///
     /// # Panics
@@ -286,11 +165,10 @@ impl RoundCache {
         self.begin_round_for(queues, rates, CacheDemand::SolverTables);
     }
 
-    /// Recomputes the per-round tables a run actually consumes: with
-    /// [`CacheDemand::ReciprocalRates`] only the (static) reciprocal rates
-    /// are kept fresh and the per-round solver tables are cleared, so a
-    /// policy reading beyond its declared demand fails loudly instead of
-    /// seeing stale data.
+    /// Starts a round for the tables a run actually consumes: the
+    /// (static) reciprocal rates are kept fresh, and with
+    /// [`CacheDemand::SolverTables`] the SCD table becomes available. The
+    /// next table build re-sorts, since no dirty set says what changed.
     ///
     /// # Panics
     /// Panics if `queues` and `rates` differ in length.
@@ -301,48 +179,27 @@ impl RoundCache {
             "queue-length and rate vectors must describe the same cluster"
         );
         refresh_reciprocal_rates(&mut self.rates_snapshot, &mut self.inv_rates, rates);
-        // The memoized solves (and the warm in-round sums) describe the
-        // previous round's snapshot.
-        self.memo_live.set(0);
-        self.warm.advance_generation();
-        self.round_generation
-            .set(self.round_generation.get().wrapping_add(1));
+        self.round_generation = self.round_generation.wrapping_add(1);
         self.queues_snapshot.clear();
         self.queues_snapshot.extend_from_slice(queues);
         self.ready_demand = demand;
-        self.loads.clear();
-        self.scd_keys.clear();
-        if demand < CacheDemand::SolverTables {
-            return;
-        }
-        self.loads.extend(
-            queues
-                .iter()
-                .zip(&self.inv_rates)
-                .map(|(&q, &inv_mu)| q as f64 * inv_mu),
-        );
-        self.scd_keys.extend(
-            queues
-                .iter()
-                .zip(&self.inv_rates)
-                .map(|(&q, &inv_mu)| (2.0 * q as f64 + 1.0) * inv_mu),
-        );
+        let slot = self.scd.get_mut();
+        slot.pending.clear();
+        slot.pending_complete = false;
     }
 
-    /// Delta refresh: repairs only the servers the engine reports dirty
-    /// instead of refilling every per-round table.
+    /// Delta refresh: like [`begin_round_for`] but told which servers
+    /// changed, so only those are copied and the next table build repairs
+    /// its order from them.
     ///
     /// `dirty` must be a superset of the servers whose queue length differs
     /// from the snapshot of the previous `begin_round*` call (the engine's
     /// round-to-round dirty set satisfies this by construction; duplicates
-    /// are harmless). The repaired entries are computed with exactly the
-    /// arithmetic of the full refresh over unchanged reciprocals, so a delta
-    /// round is **bit-identical** to [`begin_round_for`] — asserted in debug
-    /// builds by comparing the tracked snapshot against `queues`.
+    /// are harmless) — asserted in debug builds by comparing the tracked
+    /// snapshot against `queues`.
     ///
-    /// Falls back to the full refresh whenever the incremental invariants do
-    /// not hold: first use, a cluster-size or rate change, or a demand wider
-    /// than the previous refresh filled.
+    /// Falls back to the full refresh on first use, a cluster-size or rate
+    /// change, a demand change, or a dirty set covering half the cluster.
     ///
     /// [`begin_round_for`]: RoundCache::begin_round_for
     ///
@@ -361,52 +218,39 @@ impl RoundCache {
             rates.len(),
             "queue-length and rate vectors must describe the same cluster"
         );
-        if self.queues_snapshot.len() != queues.len()
+        let n = queues.len();
+        if self.queues_snapshot.len() != n
             || self.rates_snapshot != rates
             || self.ready_demand != demand
-            || dirty.len() * 2 >= queues.len()
+            || dirty.len() * 2 >= n
         {
-            // First use, a cluster change, a demand change (wider demands
-            // need tables the last refresh skipped; narrower demands must
-            // clear tables so out-of-contract reads keep failing loudly) —
-            // or a dirty set dense enough that branchy per-entry repair
-            // costs more than the straight-line full refill.
             self.begin_round_for(queues, rates, demand);
             return;
         }
-        self.memo_live.set(0);
-        self.warm.advance_generation();
-        self.round_generation
-            .set(self.round_generation.get().wrapping_add(1));
-        if demand >= CacheDemand::SolverTables {
-            for &s in dirty {
-                let s = s as usize;
-                let q = queues[s];
-                if self.queues_snapshot[s] == q {
-                    continue;
-                }
-                let inv_mu = self.inv_rates[s];
-                self.loads[s] = q as f64 * inv_mu;
-                self.scd_keys[s] = (2.0 * q as f64 + 1.0) * inv_mu;
-                self.queues_snapshot[s] = q;
-            }
-        } else {
-            for &s in dirty {
-                let s = s as usize;
-                self.queues_snapshot[s] = queues[s];
-            }
+        self.round_generation = self.round_generation.wrapping_add(1);
+        for &s in dirty {
+            let s = s as usize;
+            self.queues_snapshot[s] = queues[s];
         }
         debug_assert_eq!(
             self.queues_snapshot, queues,
             "dirty set missed a changed server — the engine's delta contract is broken"
         );
+        let slot = self.scd.get_mut();
+        if slot.pending_complete {
+            if slot.pending.len() + dirty.len() > n {
+                slot.pending.clear();
+                slot.pending_complete = false;
+            } else {
+                slot.pending.extend_from_slice(dirty);
+            }
+        }
     }
 
-    /// The warm-start seed store the SCD solver shares across rounds (see
-    /// [`WarmSeeds`]). Seeds survive `begin_round*` on purpose — they are
-    /// verified hints, not per-round state.
-    pub fn warm_seeds(&self) -> &WarmSeeds {
-        &self.warm
+    /// The SCD table's `(repairs, re-sorts)` counters (see [`TableBuilds`]).
+    /// The name predates the table; `perfbench/` reads the counters by it.
+    pub fn warm_seeds(&self) -> &TableBuilds {
+        &self.builds
     }
 
     /// Number of servers the tables describe.
@@ -419,319 +263,67 @@ impl RoundCache {
         &self.inv_rates
     }
 
-    /// Loads `q_s/µ_s` of the current round's snapshot.
-    pub fn loads(&self) -> &[f64] {
-        &self.loads
-    }
-
-    /// Corollary 1 candidate keys `(2q_s + 1)/µ_s` of the current snapshot.
-    pub fn scd_keys(&self) -> &[f64] {
-        &self.scd_keys
-    }
-
-    /// Looks up a memoized solver result for this round.
-    ///
-    /// On a hit, copies the memoized probability vector into `out` (cleared
-    /// first) and returns the memoized ideal workload — bit-for-bit what the
-    /// corresponding fresh solve produced. `a_est` is compared by bit
-    /// pattern; `kind` is an opaque discriminant chosen by the caller (the
-    /// solver crate tags its algorithms). Hits and misses are counted; see
-    /// [`solver_memo_stats`](RoundCache::solver_memo_stats).
-    ///
-    /// Only valid between [`begin_round`](RoundCache::begin_round) calls:
-    /// the memo is keyed by `(a_est, kind)` alone because the remaining
-    /// solver inputs (snapshot, rates) are fixed within a round.
-    pub fn solver_memo_lookup(&self, a_est: f64, kind: u8, out: &mut Vec<f64>) -> Option<f64> {
-        let memo = self.memo.borrow();
-        for entry in &memo[..self.memo_live.get()] {
-            if entry.kind == kind && entry.a_est.to_bits() == a_est.to_bits() {
-                if entry.probabilities.is_empty() {
-                    // The entry was created by the dispatch-kernel path
-                    // ([`sampler_memo_build_draw`](RoundCache::sampler_memo_build_draw)),
-                    // which stores only the finished table: there is no
-                    // distribution to return, so report a miss and let the
-                    // caller re-solve instead of handing back an empty
-                    // vector. (A solved distribution always has one entry
-                    // per server, so emptiness is an unambiguous marker.)
-                    break;
-                }
-                out.clear();
-                out.extend_from_slice(&entry.probabilities);
-                self.memo_hits.set(self.memo_hits.get() + 1);
-                return Some(entry.iwl);
-            }
+    /// The round's SCD dispatch table, built on the round's first call
+    /// (repaired from the accumulated dirty sets when they cover every
+    /// change since the last build, re-sorted otherwise) and shared by
+    /// every later call of the round. `None` before the first round, for
+    /// an empty cluster, or when the round was refreshed without
+    /// [`CacheDemand::SolverTables`].
+    pub fn scd_table(&self) -> Option<Ref<'_, ScdTable>> {
+        if self.ready_demand < CacheDemand::SolverTables
+            || self.round_generation == 0
+            || self.queues_snapshot.is_empty()
+        {
+            return None;
         }
-        self.memo_misses.set(self.memo_misses.get() + 1);
-        None
-    }
-
-    /// Stores one solver result in the per-round memo, reusing a dead
-    /// entry's buffer when available. Beyond a fixed cap of live entries
-    /// (32 — one entry exists per distinct estimate, bounded by the
-    /// dispatcher count) the store is silently dropped; later equal
-    /// estimates simply solve again.
-    pub fn solver_memo_store(&self, a_est: f64, kind: u8, iwl: f64, probabilities: &[f64]) {
-        let live = self.memo_live.get();
-        if live >= SOLVER_MEMO_CAP {
-            return;
-        }
-        let mut memo = self.memo.borrow_mut();
-        if live < memo.len() {
-            let entry = &mut memo[live];
-            entry.a_est = a_est;
-            entry.kind = kind;
-            entry.iwl = iwl;
-            entry.probabilities.clear();
-            entry.probabilities.extend_from_slice(probabilities);
-            entry.has_sampler = false;
-            entry.class_sampler = false;
+        if self.scd_round.get() == self.round_generation {
+            self.served.set(self.served.get() + 1);
         } else {
-            memo.push(SolverMemoEntry {
-                a_est,
-                kind,
-                iwl,
-                probabilities: probabilities.to_vec(),
-                sampler: crate::sampler::AliasSampler::default(),
-                has_sampler: false,
-                class_sampler: false,
-            });
+            let mut slot = self.scd.borrow_mut();
+            let TableSlot {
+                table,
+                pending,
+                pending_complete,
+            } = &mut *slot;
+            let dirty = pending_complete.then_some(&pending[..]);
+            let repaired = table.refresh(&self.queues_snapshot, &self.rates_snapshot, dirty);
+            self.builds.record(repaired);
+            pending.clear();
+            *pending_complete = true;
+            self.scd_round.set(self.round_generation);
+            self.built.set(self.built.get() + 1);
         }
-        self.memo_live.set(live + 1);
+        Some(Ref::map(self.scd.borrow(), |slot| &slot.table))
     }
 
-    /// Draws `batch` destinations straight from the memoized **alias
-    /// table** for `(a_est, kind)`, with zero copying: the table lives
-    /// inside the memo entry ([`sampler_memo_build_draw`]) and the draws
-    /// are bit-identical to draws from any private rebuild of the same
-    /// probabilities. Returns the memoized ideal workload on a hit; `None`
-    /// when no entry (or no table) exists — the caller solves and calls
-    /// [`sampler_memo_build_draw`](RoundCache::sampler_memo_build_draw).
-    ///
-    /// Hits count toward [`solver_memo_stats`](RoundCache::solver_memo_stats);
-    /// misses are not counted here (the caller's fallback path counts its
-    /// own lookup).
-    ///
-    /// [`sampler_memo_build_draw`]: RoundCache::sampler_memo_build_draw
-    pub fn sampler_memo_draw(
-        &self,
-        a_est: f64,
-        kind: u8,
-        batch: usize,
-        out: &mut Vec<crate::ServerId>,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<f64> {
-        let memo = self.memo.borrow();
-        for entry in &memo[..self.memo_live.get()] {
-            if entry.kind == kind && entry.a_est.to_bits() == a_est.to_bits() {
-                if !entry.has_sampler || entry.class_sampler {
-                    // No table yet, or a class-level table whose columns are
-                    // class indices — either way this per-server consumer
-                    // must solve for itself.
-                    return None;
-                }
-                out.extend((0..batch).map(|_| crate::ServerId::new(entry.sampler.sample(rng))));
-                self.memo_hits.set(self.memo_hits.get() + 1);
-                return Some(entry.iwl);
-            }
-        }
-        None
-    }
-
-    /// Builds the alias table for `(a_est, kind)` **in place inside a fresh
-    /// memo entry** — via [`AliasSampler::rebuild_with_total`] when the
-    /// caller knows the exact index-order weight sum, the validating
-    /// [`AliasSampler::rebuild`] otherwise — draws `batch` destinations
-    /// from it, and returns `true`. Returns `false` without drawing when
-    /// the memo is at capacity (the caller builds a private table instead).
-    ///
-    /// The created entry carries an **empty probability vector**: dispatch
-    /// consumers share finished tables, so storing the distribution twice
-    /// would be pure copying cost.
-    /// [`solver_memo_lookup`](RoundCache::solver_memo_lookup) treats such
-    /// an entry as a miss (emptiness is unambiguous — a solved
-    /// distribution always has one entry per server), so mixing the two
-    /// consumption styles under one key is safe, merely unshared.
-    ///
-    /// [`AliasSampler::rebuild_with_total`]: crate::AliasSampler::rebuild_with_total
-    /// [`AliasSampler::rebuild`]: crate::AliasSampler::rebuild
-    #[allow(clippy::too_many_arguments)] // engine-facing dispatch path: full decision state
-    pub fn sampler_memo_build_draw(
-        &self,
-        a_est: f64,
-        kind: u8,
-        iwl: f64,
-        weights: &[f64],
-        total: Option<f64>,
-        batch: usize,
-        out: &mut Vec<crate::ServerId>,
-        rng: &mut dyn rand::RngCore,
-    ) -> bool {
-        let live = self.memo_live.get();
-        if live >= SOLVER_MEMO_CAP {
-            return false;
-        }
-        let mut memo = self.memo.borrow_mut();
-        if live >= memo.len() {
-            memo.push(SolverMemoEntry::default());
-        }
-        let entry = &mut memo[live];
-        entry.a_est = a_est;
-        entry.kind = kind;
-        entry.iwl = iwl;
-        entry.probabilities.clear();
-        match total {
-            Some(total) if total > 0.0 => entry.sampler.rebuild_with_total(weights, total),
-            _ => {
-                if entry.sampler.rebuild(weights).is_err() {
-                    // Degenerate weights cannot come out of a successful
-                    // solve; refuse the entry and let the caller's private
-                    // rebuild surface the error.
-                    return false;
-                }
-            }
-        }
-        entry.has_sampler = true;
-        entry.class_sampler = false;
-        self.memo_live.set(live + 1);
-        out.extend((0..batch).map(|_| crate::ServerId::new(entry.sampler.sample(rng))));
-        true
-    }
-
-    /// The round's `(rate, q)` class partition
-    /// ([`ClassPartition`](crate::ClassPartition)), built lazily from the
-    /// cache's own tracked snapshot on the first call of each round and
-    /// shared by every later caller of the round. Returns `None` when the
-    /// snapshot is not viable for compression (see the partition's module
-    /// docs) or no round has begun — the decision is a pure function of the
-    /// round state, so delta/full/sharded replays agree on it.
-    pub fn class_partition(&self) -> Option<std::cell::Ref<'_, crate::ClassPartition>> {
-        let round = self.round_generation.get();
-        if self.classes_generation.get() != round {
-            let mut part = self.classes.borrow_mut();
-            part.build(&self.queues_snapshot, &self.rates_snapshot);
-            drop(part);
-            self.classes_generation.set(round);
-        }
-        let part = self.classes.borrow();
-        if part.is_built() {
-            Some(part)
-        } else {
-            None
-        }
-    }
-
-    /// Draws `batch` destinations from the memoized **class-level alias
-    /// table** for `(a_est, kind)`: per job, one alias draw picks a class
-    /// and one further `u64` picks a uniform member of that class through
-    /// the round's [`class_partition`](RoundCache::class_partition).
-    /// Returns the memoized ideal workload on a hit; `None` when no
-    /// class-table entry exists (per-server entries under the same key are
-    /// skipped — the flags keep the two consumption styles apart).
-    ///
-    /// # Panics
-    /// Debug builds panic if the partition was not built this round (a
-    /// class entry can only have been stored through
-    /// [`class_sampler_memo_build_draw`](RoundCache::class_sampler_memo_build_draw),
-    /// which requires it).
-    pub fn class_sampler_memo_draw(
-        &self,
-        a_est: f64,
-        kind: u8,
-        batch: usize,
-        out: &mut Vec<crate::ServerId>,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<f64> {
-        let memo = self.memo.borrow();
-        for entry in &memo[..self.memo_live.get()] {
-            if entry.kind == kind && entry.a_est.to_bits() == a_est.to_bits() {
-                if !entry.has_sampler || !entry.class_sampler {
-                    return None;
-                }
-                let part = self.classes.borrow();
-                debug_assert!(
-                    part.is_built(),
-                    "class memo entry stored without a built partition"
-                );
-                out.extend((0..batch).map(|_| {
-                    let class = entry.sampler.sample(rng);
-                    crate::ServerId::new(part.member(class, rng.next_u64()) as usize)
-                }));
-                self.memo_hits.set(self.memo_hits.get() + 1);
-                return Some(entry.iwl);
-            }
-        }
-        None
-    }
-
-    /// Builds a **class-level** alias table for `(a_est, kind)` in place
-    /// inside a fresh memo entry (the class-partition counterpart of
-    /// [`sampler_memo_build_draw`](RoundCache::sampler_memo_build_draw)),
-    /// draws `batch` destinations through the two-level scheme of
-    /// [`class_sampler_memo_draw`](RoundCache::class_sampler_memo_draw),
-    /// and returns `true`. Returns `false` without drawing when the memo is
-    /// at capacity or the weights are degenerate (the caller builds a
-    /// private table instead). `weights` must be indexed by canonical class
-    /// order; the partition must have been built this round.
-    #[allow(clippy::too_many_arguments)] // engine-facing dispatch path: full decision state
-    pub fn class_sampler_memo_build_draw(
-        &self,
-        a_est: f64,
-        kind: u8,
-        iwl: f64,
-        weights: &[f64],
-        total: Option<f64>,
-        batch: usize,
-        out: &mut Vec<crate::ServerId>,
-        rng: &mut dyn rand::RngCore,
-    ) -> bool {
-        let live = self.memo_live.get();
-        if live >= SOLVER_MEMO_CAP {
-            return false;
-        }
-        let mut memo = self.memo.borrow_mut();
-        if live >= memo.len() {
-            memo.push(SolverMemoEntry::default());
-        }
-        let entry = &mut memo[live];
-        entry.a_est = a_est;
-        entry.kind = kind;
-        entry.iwl = iwl;
-        entry.probabilities.clear();
-        match total {
-            Some(total) if total > 0.0 => entry.sampler.rebuild_with_total(weights, total),
-            _ => {
-                if entry.sampler.rebuild(weights).is_err() {
-                    return false;
-                }
-            }
-        }
-        entry.has_sampler = true;
-        entry.class_sampler = true;
-        self.memo_live.set(live + 1);
-        let part = self.classes.borrow();
-        debug_assert!(
-            part.is_built(),
-            "class tables require a built partition for the member draws"
-        );
-        out.extend((0..batch).map(|_| {
-            let class = entry.sampler.sample(rng);
-            crate::ServerId::new(part.member(class, rng.next_u64()) as usize)
-        }));
-        true
-    }
-
-    /// Cumulative `(hits, misses)` of the solver memo over this cache's
-    /// lifetime (i.e. over a simulation run — the counters survive
-    /// [`begin_round`](RoundCache::begin_round), only the entries are
-    /// invalidated).
+    /// Cumulative `(served, builds)` of [`scd_table`](RoundCache::scd_table)
+    /// over the cache's lifetime: calls served from the round's table vs
+    /// calls that built it. The name predates the table; `perfbench/`
+    /// reads the counters by it.
     pub fn solver_memo_stats(&self) -> (u64, u64) {
-        (self.memo_hits.get(), self.memo_misses.get())
+        (self.served.get(), self.built.get())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The round table's distribution for `a` arrivals, as raw bits.
+    fn table_bits(cache: &RoundCache, a: f64) -> Vec<u64> {
+        let mut p = Vec::new();
+        cache.scd_table().unwrap().probabilities_into(a, &mut p);
+        p.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The same distribution from a private table sorted from scratch.
+    fn private_bits(queues: &[u64], rates: &[f64], a: f64) -> Vec<u64> {
+        let mut table = ScdTable::new();
+        table.refresh(queues, rates, None);
+        let mut p = Vec::new();
+        table.probabilities_into(a, &mut p);
+        p.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn tables_match_the_private_computation() {
@@ -740,13 +332,13 @@ mod tests {
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
         assert_eq!(cache.num_servers(), 3);
-        for s in 0..3 {
-            let inv = 1.0 / rates[s];
+        for (inv, mu) in cache.inv_rates().iter().zip(rates) {
             // Bit-identical, not merely close: the cache must reproduce the
             // exact expression policies used privately.
-            assert_eq!(cache.inv_rates()[s], inv);
-            assert_eq!(cache.loads()[s], queues[s] as f64 * inv);
-            assert_eq!(cache.scd_keys()[s], (2.0 * queues[s] as f64 + 1.0) * inv);
+            assert_eq!(*inv, 1.0 / mu);
+        }
+        for a in [1.0, 2.5, 9.0] {
+            assert_eq!(table_bits(&cache, a), private_bits(&queues, &rates, a));
         }
     }
 
@@ -756,9 +348,11 @@ mod tests {
         let mut cache = RoundCache::new();
         cache.begin_round(&[0, 0], &rates);
         let inv_before = cache.inv_rates().to_vec();
+        let before = table_bits(&cache, 3.0);
         cache.begin_round(&[5, 1], &rates);
         assert_eq!(cache.inv_rates(), &inv_before[..]);
-        assert_eq!(cache.loads(), &[2.5, 0.25]);
+        assert_ne!(table_bits(&cache, 3.0), before);
+        assert_eq!(table_bits(&cache, 3.0), private_bits(&[5, 1], &rates, 3.0));
     }
 
     #[test]
@@ -779,14 +373,14 @@ mod tests {
     #[test]
     fn reciprocal_only_demand_skips_and_clears_solver_tables() {
         let mut cache = RoundCache::new();
+        assert!(cache.scd_table().is_none(), "no round begun");
         cache.begin_round(&[3, 1], &[2.0, 1.0]);
-        assert_eq!(cache.loads().len(), 2);
-        // A reciprocal-only round keeps inv_rates fresh but empties the
-        // per-round tables so out-of-contract reads fail loudly.
+        assert!(cache.scd_table().is_some());
+        // A reciprocal-only round keeps inv_rates fresh but withholds the
+        // SCD table, so out-of-contract reads fail loudly.
         cache.begin_round_for(&[4, 2], &[2.0, 1.0], CacheDemand::ReciprocalRates);
         assert_eq!(cache.inv_rates(), &[0.5, 1.0]);
-        assert!(cache.loads().is_empty());
-        assert!(cache.scd_keys().is_empty());
+        assert!(cache.scd_table().is_none());
     }
 
     #[test]
@@ -798,45 +392,28 @@ mod tests {
 
     #[test]
     fn solver_memo_round_trips_and_counts() {
-        let cache = RoundCache::new();
-        let mut out = Vec::new();
-        assert_eq!(cache.solver_memo_lookup(6.0, 0, &mut out), None);
-        cache.solver_memo_store(6.0, 0, 1.25, &[0.5, 0.5]);
-        assert_eq!(cache.solver_memo_lookup(6.0, 0, &mut out), Some(1.25));
-        assert_eq!(out, vec![0.5, 0.5]);
-        // Different kind or different estimate: miss.
-        assert_eq!(cache.solver_memo_lookup(6.0, 1, &mut out), None);
-        assert_eq!(cache.solver_memo_lookup(7.0, 0, &mut out), None);
-        assert_eq!(cache.solver_memo_stats(), (1, 3));
+        // The first table read of a round builds it; every later read of
+        // the round is served from it, whatever the estimate.
+        let mut cache = RoundCache::new();
+        cache.begin_round(&[3, 0, 2], &[1.0, 2.0, 4.0]);
+        let first = table_bits(&cache, 6.0);
+        assert_eq!(cache.solver_memo_stats(), (0, 1));
+        assert_eq!(table_bits(&cache, 6.0), first);
+        table_bits(&cache, 7.0);
+        assert_eq!(cache.solver_memo_stats(), (2, 1));
     }
 
     #[test]
     fn begin_round_invalidates_memo_entries_but_keeps_counters() {
         let mut cache = RoundCache::new();
         cache.begin_round(&[1, 2], &[1.0, 2.0]);
-        cache.solver_memo_store(4.0, 0, 2.0, &[1.0, 0.0]);
-        let mut out = Vec::new();
-        assert!(cache.solver_memo_lookup(4.0, 0, &mut out).is_some());
+        let old = table_bits(&cache, 4.0);
         cache.begin_round(&[3, 2], &[1.0, 2.0]);
-        // New round, same estimate: the old solve no longer applies.
-        assert_eq!(cache.solver_memo_lookup(4.0, 0, &mut out), None);
-        assert_eq!(cache.solver_memo_stats(), (1, 1));
-    }
-
-    #[test]
-    fn solver_memo_store_saturates_at_the_cap() {
-        let cache = RoundCache::new();
-        let mut out = Vec::new();
-        for i in 0..(SOLVER_MEMO_CAP + 5) {
-            cache.solver_memo_store(i as f64, 0, 0.0, &[1.0]);
-        }
-        // Entries within the cap are retrievable; the overflow was dropped.
-        assert!(cache
-            .solver_memo_lookup((SOLVER_MEMO_CAP - 1) as f64, 0, &mut out)
-            .is_some());
-        assert!(cache
-            .solver_memo_lookup(SOLVER_MEMO_CAP as f64, 0, &mut out)
-            .is_none());
+        // New round, same estimate: the table describes the new snapshot.
+        let new = table_bits(&cache, 4.0);
+        assert_ne!(old, new);
+        assert_eq!(new, private_bits(&[3, 2], &[1.0, 2.0], 4.0));
+        assert_eq!(cache.solver_memo_stats(), (0, 2));
     }
 
     #[test]
@@ -851,7 +428,7 @@ mod tests {
         let mut full = RoundCache::new();
         delta.begin_round_delta(&queues, &rates, &[], CacheDemand::SolverTables);
         full.begin_round(&queues, &rates);
-        for _round in 0..200 {
+        for round in 0..200 {
             // Mutate a few servers; the dirty set lists them (with a
             // duplicate and an unchanged server to exercise both edges).
             let k = rng.gen_range(0..5usize);
@@ -863,106 +440,84 @@ mod tests {
                 dirty.push(dirty[0]);
             }
             dirty.push(rng.gen_range(0..n) as u32); // possibly unchanged
-            let extra = *dirty.last().unwrap() as usize;
-            let _ = extra;
             delta.begin_round_delta(&queues, &rates, &dirty, CacheDemand::SolverTables);
             full.begin_round(&queues, &rates);
-            assert_eq!(delta.loads(), full.loads());
-            assert_eq!(delta.scd_keys(), full.scd_keys());
+            // Skip some builds so dirty sets accumulate across rounds.
+            if round % 3 != 0 {
+                let a = rng.gen_range(1.5..40.0);
+                assert_eq!(table_bits(&delta, a), table_bits(&full, a), "round {round}");
+            }
             assert_eq!(delta.inv_rates(), full.inv_rates());
         }
+        let (repairs, resorts) = delta.warm_seeds().stats();
+        assert!(repairs > 100, "delta rounds must repair: {repairs}");
+        assert_eq!(resorts, 1, "only the first build re-sorts");
+        assert_eq!(full.warm_seeds().stats().0, 0, "full rounds always re-sort");
     }
 
     #[test]
     fn delta_refresh_falls_back_on_shape_or_demand_changes() {
         let mut cache = RoundCache::new();
+        let resorts = |cache: &RoundCache| {
+            cache.scd_table().unwrap();
+            cache.warm_seeds().stats().1
+        };
         // First use: no snapshot yet → full refresh despite the empty dirty
         // set.
         cache.begin_round_delta(&[3, 1], &[2.0, 1.0], &[], CacheDemand::SolverTables);
-        assert_eq!(cache.loads(), &[1.5, 1.0]);
+        assert_eq!(resorts(&cache), 1);
         // Cluster-size change → full refresh.
         cache.begin_round_delta(&[1, 1, 1], &[1.0, 2.0, 4.0], &[], CacheDemand::SolverTables);
-        assert_eq!(cache.loads(), &[1.0, 0.5, 0.25]);
-        // A reciprocal-only refresh empties the tables; widening the demand
-        // afterwards must refill them in full.
+        assert_eq!(cache.inv_rates(), &[1.0, 0.5, 0.25]);
+        assert_eq!(resorts(&cache), 2);
+        // A reciprocal-only refresh withholds the table; widening the
+        // demand afterwards must rebuild it from scratch.
         cache.begin_round_delta(
             &[2, 1, 1],
             &[1.0, 2.0, 4.0],
             &[0],
             CacheDemand::ReciprocalRates,
         );
-        assert!(cache.loads().is_empty());
+        assert!(cache.scd_table().is_none());
         cache.begin_round_delta(
             &[4, 1, 1],
             &[1.0, 2.0, 4.0],
             &[0],
             CacheDemand::SolverTables,
         );
-        assert_eq!(cache.loads(), &[4.0, 0.5, 0.25]);
+        assert_eq!(resorts(&cache), 3);
+        assert_eq!(
+            table_bits(&cache, 5.0),
+            private_bits(&[4, 1, 1], &[1.0, 2.0, 4.0], 5.0)
+        );
     }
 
     #[test]
     fn delta_refresh_invalidates_the_solver_memo() {
         let mut cache = RoundCache::new();
         cache.begin_round(&[1, 2], &[1.0, 2.0]);
-        cache.solver_memo_store(4.0, 0, 2.0, &[1.0, 0.0]);
-        let mut out = Vec::new();
-        assert!(cache.solver_memo_lookup(4.0, 0, &mut out).is_some());
+        let old = table_bits(&cache, 4.0);
         cache.begin_round_delta(&[1, 3], &[1.0, 2.0], &[1], CacheDemand::SolverTables);
-        assert_eq!(cache.solver_memo_lookup(4.0, 0, &mut out), None);
+        let new = table_bits(&cache, 4.0);
+        assert_ne!(old, new);
+        assert_eq!(new, private_bits(&[1, 3], &[1.0, 2.0], 4.0));
+        assert_eq!(cache.solver_memo_stats(), (0, 2));
     }
 
     #[test]
     fn warm_seeds_round_trip_and_survive_rounds() {
+        // The repair/re-sort counters accumulate over the cache's lifetime.
+        let rates = [1.0, 2.0, 3.0, 4.0, 5.0];
         let mut cache = RoundCache::new();
-        cache.begin_round(&[1, 2], &[1.0, 2.0]);
-        assert_eq!(cache.warm_seeds().level(), None);
-        cache.warm_seeds().set_level(1.25);
-        cache.warm_seeds().set_lambda(-0.5);
-        cache.warm_seeds().record_accept();
-        cache.warm_seeds().record_fallback();
-        // Seeds are verified hints: they deliberately survive the per-round
-        // invalidation that clears the solver memo.
-        cache.begin_round(&[5, 2], &[1.0, 2.0]);
-        assert_eq!(cache.warm_seeds().level(), Some(1.25));
-        assert_eq!(cache.warm_seeds().lambda(), Some(-0.5));
+        cache.begin_round(&[1, 2, 3, 4, 5], &rates);
+        cache.scd_table();
+        assert_eq!(cache.warm_seeds().stats(), (0, 1));
+        cache.begin_round_delta(&[1, 2, 9, 4, 5], &rates, &[2], CacheDemand::SolverTables);
+        cache.scd_table();
         assert_eq!(cache.warm_seeds().stats(), (1, 1));
-        cache.warm_seeds().clear();
-        assert_eq!(cache.warm_seeds().level(), None);
-        assert_eq!(cache.warm_seeds().stats(), (1, 1), "counters survive clear");
-    }
-
-    #[test]
-    fn probability_lookup_misses_sampler_only_entries() {
-        // The dispatch kernel stores table-only entries (empty probability
-        // vector); a probability-memo consumer hitting the same key must
-        // see a miss and re-solve, never an empty distribution.
-        use rand::SeedableRng;
-        let mut cache = RoundCache::new();
-        cache.begin_round(&[3, 1], &[2.0, 1.0]);
-        let mut out = Vec::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let mut draws = Vec::new();
-        assert!(cache.sampler_memo_build_draw(
-            6.0,
-            0,
-            1.25,
-            &[0.5, 0.5],
-            None,
-            4,
-            &mut draws,
-            &mut rng
-        ));
-        assert_eq!(draws.len(), 4);
-        assert_eq!(
-            cache.solver_memo_lookup(6.0, 0, &mut out),
-            None,
-            "table-only entries must not satisfy probability lookups"
-        );
-        // The table itself keeps serving draws.
-        assert!(cache
-            .sampler_memo_draw(6.0, 0, 2, &mut draws, &mut rng)
-            .is_some());
+        cache.begin_round(&[1, 2, 9, 4, 0], &rates);
+        cache.scd_table();
+        assert_eq!(cache.warm_seeds().stats(), (1, 2));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! (Section 6.3). This module provides two samplers:
 //!
 //! * [`AliasSampler`] — Walker/Vose alias method: `O(n)` construction,
-//!   `O(1)` per draw. Used by the SCD/TWF/WR policies.
+//!   `O(1)` per draw. Used by WR, by the SCD table for batches larger than
+//!   the probable prefix, and by the Algorithm 1 baseline.
 //! * [`CdfSampler`] — cumulative-distribution binary search: `O(n)`
 //!   construction, `O(log n)` per draw. Kept as the ablation baseline for the
 //!   sampler micro-benchmark.

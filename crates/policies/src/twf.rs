@@ -15,8 +15,8 @@ use rand::RngCore;
 use scd_core::estimator::ArrivalEstimator;
 use scd_core::solver::{solve_round_into, ScdScratch, SolverKind};
 use scd_model::{
-    AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
-    PolicyFactory, ServerId,
+    BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId, DrawScratch,
+    PolicyFactory, ScdTable, ServerId,
 };
 
 /// The TWF policy (rate-oblivious stochastic coordination).
@@ -25,10 +25,9 @@ pub struct TwfPolicy {
     estimator: ArrivalEstimator,
     /// Scratch vector of all-ones "rates" (resized lazily to the cluster).
     unit_rates: Vec<f64>,
-    /// Reusable solver buffers (same pipeline as SCD, unit rates).
-    scratch: ScdScratch,
-    probabilities: Vec<f64>,
-    sampler: AliasSampler,
+    /// Private dispatch table (same kernel as SCD, unit rates).
+    table: ScdTable,
+    draws: DrawScratch,
     /// Reusable compacted queue buffer for availability-masked rounds (down
     /// servers are removed before the solve; the unit-rate prefix of
     /// `unit_rates` serves as the reduced rate vector).
@@ -46,9 +45,8 @@ impl TwfPolicy {
         TwfPolicy {
             estimator,
             unit_rates: Vec::new(),
-            scratch: ScdScratch::default(),
-            probabilities: Vec::new(),
-            sampler: AliasSampler::default(),
+            table: ScdTable::new(),
+            draws: DrawScratch::default(),
             masked_queues: Vec::new(),
         }
     }
@@ -56,7 +54,7 @@ impl TwfPolicy {
     /// Computes this round's (rate-oblivious) dispatching distribution
     /// without sampling — exposed for tests and examples.
     ///
-    /// Runs the same solver pipeline as
+    /// Runs the same kernel as
     /// [`dispatch_into`](DispatchPolicy::dispatch_into), so the returned
     /// vector is exactly the distribution a dispatch would sample from.
     pub fn distribution(&mut self, ctx: &DispatchContext<'_>, batch: usize) -> Vec<f64> {
@@ -71,11 +69,7 @@ impl TwfPolicy {
             &self.unit_rates,
             a_est,
             SolverKind::Fast,
-            // Warm starting is a verified, bit-identical accelerator (see
-            // `solve_round_into`); TWF's queue states drift exactly like
-            // SCD's, so the same seeds apply.
-            true,
-            &mut self.scratch,
+            &mut ScdScratch::default(),
             &mut probabilities,
         )
         .expect("unit-rate cluster state is always valid");
@@ -120,50 +114,26 @@ impl DispatchPolicy for TwfPolicy {
             self.unit_rates = vec![1.0; n];
         }
         let a_est = self.estimator.estimate(batch as u64, ctx.num_dispatchers());
-        if let Some(avail) = ctx.active_mask() {
-            // Availability-masked round: compact the up servers' queues,
-            // solve the reduced unit-rate problem, and map sampled positions
-            // back through the up list (mirrors SCD's masked dispatch path).
-            let queues = ctx.queue_lengths();
-            self.masked_queues.clear();
-            self.masked_queues
-                .extend(avail.up_list().iter().map(|&s| queues[s as usize]));
-            solve_round_into(
-                &self.masked_queues,
-                &self.unit_rates[..avail.num_up()],
-                a_est,
-                SolverKind::Fast,
-                true,
-                &mut self.scratch,
-                &mut self.probabilities,
-            )
-            .expect("unit-rate cluster state is always valid");
-            self.sampler
-                .rebuild(&self.probabilities)
-                .expect("solver output is a valid probability vector");
-            out.extend(
-                (0..batch)
-                    .map(|_| ServerId::new(avail.up_list()[self.sampler.sample(rng)] as usize)),
-            );
-            return;
-        }
-        solve_round_into(
-            ctx.queue_lengths(),
-            &self.unit_rates,
-            a_est,
-            SolverKind::Fast,
-            // Warm starting is a verified, bit-identical accelerator (see
-            // `solve_round_into`); TWF's queue states drift exactly like
-            // SCD's, so the same seeds apply.
-            true,
-            &mut self.scratch,
-            &mut self.probabilities,
-        )
-        .expect("unit-rate cluster state is always valid");
-        self.sampler
-            .rebuild(&self.probabilities)
-            .expect("solver output is a valid probability vector");
-        out.extend((0..batch).map(|_| ServerId::new(self.sampler.sample(rng))));
+        // Availability-masked round: solve over the up servers' queues (the
+        // unit-rate prefix serves as the reduced rate vector) and map the
+        // sampled positions back through the up list, as SCD does.
+        let up = ctx.active_mask().map(|avail| avail.up_list());
+        let queues = match up {
+            Some(up) => {
+                self.masked_queues.clear();
+                let all = ctx.queue_lengths();
+                self.masked_queues
+                    .extend(up.iter().map(|&s| all[s as usize]));
+                &self.masked_queues[..]
+            }
+            None => ctx.queue_lengths(),
+        };
+        self.table
+            .refresh(queues, &self.unit_rates[..queues.len()], None);
+        self.table
+            .dispatch(a_est, batch, &mut self.draws, rng, |s| {
+                out.push(ServerId::new(up.map_or(s, |up| up[s] as usize)))
+            });
     }
 }
 

@@ -466,20 +466,18 @@ impl Simulation {
         // ascending, and costs one branch per server. `with_delta_rounds`
         // decides only whether policies and the cache get to see it.
         let mut dirty: Vec<u32> = Vec::new();
-        // Dispatchers run in ascending batch-size order (engine-known before
-        // any dispatch): consecutive SCD estimates `m·a(d)` then differ
-        // minimally, which is exactly what the solver's in-round warm seeds
-        // want. Order is decision-invisible: each dispatcher owns its RNG
-        // stream and sees the same snapshot, and same-round pushes merge per
-        // server.
+        // Dispatchers run in ascending `(batch, id)` order (engine-known
+        // before any dispatch). Order is decision-invisible: each dispatcher
+        // owns its RNG stream and sees the same snapshot, and same-round
+        // pushes merge per server.
         let mut dispatch_order: Vec<u32> = (0..m as u32).collect();
         // Shared per-round compute cache: derived tables (reciprocal rates,
-        // loads, solver keys) are identical across the m dispatchers of a
-        // round, so the engine computes them once and hands out immutable
-        // views through the context. The refresh is graded on the policies'
+        // the SCD dispatch table) are identical across the m dispatchers of
+        // a round, so they are computed once and handed out as immutable
+        // views through the context; the SCD table is built inside the
+        // round's first SCD dispatch. The refresh is graded on the policies'
         // own declarations: runs that never read the cache (JSQ, WR, ...)
-        // skip it entirely, reciprocal-only consumers (SED) skip the
-        // per-round solver-table fills.
+        // skip it entirely.
         let mut round_cache = RoundCache::new();
         let cache_demand = policies
             .iter()

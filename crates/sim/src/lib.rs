@@ -21,8 +21,8 @@
 //!
 //! Performance notes (see `ARCHITECTURE.md` for the full picture): the round
 //! loop is allocation-free in steady state; derived per-round tables that
-//! are identical across dispatchers (reciprocal rates, loads, solver keys)
-//! are computed **once** per round into a shared
+//! are identical across dispatchers (reciprocal rates, the SCD dispatch
+//! table) are computed **once** per round into a shared
 //! [`scd_model::RoundCache`] and handed to every policy through the context;
 //! and the [`runner::fan_out`] primitive — scoped threads work-stealing over
 //! an atomic index — is the single parallelism primitive every higher layer

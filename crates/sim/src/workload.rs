@@ -146,12 +146,23 @@ pub struct ArrivalTrace {
 impl ArrivalTrace {
     /// An all-zero trace for `num_dispatchers` dispatchers over `rounds`
     /// rounds.
+    ///
+    /// # Panics
+    /// Panics if the `rounds × num_dispatchers` cell count overflows
+    /// `usize`.
     pub fn new(num_dispatchers: usize, rounds: u64) -> Self {
+        let cells = Self::cells(num_dispatchers, rounds)
+            .expect("arrival-trace dimensions overflow the address space");
         ArrivalTrace {
             num_dispatchers,
             rounds,
-            counts: vec![0; num_dispatchers * rounds as usize],
+            counts: vec![0; cells],
         }
+    }
+
+    /// The `rounds × num_dispatchers` cell count, `None` on overflow.
+    fn cells(num_dispatchers: usize, rounds: u64) -> Option<usize> {
+        usize::try_from(rounds).ok()?.checked_mul(num_dispatchers)
     }
 
     /// Number of dispatcher columns.
@@ -207,8 +218,9 @@ impl ArrivalTrace {
     /// Parses the [`to_text`](ArrivalTrace::to_text) format.
     ///
     /// # Errors
-    /// Returns [`SimError::InvalidConfig`] for a malformed header, row count
-    /// mismatch, or unparsable counts.
+    /// Returns [`SimError::InvalidConfig`] for a malformed header, a header
+    /// promising more counts than the text holds, a row count mismatch, or
+    /// unparsable counts.
     pub fn from_text(text: &str) -> Result<ArrivalTrace, SimError> {
         let mut lines = text.lines();
         let header = lines
@@ -234,6 +246,19 @@ impl ArrivalTrace {
             (Some(r), Some(d)) => (r, d),
             _ => return Err(bad_header()),
         };
+        // Every count takes at least one byte of text, so a header promising
+        // more cells than the text has bytes cannot be satisfied — reject it
+        // before allocating the table it describes.
+        match Self::cells(dispatchers, rounds) {
+            Some(cells) if cells <= text.len() => {}
+            _ => {
+                return Err(SimError::InvalidConfig(format!(
+                    "arrival-trace header promises {rounds} rounds x {dispatchers} \
+                     dispatchers, more counts than the {}-byte trace can hold",
+                    text.len()
+                )))
+            }
+        }
         let mut trace = ArrivalTrace::new(dispatchers, rounds);
         let mut row = 0u64;
         for line in lines {

@@ -1,16 +1,67 @@
 //! Equivalence guarantees of the delta-aware round machinery (PR 5).
 //!
 //! The engine's round-to-round dirty sets, the `RoundCache` delta refresh,
-//! the warm-started SCD solver and the dirty-set-driven warm JSQ/SED trees
-//! are all **pure accelerators**: for equal seeds they must change costs,
-//! never choices. These tests pin that down at the report level — bitwise
-//! `SimReport` equality — across randomized multi-round configurations, in
-//! both `Simulation::run` and `ShardedSimulation` (k ∈ {1, 2, 4}), and
-//! across policy switches mid-suite (interleaved warm/cold runs sharing
-//! nothing but the configuration).
+//! the SCD dispatch table repaired from them and the dirty-set-driven warm
+//! JSQ/SED trees are all **pure accelerators**: for equal seeds they must
+//! change costs, never choices. These tests pin that down at the report
+//! level — bitwise `SimReport` equality — across randomized multi-round
+//! configurations, in both `Simulation::run` and `ShardedSimulation`
+//! (k ∈ {1, 2, 4}), and across policy switches mid-suite (interleaved
+//! warm/cold runs sharing nothing but the configuration).
+//!
+//! "Warm" SCD is the default: one table per round in the shared cache,
+//! repaired from the dirty sets. "Cold" SCD declines the cache, so every
+//! dispatch sorts a private table from scratch.
 
 use scd::prelude::*;
+use scd_model::{BoxedPolicy, CacheDemand};
 use scd_policies::LedFactory;
+
+/// SCD without the shared round cache: each dispatch builds and sorts a
+/// private table.
+struct CachelessScd(ScdPolicy);
+
+impl DispatchPolicy for CachelessScd {
+    fn policy_name(&self) -> &str {
+        self.0.policy_name()
+    }
+
+    fn round_cache_demand(&self) -> CacheDemand {
+        CacheDemand::None
+    }
+
+    fn dispatch_batch(
+        &mut self,
+        ctx: &DispatchContext<'_>,
+        batch: usize,
+        rng: &mut dyn rand::RngCore,
+    ) -> Vec<ServerId> {
+        self.0.dispatch_batch(ctx, batch, rng)
+    }
+
+    fn dispatch_into(
+        &mut self,
+        ctx: &DispatchContext<'_>,
+        batch: usize,
+        out: &mut Vec<ServerId>,
+        rng: &mut dyn rand::RngCore,
+    ) {
+        self.0.dispatch_into(ctx, batch, out, rng);
+    }
+}
+
+/// Factory of [`CachelessScd`] policies.
+struct ColdScdFactory;
+
+impl PolicyFactory for ColdScdFactory {
+    fn name(&self) -> &str {
+        "SCD"
+    }
+
+    fn build(&self, _dispatcher: DispatcherId, _spec: &ClusterSpec) -> BoxedPolicy {
+        Box::new(CachelessScd(ScdPolicy::new()))
+    }
+}
 
 fn config(n: usize, m: usize, load: f64, rounds: u64, seed: u64, homogeneous: bool) -> SimConfig {
     let rates: Vec<f64> = if homogeneous {
@@ -28,10 +79,10 @@ fn config(n: usize, m: usize, load: f64, rounds: u64, seed: u64, homogeneous: bo
         .unwrap()
 }
 
-/// Warm-started SCD must reproduce the cold-solve SCD bit for bit: same
-/// solver inputs, same seeds, reports compare equal — across heterogeneous
-/// and homogeneous clusters (the latter maximize exact load/key ties, the
-/// warm verification's hardest case) and light to near-critical loads.
+/// Warm SCD must reproduce cold SCD bit for bit: same solver inputs, same
+/// seeds, reports compare equal — across heterogeneous and homogeneous
+/// clusters (the latter maximize exact key ties and take class groups) and
+/// light to near-critical loads.
 #[test]
 fn warm_and_cold_scd_runs_are_bit_identical() {
     for (case, (n, m, load, homogeneous)) in [
@@ -46,10 +97,10 @@ fn warm_and_cold_scd_runs_are_bit_identical() {
         for seed in [1u64, 7, 2021] {
             let sim = Simulation::new(config(n, m, load, 1_200, seed, homogeneous)).unwrap();
             let warm = sim.run(&ScdFactory::new()).unwrap();
-            let cold = sim.run(&ScdFactory::new().cold_solve()).unwrap();
+            let cold = sim.run(&ColdScdFactory).unwrap();
             assert_eq!(
                 warm, cold,
-                "case {case} seed {seed}: warm-started SCD diverged from the cold solve"
+                "case {case} seed {seed}: the repaired shared table diverged from private re-sorts"
             );
         }
     }
@@ -114,7 +165,7 @@ fn warm_and_cold_scd_match_under_sharding() {
             let cfg = config(24, 8, 0.9, 1_000, seed, false);
             let sharded = ShardedSimulation::new(cfg, k).unwrap();
             let warm = sharded.run(&ScdFactory::new()).unwrap();
-            let cold = sharded.run(&ScdFactory::new().cold_solve()).unwrap();
+            let cold = sharded.run(&ColdScdFactory).unwrap();
             assert_eq!(warm, cold, "k={k} seed {seed}: sharded warm SCD diverged");
             // The parallel shard schedule must not perturb the warm path
             // either (per-shard state is thread-confined).
@@ -133,7 +184,7 @@ fn warm_and_cold_scd_match_under_sharding() {
 fn warm_state_does_not_leak_across_policy_switches_mid_suite() {
     let cfg = config(30, 5, 0.9, 1_200, 13, false);
     let warm_scd = ScdFactory::new();
-    let cold_scd = ScdFactory::new().cold_solve();
+    let cold_scd = ColdScdFactory;
     let jsq = JsqFactory::new();
     let lsq = LsqFactory::new();
     let sed = SedFactory::new();

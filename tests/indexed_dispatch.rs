@@ -186,8 +186,8 @@ fn warm_tree_repair_matches_per_batch_rebuild_across_rounds() {
 
 /// The shared per-round cache is a pure accelerator: dispatching against a
 /// context that carries it must match dispatching without it, bit for bit,
-/// for every cache-aware policy (SCD reads loads/solver keys, SED reads the
-/// reciprocal rates).
+/// for every cache-aware policy (SCD reads the round's dispatch table, SED
+/// reads the reciprocal rates).
 #[test]
 fn cached_and_cacheless_contexts_dispatch_identically() {
     let mut case_rng = StdRng::seed_from_u64(0xCAC8E);
@@ -209,18 +209,14 @@ fn cached_and_cacheless_contexts_dispatch_identically() {
             (out, rng.next_u64())
         };
 
-        // SCD is pinned to the classic sampler here: the compressed class
-        // kernel only engages behind a round cache (its partition and alias
-        // table are cache-memoized), so with default options the cached
-        // context deliberately consumes the RNG differently. This test's
-        // claim is that the cache is *transparent* to the dense dispatch
-        // path; `compressed_engine_dispatch_matches_the_distribution` (core)
-        // covers the compressed kernel's distribution equivalence.
+        // SCD draws from the cache's round table in one context and from a
+        // private table in the other: the same pure function of the
+        // snapshot, so the same destinations and RNG consumption.
         for (name, a, b) in [
             (
                 "SCD",
-                run(&mut ScdPolicy::new().classic_sampler(), &plain),
-                run(&mut ScdPolicy::new().classic_sampler(), &cached),
+                run(&mut ScdPolicy::new(), &plain),
+                run(&mut ScdPolicy::new(), &cached),
             ),
             (
                 "SED",
