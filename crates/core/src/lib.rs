@@ -11,8 +11,8 @@
 //!   its two solvers: Algorithm 1 (`O(n²)`) and Algorithm 4
 //!   (`O(n log n)` / `O(n)` given the order), built on the KKT analysis and
 //!   Lemmas 1–2 — the test oracles and Fig. 5/8 baselines of the dispatch
-//!   kernel ([`scd_model::ScdTable`]), which the round-level entry points
-//!   ([`solve_round_into`], [`solve_round_cached`]) run.
+//!   kernel ([`scd_model::ScdTable`]), which [`solve_round_into`] runs on a
+//!   private table ([`policy::ScdPolicy`] reads the engine's shared one).
 //! * [`qp`] — reference machinery used to validate the fast solvers: the raw
 //!   objective function, an exhaustive `2ⁿ` subset search and a KKT-condition
 //!   checker.
@@ -61,7 +61,4 @@ pub use estimator::ArrivalEstimator;
 pub use index::{scan_argmin, TournamentTree};
 pub use iwl::{compute_iwl, ideal_assignment, LoadOrder};
 pub use policy::{ScdFactory, ScdPolicy};
-pub use solver::{
-    compute_probabilities, solve_round_cached, solve_round_into, ScdScratch, ScdSolution,
-    SolverKind,
-};
+pub use solver::{compute_probabilities, solve_round_into, ScdScratch, ScdSolution, SolverKind};

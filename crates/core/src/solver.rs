@@ -32,7 +32,7 @@
 //! the per-decision baselines of Figures 5 and 8.
 
 use crate::iwl::compute_iwl;
-use scd_model::{RoundCache, ScdTable, SINGLE_JOB_THRESHOLD};
+use scd_model::{ScdTable, SINGLE_JOB_THRESHOLD};
 use std::error::Error;
 use std::fmt;
 
@@ -167,47 +167,6 @@ pub fn solve_round_into(
             probabilities.extend_from_slice(&solution.probabilities);
         }
     }
-    Ok(())
-}
-
-/// Like [`solve_round_into`] but reading the round's shared table from the
-/// engine's [`RoundCache`], which must have been refreshed from exactly this
-/// `queues`/`rates` pair. The table is the same pure function of the
-/// snapshot as the private one, so both entry points return bit-identical
-/// probabilities. [`SolverKind::Quadratic`] never touches the cache.
-///
-/// # Errors
-/// See [`SolverError`]; a cache describing another cluster, or refreshed
-/// without [`CacheDemand::SolverTables`](scd_model::CacheDemand), is an
-/// [`SolverError::InvalidCluster`].
-pub fn solve_round_cached(
-    queues: &[u64],
-    rates: &[f64],
-    cache: &RoundCache,
-    arrivals: f64,
-    kind: SolverKind,
-    probabilities: &mut Vec<f64>,
-) -> Result<(), SolverError> {
-    validate(queues, rates, arrivals)?;
-    if kind == SolverKind::Quadratic {
-        return solve_round_into(
-            queues,
-            rates,
-            arrivals,
-            kind,
-            &mut ScdScratch::default(),
-            probabilities,
-        );
-    }
-    let mismatch = SolverError::InvalidCluster {
-        queues: queues.len(),
-        rates: cache.num_servers(),
-    };
-    let table = cache.scd_table().ok_or(mismatch.clone())?;
-    if table.num_servers() != queues.len() {
-        return Err(mismatch);
-    }
-    table.probabilities_into(arrivals, probabilities);
     Ok(())
 }
 
@@ -597,6 +556,7 @@ mod tests {
     use crate::qp::{check_kkt, exhaustive_solution, objective};
     use rand::Rng;
     use rand::SeedableRng;
+    use scd_model::RoundCache;
 
     fn both_solvers(queues: &[u64], rates: &[f64], a: f64) -> (ScdSolution, ScdSolution) {
         let iwl = compute_iwl(queues, rates, a);
@@ -869,26 +829,34 @@ mod tests {
                 rng.gen_range(2..150) as f64
             };
             cache.begin_round(&queues, &rates);
-            for kind in [SolverKind::Fast, SolverKind::Quadratic] {
-                solve_round_into(&queues, &rates, a, kind, &mut scratch, &mut probs_scratch)
-                    .unwrap();
-                solve_round_cached(&queues, &rates, &cache, a, kind, &mut probs_cached).unwrap();
-                // Bit-identical, not merely close: both tables are the same
-                // pure function of the snapshot.
-                assert_eq!(probs_scratch.len(), probs_cached.len());
-                for (s, (pa, pb)) in probs_scratch.iter().zip(&probs_cached).enumerate() {
-                    assert_eq!(
-                        pa.to_bits(),
-                        pb.to_bits(),
-                        "case {case} ({kind}): p[{s}] {pa} vs {pb}"
-                    );
-                }
+            solve_round_into(
+                &queues,
+                &rates,
+                a,
+                SolverKind::Fast,
+                &mut scratch,
+                &mut probs_scratch,
+            )
+            .unwrap();
+            cache
+                .scd_table()
+                .unwrap()
+                .probabilities_into(a, &mut probs_cached);
+            // Bit-identical, not merely close: both tables are the same
+            // pure function of the snapshot.
+            assert_eq!(probs_scratch.len(), probs_cached.len());
+            for (s, (pa, pb)) in probs_scratch.iter().zip(&probs_cached).enumerate() {
+                assert_eq!(
+                    pa.to_bits(),
+                    pb.to_bits(),
+                    "case {case}: p[{s}] {pa} vs {pb}"
+                );
             }
         }
     }
 
     #[test]
-    fn cached_solver_memoizes_equal_estimates_to_one_solve() {
+    fn one_table_build_serves_every_dispatcher_of_a_round() {
         // m = 10 dispatchers sharing one round snapshot: the first builds
         // the round's table, the other nine are served from it, and every
         // one returns bit-for-bit the private solve's output.
@@ -909,8 +877,10 @@ mod tests {
         .unwrap();
         let mut probs = Vec::new();
         for dispatcher in 0..10 {
-            solve_round_cached(&queues, &rates, &cache, a_est, SolverKind::Fast, &mut probs)
-                .unwrap();
+            cache
+                .scd_table()
+                .unwrap()
+                .probabilities_into(a_est, &mut probs);
             assert_eq!(probs.len(), reference.len());
             for (s, (got, want)) in probs.iter().zip(&reference).enumerate() {
                 assert_eq!(
@@ -924,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_solver_memo_discriminates_estimates_and_kinds() {
+    fn one_table_answers_every_estimate_until_the_next_round() {
         let queues = [4u64, 0, 2];
         let rates = [2.0, 1.0, 5.0];
         let mut cache = RoundCache::new();
@@ -935,8 +905,10 @@ mod tests {
         for _ in 0..2 {
             for a_est in [5.0, 10.0, 15.0] {
                 let mut probs = Vec::new();
-                solve_round_cached(&queues, &rates, &cache, a_est, SolverKind::Fast, &mut probs)
-                    .unwrap();
+                cache
+                    .scd_table()
+                    .unwrap()
+                    .probabilities_into(a_est, &mut probs);
                 let reference = solve(&queues, &rates, a_est, SolverKind::Fast).unwrap();
                 for (got, want) in probs.iter().zip(&reference.probabilities) {
                     assert!((got - want).abs() < 1e-12, "a = {a_est}");
@@ -948,30 +920,13 @@ mod tests {
         assert_ne!(seen[1], seen[2]);
         assert_eq!(seen[0], seen[3]);
         assert_eq!(cache.solver_memo_stats(), (5, 1));
-        // The quadratic baseline never reads the table.
-        let mut probs = Vec::new();
-        solve_round_cached(
-            &queues,
-            &rates,
-            &cache,
-            5.0,
-            SolverKind::Quadratic,
-            &mut probs,
-        )
-        .unwrap();
-        assert_eq!(cache.solver_memo_stats(), (5, 1));
         // A new round rebuilds the table against the fresh snapshot.
         cache.begin_round(&[9, 9, 9], &rates);
         let mut fresh = Vec::new();
-        solve_round_cached(
-            &[9, 9, 9],
-            &rates,
-            &cache,
-            5.0,
-            SolverKind::Fast,
-            &mut fresh,
-        )
-        .unwrap();
+        cache
+            .scd_table()
+            .unwrap()
+            .probabilities_into(5.0, &mut fresh);
         assert_eq!(cache.solver_memo_stats(), (5, 2));
         let reference = solve(&[9, 9, 9], &rates, 5.0, SolverKind::Fast).unwrap();
         for (got, want) in fresh.iter().zip(&reference.probabilities) {
@@ -980,51 +935,35 @@ mod tests {
     }
 
     #[test]
-    fn cached_solver_memo_covers_the_single_job_closed_form() {
+    fn round_table_covers_the_single_job_closed_form() {
         let queues = [5u64, 0, 3];
         let rates = [10.0, 1.0, 4.0];
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
         let mut probs = Vec::new();
         for _ in 0..3 {
-            solve_round_cached(&queues, &rates, &cache, 1.0, SolverKind::Fast, &mut probs).unwrap();
+            cache
+                .scd_table()
+                .unwrap()
+                .probabilities_into(1.0, &mut probs);
             assert_eq!(probs, vec![0.0, 1.0, 0.0]);
         }
         assert_eq!(cache.solver_memo_stats(), (2, 1));
     }
 
     #[test]
-    fn cached_solver_rejects_mismatched_caches() {
-        // The cache describes a 2-server cluster; the call a 3-server one.
+    fn round_table_describes_its_own_cluster_and_needs_the_solver_demand() {
+        // The table describes the cluster the cache was refreshed from.
         let mut cache = RoundCache::new();
         cache.begin_round(&[1, 2], &[1.0, 2.0]);
-        let mut probs = Vec::new();
-        let err = solve_round_cached(
-            &[1, 2, 3],
-            &[1.0, 2.0, 3.0],
-            &cache,
-            5.0,
-            SolverKind::Fast,
-            &mut probs,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SolverError::InvalidCluster { .. }));
-        // So is a cache refreshed without the solver tables.
+        assert_eq!(cache.scd_table().unwrap().num_servers(), 2);
+        // A cache refreshed without the solver tables has none.
         cache.begin_round_for(
             &[1, 2],
             &[1.0, 2.0],
             scd_model::CacheDemand::ReciprocalRates,
         );
-        let err = solve_round_cached(
-            &[1, 2],
-            &[1.0, 2.0],
-            &cache,
-            5.0,
-            SolverKind::Fast,
-            &mut probs,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SolverError::InvalidCluster { .. }));
+        assert!(cache.scd_table().is_none());
     }
 
     /// A homogeneous state whose probable-set boundary falls exactly on a
@@ -1083,11 +1022,11 @@ mod tests {
 
     /// The delta-round guarantee at the unit level: over long drifting
     /// queue trajectories (a few servers change per round, like the
-    /// engine's rounds), a table repaired from the dirty sets ("warm")
-    /// returns bit-for-bit the distribution of one re-sorted every round
-    /// ("cold"), and the repair path actually engages.
+    /// engine's rounds), a table repaired from the dirty sets returns
+    /// bit-for-bit the distribution of one re-sorted every round, and the
+    /// repair path actually engages.
     #[test]
-    fn warm_started_solves_are_bit_identical_to_cold_over_drifting_rounds() {
+    fn repaired_tables_are_bit_identical_to_resorted_over_drifting_rounds() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5A3D);
         for case in 0..30 {
             let n = rng.gen_range(2..80);
@@ -1127,11 +1066,10 @@ mod tests {
                     } else {
                         rng.gen_range(2..60) as f64 + f64::from(rng.gen_range(0..2))
                     };
-                    let kind = SolverKind::Fast;
-                    solve_round_cached(&queues, &rates, &warm_cache, a, kind, &mut warm_probs)
-                        .unwrap();
-                    solve_round_cached(&queues, &rates, &cold_cache, a, kind, &mut cold_probs)
-                        .unwrap();
+                    let warm = warm_cache.scd_table().unwrap();
+                    warm.probabilities_into(a, &mut warm_probs);
+                    let cold = cold_cache.scd_table().unwrap();
+                    cold.probabilities_into(a, &mut cold_probs);
                     assert_eq!(warm_probs.len(), cold_probs.len());
                     for (s, (w, c)) in warm_probs.iter().zip(&cold_probs).enumerate() {
                         assert_eq!(
@@ -1178,7 +1116,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_path_survives_the_boundary_oscillation_instance() {
+    fn repaired_tables_reach_the_boundary_oscillation_instance() {
         // Reach the boundary instance by repairs from nearby states — each
         // repaired table must equal the re-sorted one, bit for bit.
         let (target, rates) = boundary_instance();
@@ -1201,7 +1139,10 @@ mod tests {
             let demand = scd_model::CacheDemand::SolverTables;
             cache.begin_round_delta(&target, &rates, &[shifted as u32], demand);
             let mut warm = Vec::new();
-            solve_round_cached(&target, &rates, &cache, 44.0, SolverKind::Fast, &mut warm).unwrap();
+            cache
+                .scd_table()
+                .unwrap()
+                .probabilities_into(44.0, &mut warm);
             for (w, c) in warm.iter().zip(&cold) {
                 assert_eq!(w.to_bits(), c.to_bits(), "shifted server {shifted}");
             }
@@ -1210,25 +1151,30 @@ mod tests {
 
     #[test]
     fn quadratic_kind_ignores_warm_seeds() {
+        // The Algorithm 1 baseline solves every decision itself: dispatching
+        // from a context that carries the round cache neither builds nor
+        // reads the round's table, and samples the quadratic solution.
+        use scd_model::{DispatchContext, DispatchPolicy};
         let queues = [4u64, 0, 2];
         let rates = [2.0, 1.0, 5.0];
         let mut cache = RoundCache::new();
         cache.begin_round(&queues, &rates);
-        let mut probs = Vec::new();
-        solve_round_cached(
-            &queues,
-            &rates,
-            &cache,
-            7.0,
+        let ctx = DispatchContext::with_cache(&queues, &rates, 1, 0, &cache);
+        let mut policy = crate::ScdPolicy::with_options(
+            crate::ArrivalEstimator::Constant(7.0),
             SolverKind::Quadratic,
-            &mut probs,
-        )
-        .unwrap();
+        );
         let reference = solve(&queues, &rates, 7.0, SolverKind::Quadratic).unwrap();
+        let probs = policy.distribution(&ctx, 7);
         for (got, want) in probs.iter().zip(&reference.probabilities) {
             assert!((got - want).abs() < 1e-12);
         }
-        // The quadratic baseline neither built nor read the table.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let picks = policy.dispatch_batch(&ctx, 7, &mut rng);
+        assert_eq!(picks.len(), 7);
+        for s in picks {
+            assert!(reference.probabilities[s.index()] > 0.0);
+        }
         assert_eq!(cache.warm_seeds().stats(), (0, 0));
         assert_eq!(cache.solver_memo_stats(), (0, 0));
     }
@@ -1349,21 +1295,17 @@ mod tests {
         // q_max = 10: 22 cells do not.
         table.refresh(&queues, &rates, None);
         assert!(!table.uses_classes());
-        // The quadratic baseline measures the dense algorithm and never
-        // builds a table.
-        let mut cache = RoundCache::new();
-        cache.begin_round(&shallow, &rates);
+        // The quadratic baseline measures the dense algorithm: it matches
+        // the allocating solve and never builds a table.
+        let mut scratch = ScdScratch::default();
         let mut probs = Vec::new();
-        solve_round_cached(
-            &shallow,
-            &rates,
-            &cache,
-            8.0,
-            SolverKind::Quadratic,
-            &mut probs,
-        )
-        .unwrap();
-        assert_eq!(cache.solver_memo_stats(), (0, 0));
+        let kind = SolverKind::Quadratic;
+        solve_round_into(&shallow, &rates, 8.0, kind, &mut scratch, &mut probs).unwrap();
+        let reference = solve(&shallow, &rates, 8.0, kind).unwrap();
+        for (got, want) in probs.iter().zip(&reference.probabilities) {
+            assert!((got - want).abs() < 1e-12);
+        }
+        assert_eq!(scratch.table.num_servers(), 0, "no table was built");
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! A hand-rolled parser keeps the workspace free of an argument-parsing
 //! dependency; the flag surface is tiny and identical across binaries.
 
+use crate::sweep::SweepGrid;
+use scd_sim::SimConfig;
 use std::path::PathBuf;
 
 /// Options common to every figure binary.
@@ -309,7 +311,41 @@ impl CliOptions {
         if options.paper && options.quick {
             return Err("--paper and --quick are mutually exclusive".into());
         }
+        options.check_sizes()?;
         Ok(options)
+    }
+
+    /// Refuses, before any rate is materialised, sizes no run could hold:
+    /// every requested system (with `--servers` applied) must pass the
+    /// engine's scale check, and the largest sweep the flags can produce
+    /// must fit a [`SweepGrid`]. Systems left to a binary's defaults are
+    /// checked with one dispatcher and histogram-only metrics, the most
+    /// permissive case; the engine re-checks every actual configuration.
+    fn check_sizes(&self) -> Result<(), String> {
+        let default_system = [(self.servers.unwrap_or(1), 1)];
+        let systems = self.systems.as_deref().unwrap_or(&default_system);
+        for &(n, m) in systems {
+            let n = self.servers.unwrap_or(n);
+            SimConfig::check_scale(n, m, true).map_err(|e| format!("system {n}x{m}: {e}"))?;
+        }
+        let loads = self.loads.as_ref().map_or(1, Vec::len);
+        let cells = SweepGrid::checked_len(
+            systems.len(),
+            loads,
+            SweepGrid::MAX_POLICIES,
+            self.replications,
+        );
+        if cells.is_none() {
+            return Err(format!(
+                "{} systems x {loads} loads x {} replications exceeds the {}-cell sweep \
+                 cap (at up to {} policies per sweep)",
+                systems.len(),
+                self.replications,
+                SweepGrid::MAX_CELLS,
+                SweepGrid::MAX_POLICIES
+            ));
+        }
+        Ok(())
     }
 
     /// Parses the process arguments. `--help` prints the usage to stdout
@@ -332,7 +368,7 @@ pub fn usage() -> String {
 fn parse_loads(value: &str) -> Result<Vec<f64>, String> {
     let loads: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse::<f64>()).collect();
     let loads = loads.map_err(|_| format!("invalid --loads value: {value}"))?;
-    if loads.is_empty() || loads.iter().any(|&l| l <= 0.0 || l >= 1.5) {
+    if loads.is_empty() || loads.iter().any(|&l| !(l > 0.0 && l < 1.5)) {
         return Err(format!("loads must be in (0, 1.5): {value}"));
     }
     Ok(loads)
@@ -470,6 +506,47 @@ mod tests {
         assert!(parse(&["--wat"]).is_err());
         assert!(parse(&["--paper", "--quick"]).is_err());
         assert!(parse(&["--help"]).is_err());
+    }
+
+    #[test]
+    fn nan_loads_are_usage_errors() {
+        for bad in ["nan", "0.9,NaN", "-nan"] {
+            let outcome = parse(&["--quick", "--loads", bad]).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "--loads {bad}");
+        }
+    }
+
+    #[test]
+    fn sweeps_past_the_grid_cap_are_usage_errors() {
+        for replications in ["100000000000", "18446744073709551615"] {
+            let outcome = parse(&["--quick", "--replications", replications]).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "--replications {replications}");
+            assert!(outcome.message().contains("cap"), "{}", outcome.message());
+        }
+        // Every dimension counts: 1000 loads x 1000 replications too.
+        let loads = vec!["0.5"; 1000].join(",");
+        assert!(parse(&["--loads", &loads, "--replications", "1000"]).is_err());
+        assert!(parse(&["--quick", "--replications", "1000"]).is_ok());
+    }
+
+    #[test]
+    fn systems_past_the_engine_scale_are_usage_errors() {
+        for args in [
+            &["--quick", "--servers", "10000000000000"][..],
+            &["--quick", "--systems", "1000000000000x1"],
+            &["--systems", "100x10", "--servers", "10000000000000"],
+            &["--systems", "100000x100000"],
+        ] {
+            let outcome = parse(args).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "{args:?}");
+            assert!(
+                outcome.message().contains("exceeds"),
+                "{}",
+                outcome.message()
+            );
+        }
+        // The mean-field scale the sweep smoke runs stays accepted.
+        assert!(parse(&["--quick", "--servers", "100000", "--shards", "4"]).is_ok());
     }
 
     #[test]

@@ -494,6 +494,23 @@ impl OrchestrateOptions {
                     .into(),
             );
         }
+        for (flag, shards) in [
+            ("--inject-crash", &options.inject_crash),
+            (
+                "--inject-crash-after-checkpoint",
+                &options.inject_crash_after_checkpoint,
+            ),
+            ("--inject-hang", &options.inject_hang),
+            ("--inject-corrupt", &options.inject_corrupt),
+        ] {
+            if let Some(shard) = shards.iter().find(|&&shard| shard >= options.processes) {
+                return Err(format!(
+                    "{flag} {shard} names no shard: --processes {} runs shards 0..{}",
+                    options.processes, options.processes
+                )
+                .into());
+            }
+        }
         Ok(options)
     }
 
@@ -783,6 +800,26 @@ mod tests {
         // A checkpoint-crash injection without checkpoint streaming would
         // never fire — refuse the contradiction up front.
         assert!(parse(&["--inject-crash-after-checkpoint", "1"]).is_err());
+    }
+
+    #[test]
+    fn injections_must_name_a_running_shard() {
+        for flag in ["--inject-crash", "--inject-hang", "--inject-corrupt"] {
+            let outcome = parse(&["--quick", flag, "99"]).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "{flag} 99");
+            assert!(outcome.message().contains("names no shard"), "{flag}");
+            // The last shard of the default four is fine; the next is not.
+            assert!(parse(&["--quick", flag, "3"]).is_ok(), "{flag} 3");
+            assert!(parse(&["--processes", "2", flag, "2"]).is_err(), "{flag} 2");
+        }
+        let outcome = parse(&[
+            "--checkpoint-every",
+            "25",
+            "--inject-crash-after-checkpoint",
+            "4",
+        ])
+        .unwrap_err();
+        assert_eq!(outcome.exit_code(), 2);
     }
 
     #[test]

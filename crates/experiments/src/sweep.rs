@@ -52,6 +52,32 @@ pub struct SweepGrid {
 }
 
 impl SweepGrid {
+    /// Upper bound on a grid's cell count. Every cell is one simulation run
+    /// and one result slot, so a larger grid is a typo rather than an
+    /// experiment, and its result vector alone could exhaust memory.
+    pub const MAX_CELLS: usize = 1 << 20;
+
+    /// The most policies (or estimator variants) one sweep compares: the
+    /// figure binaries compare at most seven. Command-line front ends
+    /// bound a sweep they have not built yet with it.
+    pub const MAX_POLICIES: usize = 8;
+
+    /// The cell count of a `systems × loads × policies × seeds` grid, or
+    /// `None` when the product overflows or exceeds
+    /// [`MAX_CELLS`](SweepGrid::MAX_CELLS).
+    pub fn checked_len(
+        systems: usize,
+        loads: usize,
+        policies: usize,
+        seeds: usize,
+    ) -> Option<usize> {
+        systems
+            .checked_mul(loads)?
+            .checked_mul(policies)?
+            .checked_mul(seeds)
+            .filter(|&cells| cells <= Self::MAX_CELLS)
+    }
+
     /// A grid over systems × loads × policies with a single seed per cell.
     pub fn new(systems: usize, loads: usize, policies: usize) -> Self {
         SweepGrid {
@@ -69,8 +95,13 @@ impl SweepGrid {
     }
 
     /// Number of cells in the grid.
+    ///
+    /// # Panics
+    /// Panics if the grid exceeds [`MAX_CELLS`](SweepGrid::MAX_CELLS);
+    /// `CliOptions::parse` refuses sweeps that could.
     pub fn len(&self) -> usize {
-        self.systems * self.loads * self.policies * self.seeds
+        Self::checked_len(self.systems, self.loads, self.policies, self.seeds)
+            .unwrap_or_else(|| panic!("sweep grid {self:?} exceeds {} cells", Self::MAX_CELLS))
     }
 
     /// True when any dimension is empty.
@@ -227,6 +258,34 @@ mod tests {
         assert!(grid.is_empty());
         let out: Vec<()> = grid.run(4, |_| ());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn checked_len_refuses_overflow_and_the_cap() {
+        assert_eq!(SweepGrid::checked_len(2, 3, 4, 5), Some(120));
+        assert_eq!(
+            SweepGrid::checked_len(1, 1, 1, SweepGrid::MAX_CELLS),
+            Some(SweepGrid::MAX_CELLS)
+        );
+        assert_eq!(SweepGrid::checked_len(1, 1, 2, SweepGrid::MAX_CELLS), None);
+        assert_eq!(SweepGrid::checked_len(usize::MAX, 2, 1, 1), None);
+        assert_eq!(SweepGrid::checked_len(3, 1, 3, 100_000_000_000), None);
+    }
+
+    #[test]
+    fn every_figure_sweeps_at_most_max_policies() {
+        use crate::FigureKind;
+        for kind in [
+            FigureKind::Fig3,
+            FigureKind::Fig4,
+            FigureKind::Fig5,
+            FigureKind::Fig6,
+            FigureKind::Fig7,
+            FigureKind::Fig8,
+            FigureKind::Ablation,
+        ] {
+            assert!(kind.policies().len() <= SweepGrid::MAX_POLICIES, "{kind:?}");
+        }
     }
 
     #[test]

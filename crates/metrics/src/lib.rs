@@ -9,13 +9,12 @@
 //! * **Execution run-time distributions** — the CDF of per-decision
 //!   computation times (Figures 5 and 8). [`DecisionTimeHistogram`] records
 //!   them into fixed log-scale count buckets (`O(1)`, allocation-free — safe
-//!   to run on the timed hot path); [`SampleSet`] keeps raw `f64` samples for
-//!   offline analyses where exact percentiles matter.
+//!   to run on the timed hot path).
 //!
-//! Supporting types: [`StreamingStats`] (Welford online mean/variance used
-//! for queue-length tracking), [`QueueLengthTracker`] (per-server time-average
-//! queue statistics used by the stability tests) and [`Table`] (plain-text and
-//! CSV rendering used by the experiment harness).
+//! Supporting types: [`QueueLengthTracker`] (per-server time-average queue
+//! statistics and the occupancy histogram used by the stability tests and
+//! the mean-field comparisons) and [`Table`] (plain-text and CSV rendering
+//! used by the experiment harness).
 //!
 //! # Example
 //!
@@ -36,15 +35,11 @@
 pub mod counts;
 pub mod histogram;
 pub mod queue;
-pub mod samples;
-pub mod streaming;
 pub mod table;
 pub mod timing;
 
 pub use counts::merge_saturating_counts;
 pub use histogram::{HistogramSummary, ResponseTimeHistogram};
 pub use queue::QueueLengthTracker;
-pub use samples::SampleSet;
-pub use streaming::StreamingStats;
 pub use table::Table;
 pub use timing::DecisionTimeHistogram;

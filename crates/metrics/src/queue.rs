@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 ///   memory (capped by [`Self::OCCUPANCY_CLAMP`]), independent of `n`; the
 ///   per-server accessors are unavailable and [`Self::worst_mean_queue`]
 ///   degrades to the across-server mean.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QueueLengthTracker {
     /// Number of servers being tracked (the per-server vectors below are
     /// empty in histogram-only mode, so the width is kept separately).
@@ -235,30 +235,18 @@ impl QueueLengthTracker {
         }
     }
 
-    /// Decomposes the tracker into its raw accumulator fields for engine
-    /// checkpointing:
+    /// The raw accumulator fields, exposed for wire codecs:
     /// `(num_servers, per_server_sum, per_server_max, idle_rounds, occupancy,
     /// total_sum, total_max, rounds)`. The inverse of
     /// [`Self::from_raw_parts`].
     #[allow(clippy::type_complexity)]
-    pub fn raw_parts(
-        &self,
-    ) -> (
-        usize,
-        Vec<u128>,
-        Vec<u64>,
-        Vec<u64>,
-        Vec<u64>,
-        u128,
-        u64,
-        u64,
-    ) {
+    pub fn raw_parts(&self) -> (usize, &[u128], &[u64], &[u64], &[u64], u128, u64, u64) {
         (
             self.num_servers,
-            self.per_server_sum.clone(),
-            self.per_server_max.clone(),
-            self.idle_rounds.clone(),
-            self.occupancy.clone(),
+            &self.per_server_sum,
+            &self.per_server_max,
+            &self.idle_rounds,
+            &self.occupancy,
             self.total_sum,
             self.total_max,
             self.rounds,
@@ -438,10 +426,18 @@ mod tests {
             t.observe(&[0, 2, 4]);
             t.observe(&[1, 2, 0]);
             let (n, sums, maxes, idles, occ, total, max, rounds) = t.raw_parts();
-            let mut back =
-                QueueLengthTracker::from_raw_parts(n, sums, maxes, idles, occ, total, max, rounds)
-                    .unwrap();
-            assert_eq!(back.is_histogram_only(), t.is_histogram_only());
+            let mut back = QueueLengthTracker::from_raw_parts(
+                n,
+                sums.to_vec(),
+                maxes.to_vec(),
+                idles.to_vec(),
+                occ.to_vec(),
+                total,
+                max,
+                rounds,
+            )
+            .unwrap();
+            assert_eq!(back, t);
             // Continuing both trackers keeps them in lockstep.
             t.observe(&[5, 0, 1]);
             back.observe(&[5, 0, 1]);

@@ -2,13 +2,12 @@
 //!
 //! The decision-time experiments (Figures 5 and 8) time every dispatching
 //! decision of a live simulation. Recording those wall-clock samples into a
-//! growable [`SampleSet`](crate::SampleSet) made the *measured* engine
-//! configuration allocate on the hot path — exactly the overhead the
-//! measurement is supposed to observe, not introduce. A
-//! [`DecisionTimeHistogram`] replaces the raw-sample recorder with a
-//! fixed-size log-scale bucket array: recording is a subtraction, a couple of
-//! shifts and two adds — `O(1)`, allocation-free, and independent of how many
-//! samples arrive.
+//! growable raw-sample vector would make the *measured* engine configuration
+//! allocate on the hot path — exactly the overhead the measurement is
+//! supposed to observe, not introduce. A [`DecisionTimeHistogram`] records
+//! into a fixed-size log-scale bucket array instead: recording is a
+//! subtraction, a couple of shifts and two adds — `O(1)`, allocation-free,
+//! and independent of how many samples arrive.
 //!
 //! # Bucket layout
 //!

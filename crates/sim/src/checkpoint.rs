@@ -14,50 +14,20 @@
 //! run, including every RNG draw after the checkpoint round.
 //!
 //! The wire form ([`EngineCheckpoint::to_bytes`]) reuses the fabric
-//! codec's little-endian primitives and is what a v3 `Checkpoint` frame
-//! carries as its state blob. Decoding is strict: truncation, lying
+//! codec's little-endian primitives and metrics encoders, and is what a v3
+//! `Checkpoint` frame carries as its state blob. Decoding is strict: truncation, lying
 //! lengths, bad tag bytes and trailing bytes are all classified
 //! [`CodecError`]s, never panics.
 
 use crate::fabric::codec::{ByteReader, ByteWriter, CodecError};
 use crate::report::DegradationMetrics;
+use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
 
 /// Layout version of the serialized checkpoint; bumped on any change.
-const CHECKPOINT_VERSION: u8 = 2;
-
-/// Mid-run state of a response-time histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct HistogramState {
-    pub(crate) counts: Vec<u64>,
-    pub(crate) count: u64,
-    pub(crate) raw_sum: u128,
-}
-
-/// Mid-run state of the queue-length tracker (both metric modes).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct TrackerState {
-    pub(crate) num_servers: usize,
-    pub(crate) per_server_sum: Vec<u128>,
-    pub(crate) per_server_max: Vec<u64>,
-    pub(crate) idle_rounds: Vec<u64>,
-    pub(crate) occupancy: Vec<u64>,
-    pub(crate) total_sum: u128,
-    pub(crate) total_max: u64,
-    pub(crate) rounds: u64,
-}
-
-/// Mid-run state of the decision-time histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct DecisionState {
-    pub(crate) counts: Vec<u64>,
-    pub(crate) count: u64,
-    pub(crate) sum: f64,
-    pub(crate) min: f64,
-    pub(crate) max: f64,
-}
+const CHECKPOINT_VERSION: u8 = 3;
 
 /// Mid-run state of the scenario layer (present iff the run's scenario is
-/// active).
+/// active); see [`ScenarioRuntime`](crate::scenario::ScenarioRuntime).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScenarioState {
     pub(crate) server_up: Vec<bool>,
@@ -71,10 +41,9 @@ pub(crate) struct ScenarioState {
 /// A serializable snapshot of a [`Simulation`](crate::Simulation) run at a
 /// round boundary, sufficient to resume it bit-identically.
 ///
-/// Produced by [`Simulation::checkpoint`](crate::Simulation::checkpoint)
-/// and [`Simulation::run_with_checkpoints`](crate::Simulation::run_with_checkpoints);
-/// consumed by [`Simulation::resume_from`](crate::Simulation::resume_from),
-/// which refuses a checkpoint whose
+/// Produced and consumed by
+/// [`Simulation::run_with_checkpoints`](crate::Simulation::run_with_checkpoints),
+/// which refuses to resume from a checkpoint whose
 /// [`config_digest`](EngineCheckpoint::config_digest) does not match the
 /// resuming configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,9 +57,9 @@ pub struct EngineCheckpoint {
     pub(crate) arrival_rng: [u64; 4],
     pub(crate) service_rng: [u64; 4],
     pub(crate) policy_rngs: Vec<[u64; 4]>,
-    pub(crate) response_times: HistogramState,
-    pub(crate) tracker: TrackerState,
-    pub(crate) decision_times: Option<DecisionState>,
+    pub(crate) response_times: ResponseTimeHistogram,
+    pub(crate) tracker: QueueLengthTracker,
+    pub(crate) decision_times: Option<DecisionTimeHistogram>,
     pub(crate) jobs_dispatched: u64,
     pub(crate) jobs_completed: u64,
     pub(crate) scenario: Option<ScenarioState>,
@@ -117,7 +86,8 @@ impl EngineCheckpoint {
     }
 
     /// Serializes the checkpoint into the strict little-endian layout a v3
-    /// `Checkpoint` frame carries.
+    /// `Checkpoint` frame carries. The metrics use the same encoders as a
+    /// `Final` frame.
     ///
     /// # Errors
     /// Returns [`CodecError::Malformed`] only if a length exceeds the u32
@@ -144,32 +114,9 @@ impl EngineCheckpoint {
         for state in &self.policy_rngs {
             write_rng(&mut w, state);
         }
-        w.counts(&self.response_times.counts)?;
-        w.u64(self.response_times.count);
-        w.u128(self.response_times.raw_sum);
-        let t = &self.tracker;
-        w.len(t.num_servers)?;
-        w.len(t.per_server_sum.len())?;
-        for &sum in &t.per_server_sum {
-            w.u128(sum);
-        }
-        w.counts(&t.per_server_max)?;
-        w.counts(&t.idle_rounds)?;
-        w.counts(&t.occupancy)?;
-        w.u128(t.total_sum);
-        w.u64(t.total_max);
-        w.u64(t.rounds);
-        match &self.decision_times {
-            None => w.u8(0),
-            Some(d) => {
-                w.u8(1);
-                w.u64(d.count);
-                w.f64(d.sum);
-                w.f64(d.min);
-                w.f64(d.max);
-                w.counts(&d.counts)?;
-            }
-        }
+        w.response_times(&self.response_times)?;
+        w.tracker(&self.tracker)?;
+        w.decision_times(self.decision_times.as_ref())?;
         w.u64(self.jobs_dispatched);
         w.u64(self.jobs_completed);
         match &self.scenario {
@@ -189,21 +136,7 @@ impl EngineCheckpoint {
                         }
                     }
                 }
-                let d = &s.degradation;
-                for v in [
-                    d.server_down_rounds,
-                    d.dispatcher_offline_rounds,
-                    d.arrivals_lost,
-                    d.probes_dropped,
-                    d.stale_decision_rounds,
-                    d.herding_rounds,
-                    d.shards_lost,
-                    d.rounds_lost,
-                    d.checkpoints_taken,
-                    d.rounds_replayed,
-                ] {
-                    w.u64(v);
-                }
+                w.degradation(&s.degradation);
                 w.u64(s.oracle_dropped);
             }
         }
@@ -218,11 +151,10 @@ impl EngineCheckpoint {
     /// Deserializes a checkpoint produced by
     /// [`to_bytes`](EngineCheckpoint::to_bytes).
     ///
-    /// Strict: unknown layout versions, truncation, invalid tag bytes and
-    /// trailing bytes are all rejected. Cross-field consistency (vector
-    /// widths against the resuming configuration) is checked by
-    /// [`Simulation::resume_from`](crate::Simulation::resume_from), not
-    /// here.
+    /// Strict: unknown layout versions, truncation, invalid tag bytes,
+    /// metrics the metrics types reject and trailing bytes are all
+    /// refused. Cross-field consistency (vector widths against the
+    /// resuming configuration) is checked when a run resumes, not here.
     ///
     /// # Errors
     /// A classified [`CodecError`]; never panics on any input.
@@ -256,93 +188,35 @@ impl EngineCheckpoint {
         for _ in 0..num_policy_rngs {
             policy_rngs.push(read_rng(&mut r)?);
         }
-        let response_times = HistogramState {
-            counts: r.counts()?,
-            count: r.u64()?,
-            raw_sum: r.u128()?,
-        };
-        let tracker_servers = r.len()?;
-        let num_sums = r.len()?;
-        let mut per_server_sum = Vec::with_capacity(bounded(num_sums, &r));
-        for _ in 0..num_sums {
-            per_server_sum.push(r.u128()?);
-        }
-        let tracker = TrackerState {
-            num_servers: tracker_servers,
-            per_server_sum,
-            per_server_max: r.counts()?,
-            idle_rounds: r.counts()?,
-            occupancy: r.counts()?,
-            total_sum: r.u128()?,
-            total_max: r.u64()?,
-            rounds: r.u64()?,
-        };
-        let decision_times = match r.u8()? {
-            0 => None,
-            1 => Some(DecisionState {
-                count: r.u64()?,
-                sum: r.f64()?,
-                min: r.f64()?,
-                max: r.f64()?,
-                counts: r.counts()?,
-            }),
-            tag => {
-                return Err(CodecError::Malformed(format!(
-                    "decision-time option tag must be 0 or 1, got {tag}"
-                )));
-            }
-        };
+        let response_times = r.response_times()?;
+        let tracker = r.tracker()?;
+        let decision_times = r.decision_times()?;
         let jobs_dispatched = r.u64()?;
         let jobs_completed = r.u64()?;
-        let scenario = match r.u8()? {
-            0 => None,
-            1 => {
-                let server_up = read_bools(&mut r)?;
-                let dispatcher_up = read_bools(&mut r)?;
-                let k_effs = r.counts()?;
-                let ring = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let depth = r.len()?;
-                        let mut ring = Vec::with_capacity(bounded(depth, &r));
-                        for _ in 0..depth {
-                            ring.push(r.counts()?);
-                        }
-                        Some(ring)
-                    }
-                    tag => {
-                        return Err(CodecError::Malformed(format!(
-                            "ring option tag must be 0 or 1, got {tag}"
-                        )));
-                    }
-                };
-                let degradation = DegradationMetrics {
-                    server_down_rounds: r.u64()?,
-                    dispatcher_offline_rounds: r.u64()?,
-                    arrivals_lost: r.u64()?,
-                    probes_dropped: r.u64()?,
-                    stale_decision_rounds: r.u64()?,
-                    herding_rounds: r.u64()?,
-                    shards_lost: r.u64()?,
-                    rounds_lost: r.u64()?,
-                    checkpoints_taken: r.u64()?,
-                    rounds_replayed: r.u64()?,
-                };
-                let oracle_dropped = r.u64()?;
-                Some(ScenarioState {
-                    server_up,
-                    dispatcher_up,
-                    k_effs,
-                    ring,
-                    degradation,
-                    oracle_dropped,
-                })
-            }
-            tag => {
-                return Err(CodecError::Malformed(format!(
-                    "scenario option tag must be 0 or 1, got {tag}"
-                )));
-            }
+        let scenario = if r.flag("scenario")? {
+            let server_up = read_bools(&mut r)?;
+            let dispatcher_up = read_bools(&mut r)?;
+            let k_effs = r.counts()?;
+            let ring = if r.flag("ring")? {
+                let depth = r.len()?;
+                let mut ring = Vec::with_capacity(bounded(depth, &r));
+                for _ in 0..depth {
+                    ring.push(r.counts()?);
+                }
+                Some(ring)
+            } else {
+                None
+            };
+            Some(ScenarioState {
+                server_up,
+                dispatcher_up,
+                k_effs,
+                ring,
+                degradation: r.degradation()?,
+                oracle_dropped: r.u64()?,
+            })
+        } else {
+            None
         };
         let num_blobs = r.len()?;
         let mut policy_state = Vec::with_capacity(bounded(num_blobs, &r));
@@ -397,17 +271,7 @@ fn write_bools(w: &mut ByteWriter, bools: &[bool]) -> Result<(), CodecError> {
 
 fn read_bools(r: &mut ByteReader<'_>) -> Result<Vec<bool>, CodecError> {
     let len = r.len()?;
-    let bytes = r.take(len)?;
-    bytes
-        .iter()
-        .map(|&b| match b {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError::Malformed(format!(
-                "bool byte must be 0 or 1, got {other}"
-            ))),
-        })
-        .collect()
+    (0..len).map(|_| r.flag("bool")).collect()
 }
 
 /// Caps a declared element count by what the remaining bytes could
@@ -422,6 +286,11 @@ mod tests {
     use super::*;
 
     fn sample_checkpoint() -> EngineCheckpoint {
+        let mut decisions = DecisionTimeHistogram::new();
+        for us in [0.25, 1.0, 3.25] {
+            decisions.record(us);
+        }
+        let (count, sum, min, _) = decisions.raw_parts();
         EngineCheckpoint {
             config_digest: 0xFEED_FACE_CAFE_BEEF,
             round: 120,
@@ -432,28 +301,26 @@ mod tests {
             arrival_rng: [1, 2, 3, 4],
             service_rng: [5, 6, 7, 8],
             policy_rngs: vec![[9, 10, 11, 12], [13, 14, 15, 16]],
-            response_times: HistogramState {
-                counts: vec![10, 4, 1],
-                count: 15,
-                raw_sum: 1u128 << 70,
-            },
-            tracker: TrackerState {
-                num_servers: 3,
-                per_server_sum: vec![100, 0, 77],
-                per_server_max: vec![9, 0, 6],
-                idle_rounds: vec![1, 120, 0],
-                occupancy: vec![50, 40, 30],
-                total_sum: 177,
-                total_max: 15,
-                rounds: 120,
-            },
-            decision_times: Some(DecisionState {
-                counts: vec![2, 0, 1],
-                count: 3,
-                sum: 4.5,
-                min: 0.25,
-                max: f64::NAN,
-            }),
+            response_times: ResponseTimeHistogram::from_raw_parts(vec![10, 4, 1], 15, 1u128 << 70)
+                .unwrap(),
+            tracker: QueueLengthTracker::from_raw_parts(
+                3,
+                vec![100, 0, 77],
+                vec![9, 0, 6],
+                vec![1, 120, 0],
+                vec![50, 40, 30],
+                177,
+                15,
+                120,
+            )
+            .unwrap(),
+            decision_times: Some(
+                DecisionTimeHistogram::from_raw_parts(
+                    decisions.bucket_counts().to_vec(),
+                    (count, sum, min, f64::NAN),
+                )
+                .unwrap(),
+            ),
             jobs_dispatched: 240,
             jobs_completed: 232,
             scenario: Some(ScenarioState {
@@ -482,7 +349,7 @@ mod tests {
         assert_eq!(bytes, back.to_bytes().unwrap());
         assert_eq!(back.round(), 120);
         assert_eq!(back.config_digest(), 0xFEED_FACE_CAFE_BEEF);
-        assert!(back.decision_times.unwrap().max.is_nan());
+        assert!(back.decision_times.unwrap().raw_parts().3.is_nan());
     }
 
     #[test]

@@ -108,27 +108,59 @@ impl SimConfig {
     /// plus per-dispatcher state, including the `O(n)` sampler tables a
     /// stateful policy keeps per dispatcher (the `n · m` term).
     pub fn estimated_memory_bytes(&self) -> u128 {
-        let n = self.num_servers() as u128;
-        let m = self.num_dispatchers as u128;
-        let per_server: u128 = if self.histogram_metrics { 192 } else { 224 };
+        Self::memory_estimate(
+            self.num_servers(),
+            self.num_dispatchers,
+            self.histogram_metrics,
+        )
+    }
+
+    fn memory_estimate(
+        num_servers: usize,
+        num_dispatchers: usize,
+        histogram_metrics: bool,
+    ) -> u128 {
+        let n = num_servers as u128;
+        let m = num_dispatchers as u128;
+        let per_server: u128 = if histogram_metrics { 192 } else { 224 };
         n * per_server + m * 64 + n * m * 16
     }
 
-    /// Validates the configuration's *scale*: the `n × m` cell count against
-    /// [`MAX_STATE_CELLS`](SimConfig::MAX_STATE_CELLS) and the estimated
-    /// memory against
-    /// [`MAX_ESTIMATED_MEMORY_BYTES`](SimConfig::MAX_ESTIMATED_MEMORY_BYTES).
-    /// Called by both the builder and `Simulation::new`, so an over-scale
-    /// configuration fails fast with a sized error message rather than
-    /// OOM-ing mid-run.
+    /// Validates the configuration's *scale* with
+    /// [`check_scale`](SimConfig::check_scale). Called by both the builder
+    /// and `Simulation::new`, so an over-scale configuration fails fast with
+    /// a sized error message rather than OOM-ing mid-run.
     ///
     /// # Errors
     /// Returns [`SimError::InvalidConfig`](crate::engine::SimError) naming
     /// the exceeded bound.
     pub fn validate_scale(&self) -> Result<(), crate::engine::SimError> {
+        Self::check_scale(
+            self.num_servers(),
+            self.num_dispatchers,
+            self.histogram_metrics,
+        )
+    }
+
+    /// The scale check of a system of `num_servers` × `num_dispatchers`
+    /// before anything of it exists: the `n × m` cell count against
+    /// [`MAX_STATE_CELLS`](SimConfig::MAX_STATE_CELLS) and the
+    /// [estimated memory](SimConfig::estimated_memory_bytes) against
+    /// [`MAX_ESTIMATED_MEMORY_BYTES`](SimConfig::MAX_ESTIMATED_MEMORY_BYTES).
+    /// Command-line front ends run it on the requested sizes before they
+    /// materialise a single rate.
+    ///
+    /// # Errors
+    /// Returns [`SimError::InvalidConfig`](crate::engine::SimError) naming
+    /// the exceeded bound.
+    pub fn check_scale(
+        num_servers: usize,
+        num_dispatchers: usize,
+        histogram_metrics: bool,
+    ) -> Result<(), crate::engine::SimError> {
         use crate::engine::SimError;
-        let n = self.num_servers() as u128;
-        let m = self.num_dispatchers as u128;
+        let n = num_servers as u128;
+        let m = num_dispatchers as u128;
         let cells = n * m;
         if cells > Self::MAX_STATE_CELLS {
             return Err(SimError::InvalidConfig(format!(
@@ -137,7 +169,7 @@ impl SimConfig {
                 Self::MAX_STATE_CELLS
             )));
         }
-        let estimated = self.estimated_memory_bytes();
+        let estimated = Self::memory_estimate(num_servers, num_dispatchers, histogram_metrics);
         if estimated > Self::MAX_ESTIMATED_MEMORY_BYTES {
             return Err(SimError::InvalidConfig(format!(
                 "estimated memory of {} MiB exceeds the {} MiB ceiling; \

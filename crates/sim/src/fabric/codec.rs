@@ -38,7 +38,7 @@
 
 use crate::report::{DegradationMetrics, QueueSummary, SimReport};
 use crate::shard::ShardReport;
-use scd_metrics::{DecisionTimeHistogram, ResponseTimeHistogram};
+use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
 use std::error::Error;
 use std::fmt;
 
@@ -160,7 +160,8 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Little-endian payload writer, shared with the engine-checkpoint
-/// serializer in [`crate::checkpoint`].
+/// serializer in [`crate::checkpoint`]; it also holds the one encoder of
+/// each metrics type both payloads carry.
 pub(crate) struct ByteWriter {
     buf: Vec<u8>,
 }
@@ -221,10 +222,77 @@ impl ByteWriter {
     pub(crate) fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
+
+    /// A response-time histogram: total, exact sum, dense bucket counts.
+    pub(crate) fn response_times(
+        &mut self,
+        hist: &ResponseTimeHistogram,
+    ) -> Result<(), CodecError> {
+        self.u64(hist.count());
+        self.u128(hist.raw_sum());
+        self.counts(hist.bucket_counts())
+    }
+
+    /// An optional decision-time histogram: the option tag, then count,
+    /// sum, min, max (raw sentinels included) and the bucket counts.
+    pub(crate) fn decision_times(
+        &mut self,
+        hist: Option<&DecisionTimeHistogram>,
+    ) -> Result<(), CodecError> {
+        let Some(hist) = hist else {
+            self.u8(0);
+            return Ok(());
+        };
+        self.u8(1);
+        let (count, sum, min, max) = hist.raw_parts();
+        self.u64(count);
+        self.f64(sum);
+        self.f64(min);
+        self.f64(max);
+        self.counts(hist.bucket_counts())
+    }
+
+    /// The ten degradation counters, in declaration order.
+    pub(crate) fn degradation(&mut self, d: &DegradationMetrics) {
+        for v in [
+            d.server_down_rounds,
+            d.dispatcher_offline_rounds,
+            d.arrivals_lost,
+            d.probes_dropped,
+            d.stale_decision_rounds,
+            d.herding_rounds,
+            d.shards_lost,
+            d.rounds_lost,
+            d.checkpoints_taken,
+            d.rounds_replayed,
+        ] {
+            self.u64(v);
+        }
+    }
+
+    /// A queue-length tracker, in either metrics mode (histogram-only
+    /// trackers carry empty per-server vectors).
+    pub(crate) fn tracker(&mut self, tracker: &QueueLengthTracker) -> Result<(), CodecError> {
+        let (num_servers, sums, maxes, idle, occupancy, total_sum, total_max, rounds) =
+            tracker.raw_parts();
+        self.len(num_servers)?;
+        self.len(sums.len())?;
+        for &sum in sums {
+            self.u128(sum);
+        }
+        self.counts(maxes)?;
+        self.counts(idle)?;
+        self.counts(occupancy)?;
+        self.u128(total_sum);
+        self.u64(total_max);
+        self.u64(rounds);
+        Ok(())
+    }
 }
 
 /// Little-endian payload reader over a borrowed slice, shared with
-/// [`crate::checkpoint`].
+/// [`crate::checkpoint`]; it also holds the one decoder of each metrics
+/// type, which validates what it decodes through the metrics type.
 pub(crate) struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -301,6 +369,75 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
+    }
+
+    /// An option tag byte: `0` is absent, `1` present, anything else is
+    /// malformed (`what` names the option in the error).
+    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(CodecError::Malformed(format!(
+                "{what} option tag must be 0 or 1, got {tag}"
+            ))),
+        }
+    }
+
+    /// The inverse of [`ByteWriter::response_times`].
+    pub(crate) fn response_times(&mut self) -> Result<ResponseTimeHistogram, CodecError> {
+        let total = self.u64()?;
+        let sum = self.u128()?;
+        let counts = self.counts()?;
+        ResponseTimeHistogram::from_raw_parts(counts, total, sum).map_err(CodecError::Malformed)
+    }
+
+    /// The inverse of [`ByteWriter::decision_times`].
+    pub(crate) fn decision_times(&mut self) -> Result<Option<DecisionTimeHistogram>, CodecError> {
+        if !self.flag("decision-time")? {
+            return Ok(None);
+        }
+        let parts = (self.u64()?, self.f64()?, self.f64()?, self.f64()?);
+        let counts = self.counts()?;
+        DecisionTimeHistogram::from_raw_parts(counts, parts)
+            .map(Some)
+            .map_err(CodecError::Malformed)
+    }
+
+    /// The inverse of [`ByteWriter::degradation`].
+    pub(crate) fn degradation(&mut self) -> Result<DegradationMetrics, CodecError> {
+        Ok(DegradationMetrics {
+            server_down_rounds: self.u64()?,
+            dispatcher_offline_rounds: self.u64()?,
+            arrivals_lost: self.u64()?,
+            probes_dropped: self.u64()?,
+            stale_decision_rounds: self.u64()?,
+            herding_rounds: self.u64()?,
+            shards_lost: self.u64()?,
+            rounds_lost: self.u64()?,
+            checkpoints_taken: self.u64()?,
+            rounds_replayed: self.u64()?,
+        })
+    }
+
+    /// The inverse of [`ByteWriter::tracker`].
+    pub(crate) fn tracker(&mut self) -> Result<QueueLengthTracker, CodecError> {
+        let num_servers = self.len()?;
+        let num_sums = self.len()?;
+        let mut sums = Vec::with_capacity(num_sums.min(self.remaining() / 16));
+        for _ in 0..num_sums {
+            sums.push(self.u128()?);
+        }
+        QueueLengthTracker::from_raw_parts(
+            num_servers,
+            sums,
+            self.counts()?,
+            self.counts()?,
+            self.counts()?,
+            self.u128()?,
+            self.u64()?,
+            self.u64()?,
+        )
+        .map_err(CodecError::Malformed)
     }
 }
 
@@ -391,40 +528,18 @@ fn encode_payload(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
     w.u64(r.jobs_dispatched);
     w.u64(r.jobs_completed);
     w.u64(r.jobs_in_flight);
-    w.u64(r.response_times.count());
-    w.u128(r.response_times.raw_sum());
-    w.counts(r.response_times.bucket_counts())?;
+    w.response_times(&r.response_times)?;
     w.f64(r.queues.mean_total_backlog);
     w.f64(r.queues.max_total_backlog);
     w.f64(r.queues.worst_mean_queue);
     w.f64(r.queues.mean_idle_fraction);
     w.counts(&r.queue_occupancy)?;
-    match &r.decision_times_us {
-        None => w.u8(0),
-        Some(hist) => {
-            w.u8(1);
-            let (count, sum, min, max) = hist.raw_parts();
-            w.u64(count);
-            w.f64(sum);
-            w.f64(min);
-            w.f64(max);
-            w.counts(hist.bucket_counts())?;
-        }
-    }
+    w.decision_times(r.decision_times_us.as_ref())?;
     match &r.degradation {
         None => w.u8(0),
         Some(d) => {
             w.u8(1);
-            w.u64(d.server_down_rounds);
-            w.u64(d.dispatcher_offline_rounds);
-            w.u64(d.arrivals_lost);
-            w.u64(d.probes_dropped);
-            w.u64(d.stale_decision_rounds);
-            w.u64(d.herding_rounds);
-            w.u64(d.shards_lost);
-            w.u64(d.rounds_lost);
-            w.u64(d.checkpoints_taken);
-            w.u64(d.rounds_replayed);
+            w.degradation(d);
         }
     }
     Ok(w.into_bytes())
@@ -442,11 +557,7 @@ fn decode_payload(payload: &[u8], config_digest: u64) -> Result<ShardReport, Cod
     let jobs_dispatched = r.u64()?;
     let jobs_completed = r.u64()?;
     let jobs_in_flight = r.u64()?;
-    let rt_total = r.u64()?;
-    let rt_sum = r.u128()?;
-    let rt_counts = r.counts()?;
-    let response_times = ResponseTimeHistogram::from_raw_parts(rt_counts, rt_total, rt_sum)
-        .map_err(CodecError::Malformed)?;
+    let response_times = r.response_times()?;
     let queues = QueueSummary {
         mean_total_backlog: r.f64()?,
         max_total_backlog: r.f64()?,
@@ -454,44 +565,11 @@ fn decode_payload(payload: &[u8], config_digest: u64) -> Result<ShardReport, Cod
         mean_idle_fraction: r.f64()?,
     };
     let queue_occupancy = r.counts()?;
-    let decision_times_us = match r.u8()? {
-        0 => None,
-        1 => {
-            let count = r.u64()?;
-            let sum = r.f64()?;
-            let min = r.f64()?;
-            let max = r.f64()?;
-            let counts = r.counts()?;
-            Some(
-                DecisionTimeHistogram::from_raw_parts(counts, (count, sum, min, max))
-                    .map_err(CodecError::Malformed)?,
-            )
-        }
-        tag => {
-            return Err(CodecError::Malformed(format!(
-                "decision-time option tag must be 0 or 1, got {tag}"
-            )));
-        }
-    };
-    let degradation = match r.u8()? {
-        0 => None,
-        1 => Some(DegradationMetrics {
-            server_down_rounds: r.u64()?,
-            dispatcher_offline_rounds: r.u64()?,
-            arrivals_lost: r.u64()?,
-            probes_dropped: r.u64()?,
-            stale_decision_rounds: r.u64()?,
-            herding_rounds: r.u64()?,
-            shards_lost: r.u64()?,
-            rounds_lost: r.u64()?,
-            checkpoints_taken: r.u64()?,
-            rounds_replayed: r.u64()?,
-        }),
-        tag => {
-            return Err(CodecError::Malformed(format!(
-                "degradation option tag must be 0 or 1, got {tag}"
-            )));
-        }
+    let decision_times_us = r.decision_times()?;
+    let degradation = if r.flag("degradation")? {
+        Some(r.degradation()?)
+    } else {
+        None
     };
     if r.remaining() != 0 {
         return Err(CodecError::Malformed(format!(

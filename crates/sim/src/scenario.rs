@@ -22,8 +22,20 @@
 //! Scenario files for the `sweep` binary's `--scenario` flag use a plain
 //! `key = value` format ([`ScenarioSpec::from_key_values`]); the types also
 //! carry the workspace-standard serde derives.
+//!
+//! The engine runs an active spec through a `ScenarioRuntime`: the fault
+//! and staleness schedules, the availability mask, the snapshot ring, the
+//! probe-loss oracle and the herding counters. An inert spec builds none
+//! of it, which is what keeps the fair-weather round loop bit-identical.
 
+use crate::checkpoint::ScenarioState;
 use crate::engine::SimError;
+use crate::report::DegradationMetrics;
+use scd_model::streams::{
+    counter_draw, derive_stream_seed, unit_f64, FAULT_STREAM_TAG, PROBE_LOSS_STREAM_TAG,
+    STALENESS_STREAM_TAG,
+};
+use scd_model::{Availability, DegradedView, ProbeLossOracle};
 use serde::{Deserialize, Serialize};
 
 /// How stale each dispatcher's queue-length view is.
@@ -123,8 +135,8 @@ impl ScenarioSpec {
     /// the pre-scenario engine.
     ///
     /// Note the asymmetry with [`StalenessSpec::Fresh`]: `Fixed { k: 0 }`
-    /// is *not* inert — it routes through the scenario code path (per-
-    /// dispatcher contexts reading the depth-0 ring slot), whose
+    /// is *not* inert — it routes through the scenario code path (a fault
+    /// phase every round, contexts carrying a degraded view), whose
     /// bit-identity to the fast path is a tested contract rather than a
     /// definition.
     pub fn is_inert(&self) -> bool {
@@ -333,6 +345,307 @@ impl ScenarioSpec {
             push("seed", seed.to_string());
         }
         out
+    }
+}
+
+/// The mid-run state of an active scenario, stepped by the engine once per
+/// round. Every schedule is drawn in counter mode (`counter_draw`) from
+/// seeds keyed by *global* entity ids, so a sharded run replays the
+/// identical schedule regardless of layout.
+#[derive(Debug)]
+pub(crate) struct ScenarioRuntime<'a> {
+    spec: &'a ScenarioSpec,
+    server_fault_seeds: Vec<u64>,
+    dispatcher_fault_seeds: Vec<u64>,
+    stale_seeds: Vec<u64>,
+    /// The last `max_k + 1` snapshots, indexed by `round % ring.len()`;
+    /// present only when staleness is possible.
+    ring: Option<Vec<Vec<u64>>>,
+    oracle: Option<ProbeLossOracle>,
+    avail: Availability,
+    dispatcher_up: Vec<bool>,
+    /// Per-dispatcher view age this round, clamped to `round` so the ring
+    /// lookup never reaches before round 0.
+    k_effs: Vec<u64>,
+    /// Whether each dispatcher's *previous* round view was stale: a
+    /// dispatcher returning to a fresh view must not trust the one-round
+    /// dirty diff, since its own last-seen view was older.
+    stale_prev: Vec<bool>,
+    /// Herding detector scratch: jobs received per server this round,
+    /// cleared sparsely through the touched list.
+    recv_counts: Vec<u64>,
+    recv_touched: Vec<u32>,
+    degradation: DegradationMetrics,
+}
+
+impl<'a> ScenarioRuntime<'a> {
+    /// The runtime of `spec` for a cluster of `n` servers and `m`
+    /// dispatchers, or `None` when the spec is inert.
+    pub(crate) fn new(
+        spec: &'a ScenarioSpec,
+        master_seed: u64,
+        n: usize,
+        m: usize,
+    ) -> Option<Self> {
+        if spec.is_inert() {
+            return None;
+        }
+        let seed = spec.resolved_seed(master_seed);
+        let server_fault_seeds = if spec.server_fail_rate > 0.0 {
+            (0..n)
+                .map(|s| derive_stream_seed(seed, FAULT_STREAM_TAG, spec.server_global_id(s)))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let dispatcher_fault_seeds = if spec.dispatcher_fail_rate > 0.0 {
+            (0..m)
+                .map(|d| {
+                    // Dispatchers share the fault tag with servers but live
+                    // in the upper half of the index space.
+                    let index = (1u64 << 63) | spec.dispatcher_global_id(d);
+                    derive_stream_seed(seed, FAULT_STREAM_TAG, index)
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let stale_seeds = match spec.staleness {
+            StalenessSpec::UniformPerRound { max_k } if max_k > 0 => (0..m)
+                .map(|d| {
+                    derive_stream_seed(seed, STALENESS_STREAM_TAG, spec.dispatcher_global_id(d))
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let oracle = (spec.probe_loss_rate > 0.0).then(|| {
+            let seeds = (0..m)
+                .map(|d| {
+                    derive_stream_seed(seed, PROBE_LOSS_STREAM_TAG, spec.dispatcher_global_id(d))
+                })
+                .collect();
+            ProbeLossOracle::new(seeds, spec.probe_loss_rate)
+        });
+        let max_k = spec.staleness.max_k();
+        Some(ScenarioRuntime {
+            spec,
+            server_fault_seeds,
+            dispatcher_fault_seeds,
+            stale_seeds,
+            ring: (max_k > 0).then(|| vec![vec![0u64; n]; (max_k + 1) as usize]),
+            oracle,
+            avail: Availability::all_up(n),
+            dispatcher_up: vec![true; m],
+            k_effs: vec![0; m],
+            stale_prev: vec![false; m],
+            recv_counts: vec![0; n],
+            recv_touched: Vec::new(),
+            degradation: DegradationMetrics::default(),
+        })
+    }
+
+    /// Phase 0 of round `round`: faults and information defects. One
+    /// counter-mode draw per entity per round; the draw itself is
+    /// state-independent (only its *interpretation* depends on the current
+    /// up/down state), so the schedule is a pure function of
+    /// `(scenario seed, global id, round)`.
+    pub(crate) fn begin_round(&mut self, round: u64) {
+        let spec = self.spec;
+        // An up entity crashes when its draw falls below the fail rate, a
+        // down one repairs when it falls below the repair rate.
+        let next_up = |up: bool, seed: u64, fail_rate: f64, repair_rate: f64| {
+            let u = unit_f64(counter_draw(seed, round));
+            if up {
+                u >= fail_rate
+            } else {
+                u < repair_rate
+            }
+        };
+        self.avail.begin_round();
+        for (s, &seed) in self.server_fault_seeds.iter().enumerate() {
+            let (fail, repair) = (spec.server_fail_rate, spec.server_repair_rate);
+            self.avail
+                .set(s, next_up(self.avail.is_up(s), seed, fail, repair));
+        }
+        self.avail.refresh();
+        self.degradation.server_down_rounds +=
+            (self.avail.num_servers() - self.avail.num_up()) as u64;
+        for (up, &seed) in self
+            .dispatcher_up
+            .iter_mut()
+            .zip(&self.dispatcher_fault_seeds)
+        {
+            let (fail, repair) = (spec.dispatcher_fail_rate, spec.dispatcher_repair_rate);
+            *up = next_up(*up, seed, fail, repair);
+        }
+        self.degradation.dispatcher_offline_rounds +=
+            self.dispatcher_up.iter().filter(|&&up| !up).count() as u64;
+        // Each dispatcher's view age for this round, clamped to the history
+        // that exists. `stale_prev` is recorded before the overwrite.
+        for d in 0..self.k_effs.len() {
+            self.stale_prev[d] = self.k_effs[d] > 0;
+            let k = match spec.staleness {
+                StalenessSpec::Fresh => 0,
+                StalenessSpec::Fixed { k } => k,
+                StalenessSpec::UniformPerRound { max_k } => {
+                    if max_k == 0 {
+                        0
+                    } else {
+                        counter_draw(self.stale_seeds[d], round) % (max_k + 1)
+                    }
+                }
+            };
+            let k_eff = k.min(round);
+            self.k_effs[d] = k_eff;
+            if k_eff > 0 && self.dispatcher_up[d] {
+                self.degradation.stale_decision_rounds += 1;
+            }
+        }
+    }
+
+    /// Keeps round `round`'s fresh snapshot for the stale views of later
+    /// rounds.
+    pub(crate) fn record_snapshot(&mut self, round: u64, snapshot: &[u64]) {
+        if let Some(ring) = self.ring.as_mut() {
+            let depth = ring.len();
+            ring[(round as usize) % depth].copy_from_slice(snapshot);
+        }
+    }
+
+    /// Dispatcher `d`'s stale queue view in round `round`, or `None` when
+    /// it sees the fresh snapshot.
+    pub(crate) fn stale_view(&self, d: usize, round: u64) -> Option<&[u64]> {
+        let k_eff = self.k_effs[d];
+        if k_eff == 0 {
+            return None;
+        }
+        let ring = self
+            .ring
+            .as_ref()
+            .expect("a snapshot ring exists whenever staleness is possible");
+        Some(&ring[((round - k_eff) as usize) % ring.len()])
+    }
+
+    /// Whether the engine's one-round dirty diff describes what dispatcher
+    /// `d` saw last round and sees now: both views fresh.
+    pub(crate) fn trusts_dirty(&self, d: usize) -> bool {
+        self.k_effs[d] == 0 && !self.stale_prev[d]
+    }
+
+    /// Dispatcher `d`'s degraded-information view: availability is always
+    /// current (failure detection is modelled as out-of-band), probes may
+    /// be lost.
+    pub(crate) fn degraded(&self, d: usize) -> DegradedView<'_> {
+        DegradedView::new(&self.avail, self.oracle.as_ref(), d)
+    }
+
+    /// This round's availability mask.
+    pub(crate) fn availability(&self) -> &Availability {
+        &self.avail
+    }
+
+    /// Drops the arrivals of offline dispatchers — and every arrival while
+    /// no server is up — counting them as lost. Arrivals are always
+    /// *sampled* first, so the arrival stream does not depend on the
+    /// scenario.
+    pub(crate) fn drop_arrivals(&mut self, arrivals: &mut [u64]) {
+        let no_server_up = self.avail.num_up() == 0;
+        for (count, &up) in arrivals.iter_mut().zip(&self.dispatcher_up) {
+            if (!up || no_server_up) && *count > 0 {
+                self.degradation.arrivals_lost =
+                    self.degradation.arrivals_lost.saturating_add(*count);
+                *count = 0;
+            }
+        }
+    }
+
+    /// Counts `count` jobs dispatched to `server` this round.
+    pub(crate) fn record_receipt(&mut self, server: usize, count: u64) {
+        if self.recv_counts[server] == 0 {
+            self.recv_touched.push(server as u32);
+        }
+        self.recv_counts[server] += count;
+    }
+
+    /// Closes the round's dispatch phase. Herding indicator: a round where
+    /// one server received a strict majority of the (at least two)
+    /// dispatched jobs — the signature failure mode of stale uncoordinated
+    /// views.
+    pub(crate) fn end_dispatch(&mut self) {
+        let mut total = 0u64;
+        let mut peak = 0u64;
+        for &s in &self.recv_touched {
+            let c = self.recv_counts[s as usize];
+            total += c;
+            peak = peak.max(c);
+            self.recv_counts[s as usize] = 0;
+        }
+        self.recv_touched.clear();
+        if total >= 2 && 2 * peak > total {
+            self.degradation.herding_rounds += 1;
+        }
+    }
+
+    /// The state a checkpoint carries.
+    pub(crate) fn capture(&self) -> ScenarioState {
+        ScenarioState {
+            server_up: (0..self.avail.num_servers())
+                .map(|s| self.avail.is_up(s))
+                .collect(),
+            dispatcher_up: self.dispatcher_up.clone(),
+            k_effs: self.k_effs.clone(),
+            ring: self.ring.clone(),
+            degradation: self.degradation,
+            oracle_dropped: self.oracle.as_ref().map_or(0, ProbeLossOracle::dropped),
+        }
+    }
+
+    /// Restores a freshly built runtime to a checkpoint's state.
+    ///
+    /// # Errors
+    /// A message naming the shape that disagrees with this runtime.
+    pub(crate) fn restore(&mut self, state: &ScenarioState) -> Result<(), String> {
+        let (n, m) = (self.avail.num_servers(), self.dispatcher_up.len());
+        if state.server_up.len() != n || state.dispatcher_up.len() != m || state.k_effs.len() != m {
+            return Err("scenario vector widths disagree".into());
+        }
+        match (self.ring.as_mut(), &state.ring) {
+            (Some(dst), Some(src)) => {
+                if src.len() != dst.len() || src.iter().any(|row| row.len() != n) {
+                    return Err("snapshot-ring shape disagrees".into());
+                }
+                for (dst_row, src_row) in dst.iter_mut().zip(src) {
+                    dst_row.copy_from_slice(src_row);
+                }
+            }
+            (None, None) => {}
+            _ => return Err("snapshot-ring presence disagrees".into()),
+        }
+        match self.oracle.as_ref() {
+            Some(oracle) => oracle.preload_dropped(state.oracle_dropped),
+            None if state.oracle_dropped != 0 => {
+                return Err("probe-loss tally without a probe-loss oracle".into());
+            }
+            None => {}
+        }
+        for (server, &up) in state.server_up.iter().enumerate() {
+            if !up {
+                self.avail.set(server, false);
+            }
+        }
+        self.avail.refresh();
+        self.dispatcher_up.copy_from_slice(&state.dispatcher_up);
+        self.k_effs.copy_from_slice(&state.k_effs);
+        self.degradation = state.degradation;
+        Ok(())
+    }
+
+    /// The run's degradation metrics, probe-loss tally included.
+    pub(crate) fn into_metrics(self) -> DegradationMetrics {
+        DegradationMetrics {
+            probes_dropped: self.oracle.as_ref().map_or(0, ProbeLossOracle::dropped),
+            ..self.degradation
+        }
     }
 }
 

@@ -43,7 +43,7 @@
 //! | [`model`] | identifiers, cluster specs, snapshots, the [`DispatchPolicy`](scd_model::DispatchPolicy) trait, weighted samplers, the shared [`RoundCache`](scd_model::RoundCache) |
 //! | [`core`] | IWL (Algorithm 3), the probability solvers (Algorithms 1 & 4), arrival estimation, the SCD policy, the tournament-tree queue index |
 //! | [`policies`] | JSQ, SED, JSQ(d), hJSQ(d), JIQ, hJIQ, LSQ, hLSQ, WR, TWF, LED and friends |
-//! | [`sim`] | the three-phase round engine, arrival/service processes, reports |
+//! | [`sim`] | the round engine (one method per round phase), scenarios, arrival/service processes, reports |
 //! | [`metrics`] | response-time histograms, decision-time histograms, percentiles, CCDF, tables |
 //!
 //! A prose tour of how the crates fit together — the round lifecycle, the
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use scd_core::iwl::{compute_iwl, ideal_assignment};
     pub use scd_core::policy::{ScdFactory, ScdPolicy};
     pub use scd_core::solver::{compute_probabilities, solve, ScdSolution, SolverKind};
-    pub use scd_metrics::{ResponseTimeHistogram, SampleSet, Table};
+    pub use scd_metrics::{ResponseTimeHistogram, Table};
     pub use scd_model::{
         ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId, PolicyFactory, RateProfile,
         ServerId,
