@@ -46,6 +46,12 @@
 //! stream families; the master is now pre-mixed before the tag is added
 //! (`scd_model::streams::derive_stream_seed`), which re-seeds every stream.
 //!
+//! Coverage: one row per registered policy, plus digests of the
+//! argmin-family checkpoint bytes. The rows past SCD, JSQ and SED and the
+//! digests were added, not refreshed: they were captured from the engine as
+//! it stood, so that a restructuring of the argmin family (JSQ, SED, LSQ,
+//! hLSQ, LED, hLED) must keep every sample path and checkpoint blob.
+//!
 //! All quantities are integer-exact or derived from integer counts, so the
 //! comparisons are safe despite floating-point representation.
 
@@ -63,12 +69,53 @@ fn golden_config() -> SimConfig {
         .unwrap()
 }
 
-/// One golden record per policy: (name, dispatched, completed, p99, max backlog).
-const GOLDEN: [(&str, u64, u64, u64, f64); 3] = [
+/// One golden record per registered policy, in `standard_policy_names()`
+/// order (SCD first): (name, dispatched, completed, p99, max backlog).
+const GOLDEN: [(&str, u64, u64, u64, f64); 16] = [
     ("SCD", 23_114, 23_041, 14, 150.0),
+    ("SCD(alg1)", 23_114, 23_044, 13, 147.0),
+    ("TWF", 23_114, 23_010, 36, 173.0),
     ("JSQ", 23_114, 23_016, 35, 172.0),
     ("SED", 23_114, 23_045, 14, 149.0),
+    ("JSQ(2)", 23_114, 22_684, 107, 444.0),
+    ("hJSQ(2)", 23_114, 23_028, 14, 151.0),
+    ("JIQ", 23_114, 17_886, 1_072, 5_224.0),
+    ("hJIQ", 23_114, 22_980, 54, 198.0),
+    ("LSQ", 23_114, 22_967, 49, 204.0),
+    ("hLSQ", 23_114, 22_999, 17, 159.0),
+    ("WR", 23_114, 22_959, 65, 304.0),
+    ("LED", 23_114, 23_007, 33, 179.0),
+    ("hLED", 23_114, 23_006, 38, 177.0),
+    ("Random", 23_114, 15_532, 1_205, 7_576.0),
+    ("RoundRobin", 23_114, 15_513, 1_208, 7_595.0),
 ];
+
+/// FNV-1a digests of `EngineCheckpoint::to_bytes()` captured before round
+/// 1,000 of the golden run, one per argmin-family policy. They pin each
+/// policy's checkpoint blob (its queue view, sync point, own placements and
+/// warm priority epoch) byte for byte, not only its sample path.
+const CHECKPOINT_DIGESTS: [(&str, u64); 6] = [
+    ("JSQ", 0xa54c_3d64_5656_36bd),
+    ("SED", 0xa917_f35d_533b_1a9a),
+    ("LSQ", 0x1a3b_16a9_bf89_1028),
+    ("hLSQ", 0x7494_f1ce_dff5_eabe),
+    ("LED", 0x12f5_1d07_47e8_e1ba),
+    ("hLED", 0x3d66_13ff_8b77_a119),
+];
+
+/// 64-bit FNV-1a, written out here because `DefaultHasher` is not stable
+/// across Rust releases.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn golden_covers_every_registered_policy() {
+    let names: Vec<&str> = GOLDEN.iter().map(|row| row.0).collect();
+    assert_eq!(names, standard_policy_names());
+}
 
 #[test]
 fn fixed_seed_reproduces_the_golden_sample_path() {
@@ -84,6 +131,27 @@ fn fixed_seed_reproduces_the_golden_sample_path() {
         assert_eq!(
             report.queues.max_total_backlog, max_backlog,
             "{name}: max backlog"
+        );
+    }
+}
+
+#[test]
+fn argmin_family_checkpoints_hold_their_golden_bytes() {
+    let sim = Simulation::new(golden_config()).unwrap();
+    for (name, digest) in CHECKPOINT_DIGESTS {
+        let factory = factory_by_name(name).unwrap();
+        let mut captured = None;
+        let stopped = sim.run_with_checkpoints(factory.as_ref(), 1_000, None, &mut |ckpt| {
+            captured = Some(ckpt);
+            Err(SimError::Checkpoint("captured; stop the run".into()))
+        });
+        assert!(stopped.is_err(), "{name}: the sink stops the run");
+        let ckpt = captured.expect("the run reaches round 1,000");
+        assert_eq!(ckpt.round(), 1_000);
+        let digest_now = fnv1a(&ckpt.to_bytes().unwrap());
+        assert_eq!(
+            digest_now, digest,
+            "{name}: checkpoint bytes at round 1,000"
         );
     }
 }
@@ -106,9 +174,15 @@ fn parallel_runner_reproduces_the_sequential_reports_exactly() {
 
     // The parallel path must also hit the golden record, not merely agree
     // with the sequential path.
-    for ((name, dispatched, ..), report) in GOLDEN.iter().zip(&sequential.reports) {
-        assert_eq!(&report.policy, name);
-        assert_eq!(report.jobs_dispatched, *dispatched);
+    let policies: Vec<&str> = sequential
+        .reports
+        .iter()
+        .map(|r| r.policy.as_str())
+        .collect();
+    assert_eq!(policies, ["SCD", "JSQ", "SED"]);
+    for report in &sequential.reports {
+        let golden = GOLDEN.iter().find(|row| row.0 == report.policy).unwrap();
+        assert_eq!(report.jobs_dispatched, golden.1);
     }
 }
 
