@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scd_core::policy::ScdFactory;
 use scd_model::{ClusterSpec, PolicyFactory, RateProfile};
-use scd_policies::{JsqFactory, LedFactory, LsqFactory, SedFactory, WeightedRandomFactory};
+use scd_policies::{ArgminFactory, WeightedRandomFactory};
 use scd_sim::{ArrivalSpec, ShardedSimulation, SimConfig, Simulation};
 use std::time::Instant;
 
@@ -97,10 +97,10 @@ fn main() {
     let simulation = Simulation::new(config.clone()).expect("valid configuration");
     let policies: Vec<(&'static str, Box<dyn PolicyFactory>)> = vec![
         ("SCD", Box::new(ScdFactory::new())),
-        ("JSQ", Box::new(JsqFactory::new())),
-        ("SED", Box::new(SedFactory::new())),
-        ("LSQ", Box::new(LsqFactory::new())),
-        ("LED", Box::new(LedFactory::new())),
+        ("JSQ", Box::new(ArgminFactory::jsq())),
+        ("SED", Box::new(ArgminFactory::sed())),
+        ("LSQ", Box::new(ArgminFactory::lsq())),
+        ("LED", Box::new(ArgminFactory::led())),
         ("WR", Box::new(WeightedRandomFactory::new())),
     ];
     for (name, factory) in &policies {

@@ -165,17 +165,6 @@ impl DispatchPolicy for ScdPolicy {
         scd_model::CacheDemand::SolverTables
     }
 
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
-    }
-
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,

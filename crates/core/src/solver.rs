@@ -958,11 +958,7 @@ mod tests {
         cache.begin_round(&[1, 2], &[1.0, 2.0]);
         assert_eq!(cache.scd_table().unwrap().num_servers(), 2);
         // A cache refreshed without the solver tables has none.
-        cache.begin_round_for(
-            &[1, 2],
-            &[1.0, 2.0],
-            scd_model::CacheDemand::ReciprocalRates,
-        );
+        cache.begin_round_for(&[1, 2], &[1.0, 2.0], scd_model::CacheDemand::None);
         assert!(cache.scd_table().is_none());
     }
 

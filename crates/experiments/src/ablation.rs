@@ -188,17 +188,6 @@ impl DispatchPolicy for ComparingScd {
         self.kernel.round_cache_demand()
     }
 
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
-    }
-
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,

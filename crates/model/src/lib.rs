@@ -35,13 +35,14 @@
 //!
 //! impl DispatchPolicy for AlwaysFirst {
 //!     fn policy_name(&self) -> &str { "always-first" }
-//!     fn dispatch_batch(
+//!     fn dispatch_into(
 //!         &mut self,
 //!         _ctx: &DispatchContext<'_>,
 //!         batch: usize,
+//!         out: &mut Vec<ServerId>,
 //!         _rng: &mut dyn rand::RngCore,
-//!     ) -> Vec<ServerId> {
-//!         vec![ServerId::new(0); batch]
+//!     ) {
+//!         out.resize(out.len() + batch, ServerId::new(0));
 //!     }
 //! }
 //!

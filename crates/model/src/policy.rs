@@ -42,10 +42,8 @@ pub type BoxedPolicy = Box<dyn DispatchPolicy>;
 ///    that maintain local state across rounds (LSQ's local array, JIQ's idle
 ///    cache) refresh it here.
 /// 2. If the dispatcher received `a(d) > 0` jobs,
-///    [`dispatch_into`](DispatchPolicy::dispatch_into) (or its allocating
-///    equivalent [`dispatch_batch`](DispatchPolicy::dispatch_batch)) is
-///    called once with the batch size and must produce one destination per
-///    job. A dispatcher with an empty batch gets no dispatch call at all, so
+///    [`dispatch_into`](DispatchPolicy::dispatch_into) is called once with
+///    the batch size and must produce one destination per job. A dispatcher with an empty batch gets no dispatch call at all, so
 ///    policies must not rely on being invoked every round.
 ///
 /// # Example
@@ -58,19 +56,17 @@ pub type BoxedPolicy = Box<dyn DispatchPolicy>;
 ///
 /// impl DispatchPolicy for RoundRobin {
 ///     fn policy_name(&self) -> &str { "round-robin" }
-///     fn dispatch_batch(
+///     fn dispatch_into(
 ///         &mut self,
 ///         ctx: &DispatchContext<'_>,
 ///         batch: usize,
+///         out: &mut Vec<ServerId>,
 ///         _rng: &mut dyn rand::RngCore,
-///     ) -> Vec<ServerId> {
-///         (0..batch)
-///             .map(|_| {
-///                 let s = ServerId::new(self.next % ctx.num_servers());
-///                 self.next += 1;
-///                 s
-///             })
-///             .collect()
+///     ) {
+///         for _ in 0..batch {
+///             out.push(ServerId::new(self.next % ctx.num_servers()));
+///             self.next += 1;
+///         }
 ///     }
 /// }
 /// ```
@@ -91,9 +87,8 @@ pub trait DispatchPolicy: Send {
     /// How much of the shared per-round [`RoundCache`](crate::RoundCache)
     /// this policy reads from the context. The engine refreshes only what
     /// the most demanding policy of the run declares: policies that never
-    /// touch the cache cost nothing, reciprocal-only consumers (SED) skip
-    /// the per-round solver-table fills, and only solver consumers (SCD)
-    /// pay for the full tables.
+    /// touch the cache cost nothing, and only solver consumers (SCD) pay
+    /// for the tables.
     ///
     /// The declaration must not change decisions — the cache is a pure
     /// accelerator (see the determinism contract above). Reading a table
@@ -105,28 +100,17 @@ pub trait DispatchPolicy: Send {
     }
 
     /// Chooses a destination server for each of the `batch` jobs that arrived
-    /// at this dispatcher in the current round.
-    ///
-    /// Must return exactly `batch` destinations; the engine validates this
-    /// via [`validate_assignment`].
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId>;
-
-    /// Allocation-free variant of
-    /// [`dispatch_batch`](DispatchPolicy::dispatch_batch): appends exactly
-    /// `batch` destinations to `out` instead of returning a fresh vector.
+    /// at this dispatcher in the current round, appending exactly `batch`
+    /// destinations to `out`. The engine validates them via
+    /// [`validate_assignment`].
     ///
     /// # Buffer-reuse rules
     ///
     /// The simulation engine calls this method in its hot loop with **one**
     /// scratch buffer that it clears (`out.clear()`) before every call and
-    /// reuses across rounds and dispatchers, so policies that override it
-    /// (all built-in policies do) keep the steady-state round loop free of
-    /// heap allocations. Implementations must therefore:
+    /// reuses across rounds and dispatchers, so policies keep the
+    /// steady-state round loop free of heap allocations. Implementations
+    /// must therefore:
     ///
     /// * only **append** to `out` — never read, assume, or clear existing
     ///   contents (the engine owns the clearing);
@@ -136,24 +120,26 @@ pub trait DispatchPolicy: Send {
     /// * never let scratch contents from a previous round influence
     ///   decisions, unless carrying state across rounds is the policy's
     ///   documented semantics (LSQ/LED local estimates).
-    ///
-    /// # Contract
-    ///
-    /// For any `(ctx, batch)` and identical RNG state, this method must
-    /// append the same destinations `dispatch_batch` would return **and**
-    /// leave the RNG in the same state — the engine treats the two entry
-    /// points as interchangeable, and the policy contract tests assert it
-    /// for every registered policy. The default implementation trivially
-    /// satisfies this by delegating to `dispatch_batch`.
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,
         batch: usize,
         out: &mut Vec<ServerId>,
         rng: &mut dyn RngCore,
-    ) {
-        let assignment = self.dispatch_batch(ctx, batch, rng);
-        out.extend_from_slice(&assignment);
+    );
+
+    /// Allocating convenience over
+    /// [`dispatch_into`](DispatchPolicy::dispatch_into): returns the `batch`
+    /// destinations in a fresh vector, with the same RNG consumption.
+    fn dispatch_batch(
+        &mut self,
+        ctx: &DispatchContext<'_>,
+        batch: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<ServerId> {
+        let mut out = Vec::with_capacity(batch);
+        self.dispatch_into(ctx, batch, &mut out, rng);
+        out
     }
 
     /// Serializes the policy's cross-round state into `out` for an engine
@@ -272,13 +258,14 @@ mod tests {
             "to-first"
         }
 
-        fn dispatch_batch(
+        fn dispatch_into(
             &mut self,
             _ctx: &DispatchContext<'_>,
             batch: usize,
+            out: &mut Vec<ServerId>,
             _rng: &mut dyn RngCore,
-        ) -> Vec<ServerId> {
-            vec![ServerId::new(0); batch]
+        ) {
+            out.resize(out.len() + batch, ServerId::new(0));
         }
     }
 

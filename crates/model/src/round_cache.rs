@@ -3,7 +3,7 @@
 //! Within one simulation round every dispatcher observes the *same* queue
 //! snapshot and the *same* (static) service rates, so the derived tables the
 //! decision procedures consume are identical across all `m` dispatchers: the
-//! reciprocal rates `1/µ_s` (SED) and the SCD dispatch table
+//! reciprocal rates `1/µ_s` and the SCD dispatch table
 //! ([`ScdTable`]: servers or `(q, rate-class)` classes sorted by their
 //! Corollary 1 key, with prefix sums). A [`RoundCache`] computes them once
 //! per round instead of once per dispatcher.
@@ -35,7 +35,7 @@ use std::cell::{Cell, Ref, RefCell};
 /// The reciprocal-rate table `inv[s] = 1.0/µ_s`, as a fresh vector.
 ///
 /// Every reciprocal-rate table in the workspace (the [`RoundCache`], the SCD
-/// solver scratch, the SED/LSQ/LED key functions) is built from this one
+/// solver scratch, the argmin family's expected-delay keys) is built from this one
 /// expression — the cached/uncached equivalence guarantees depend on every
 /// reciprocal being computed as exactly `1.0/µ`.
 pub fn reciprocal_rates(rates: &[f64]) -> Vec<f64> {
@@ -44,9 +44,8 @@ pub fn reciprocal_rates(rates: &[f64]) -> Vec<f64> {
 
 /// Refreshes a cached reciprocal-rate table (`inv[s] = 1.0/µ_s`) if `rates`
 /// changed since the last call, using `snapshot` as the change detector.
-/// Policies and scratches that keep a `(snapshot, inv)` pair across rounds
-/// ([`RoundCache`], the SCD solver scratch, the SED policy) all refresh it
-/// through here.
+/// Scratches that keep a `(snapshot, inv)` pair across rounds
+/// ([`RoundCache`], the SCD solver scratch) all refresh it through here.
 pub fn refresh_reciprocal_rates(snapshot: &mut Vec<f64>, inv: &mut Vec<f64>, rates: &[f64]) {
     if snapshot != rates {
         snapshot.clear();
@@ -58,15 +57,13 @@ pub fn refresh_reciprocal_rates(snapshot: &mut Vec<f64>, inv: &mut Vec<f64>, rat
 
 /// How much of the shared per-round cache a policy consumes; the engine
 /// refreshes only what the most demanding policy of the run declares
-/// (ordering: `None < ReciprocalRates < SolverTables`).
+/// (ordering: `None < SolverTables`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum CacheDemand {
     /// The policy never reads the cache (the default).
     #[default]
     None,
-    /// Only [`RoundCache::inv_rates`] — static per run, refreshed for free.
-    ReciprocalRates,
-    /// The SCD dispatch table too ([`RoundCache::scd_table`]).
+    /// The SCD dispatch table ([`RoundCache::scd_table`]).
     SolverTables,
 }
 
@@ -371,22 +368,21 @@ mod tests {
     }
 
     #[test]
-    fn reciprocal_only_demand_skips_and_clears_solver_tables() {
+    fn table_free_demand_skips_and_clears_solver_tables() {
         let mut cache = RoundCache::new();
         assert!(cache.scd_table().is_none(), "no round begun");
         cache.begin_round(&[3, 1], &[2.0, 1.0]);
         assert!(cache.scd_table().is_some());
-        // A reciprocal-only round keeps inv_rates fresh but withholds the
-        // SCD table, so out-of-contract reads fail loudly.
-        cache.begin_round_for(&[4, 2], &[2.0, 1.0], CacheDemand::ReciprocalRates);
+        // A round refreshed without the table demand keeps inv_rates fresh
+        // but withholds the SCD table, so out-of-contract reads fail loudly.
+        cache.begin_round_for(&[4, 2], &[2.0, 1.0], CacheDemand::None);
         assert_eq!(cache.inv_rates(), &[0.5, 1.0]);
         assert!(cache.scd_table().is_none());
     }
 
     #[test]
-    fn cache_demand_orders_none_below_reciprocals_below_tables() {
-        assert!(CacheDemand::None < CacheDemand::ReciprocalRates);
-        assert!(CacheDemand::ReciprocalRates < CacheDemand::SolverTables);
+    fn cache_demand_orders_none_below_tables() {
+        assert!(CacheDemand::None < CacheDemand::SolverTables);
         assert_eq!(CacheDemand::default(), CacheDemand::None);
     }
 
@@ -470,14 +466,9 @@ mod tests {
         cache.begin_round_delta(&[1, 1, 1], &[1.0, 2.0, 4.0], &[], CacheDemand::SolverTables);
         assert_eq!(cache.inv_rates(), &[1.0, 0.5, 0.25]);
         assert_eq!(resorts(&cache), 2);
-        // A reciprocal-only refresh withholds the table; widening the
-        // demand afterwards must rebuild it from scratch.
-        cache.begin_round_delta(
-            &[2, 1, 1],
-            &[1.0, 2.0, 4.0],
-            &[0],
-            CacheDemand::ReciprocalRates,
-        );
+        // A table-free refresh withholds the table; widening the demand
+        // afterwards must rebuild it from scratch.
+        cache.begin_round_delta(&[2, 1, 1], &[1.0, 2.0, 4.0], &[0], CacheDemand::None);
         assert!(cache.scd_table().is_none());
         cache.begin_round_delta(
             &[4, 1, 1],

@@ -3,64 +3,7 @@
 use rand::Rng;
 use rand::RngCore;
 use scd_core::index::{scan_argmin, TournamentTree};
-use scd_model::{
-    BoxedPolicy, ClusterSpec, DispatchContext, DispatcherId, PolicyFactory, StateReader,
-    StateWriter,
-};
-use std::sync::Arc;
-
-/// The boxed builder closure a [`NamedFactory`] wraps.
-type BoxedBuilder = Arc<dyn Fn(DispatcherId, &ClusterSpec) -> BoxedPolicy + Send + Sync>;
-
-/// A [`PolicyFactory`] defined by a name and a boxed closure — removes the
-/// boilerplate of writing a dedicated factory struct for every policy
-/// variant.
-///
-/// # Example
-/// ```
-/// use scd_policies::NamedFactory;
-/// use scd_policies::jsq::JsqPolicy;
-/// use scd_model::PolicyFactory;
-///
-/// let factory = NamedFactory::new("my-jsq", |_d, _spec| Box::new(JsqPolicy::new()));
-/// assert_eq!(factory.name(), "my-jsq");
-/// ```
-#[derive(Clone)]
-pub struct NamedFactory {
-    name: String,
-    builder: BoxedBuilder,
-}
-
-impl NamedFactory {
-    /// Creates a factory from a display name and a builder closure.
-    pub fn new<F>(name: impl Into<String>, builder: F) -> Self
-    where
-        F: Fn(DispatcherId, &ClusterSpec) -> BoxedPolicy + Send + Sync + 'static,
-    {
-        NamedFactory {
-            name: name.into(),
-            builder: Arc::new(builder),
-        }
-    }
-}
-
-impl std::fmt::Debug for NamedFactory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NamedFactory")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl PolicyFactory for NamedFactory {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn build(&self, dispatcher: DispatcherId, spec: &ClusterSpec) -> BoxedPolicy {
-        (self.builder)(dispatcher, spec)
-    }
-}
+use scd_model::{StateReader, StateWriter};
 
 /// How an argmin-family policy (JSQ, SED, LSQ, LED, …) answers its repeated
 /// "currently best server" queries while placing a batch.
@@ -256,7 +199,8 @@ impl BatchArgmin {
     }
 
     /// Restores warm-epoch state captured by
-    /// [`save_warm_state`](BatchArgmin::save_warm_state).
+    /// [`save_warm_state`](BatchArgmin::save_warm_state) for a cluster of
+    /// `n` servers.
     ///
     /// After this call the next [`begin_warm`](BatchArgmin::begin_warm) with
     /// the same cluster size takes the non-refresh branch (consuming no
@@ -264,8 +208,11 @@ impl BatchArgmin {
     /// from the live key closure, because every slot is marked dirty here.
     ///
     /// # Errors
-    /// Returns a message when the blob is truncated or malformed.
-    pub fn restore_warm_state(&mut self, r: &mut StateReader<'_>) -> Result<(), String> {
+    /// Returns a message when the blob is truncated or malformed, or when
+    /// its priorities cover other than `n` servers (the first resumed batch
+    /// would then redraw them, silently diverging from the uninterrupted
+    /// run).
+    pub fn restore_warm_state(&mut self, n: usize, r: &mut StateReader<'_>) -> Result<(), String> {
         match r.u8()? {
             0 => {
                 self.invalidate();
@@ -274,10 +221,12 @@ impl BatchArgmin {
             1 => {
                 let batches_in_epoch = r.u32()?;
                 let prios = r.u64s()?;
-                if prios.is_empty() {
-                    return Err("warm picker state covers zero servers".to_string());
+                if prios.len() != n {
+                    return Err(format!(
+                        "warm picker state covers {} servers, this cluster has {n}",
+                        prios.len()
+                    ));
                 }
-                let n = prios.len();
                 self.n = n;
                 self.prios = prios;
                 self.batches_in_epoch = batches_in_epoch;
@@ -293,123 +242,6 @@ impl BatchArgmin {
                 Ok(())
             }
             other => Err(format!("invalid warm-ready flag byte {other}")),
-        }
-    }
-}
-
-/// Round tracker for a policy's persistent mirror of the engine's queue
-/// snapshot (see [`sync_snapshot_mirror`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SnapshotSync {
-    /// The round whose snapshot the mirror was last synced to.
-    synced_round: Option<u64>,
-}
-
-impl SnapshotSync {
-    /// The round the mirror was last synced to, if any. Checkpointed so a
-    /// resumed policy keeps its delta chain: without it the first resumed
-    /// round would take the full compare-and-mark path, which is decision-
-    /// identical but would break the mirror's `touched` overlay accounting.
-    pub fn synced_round(&self) -> Option<u64> {
-        self.synced_round
-    }
-
-    /// Restores the sync point captured by
-    /// [`synced_round`](SnapshotSync::synced_round).
-    pub fn set_synced_round(&mut self, round: Option<u64>) {
-        self.synced_round = round;
-    }
-}
-
-/// Repairs a policy's persistent local mirror of the true queue lengths from
-/// the engine's round-to-round dirty set, marking every changed slot dirty
-/// on the warm `picker`.
-///
-/// The mirror invariant this maintains: after syncing at round `t`, `local`
-/// equals the round-`t` snapshot. The policy may then overlay its own
-/// in-batch placements, **recording each touched slot in `touched`**: the
-/// engine's dirty set is the exact snapshot diff, so a slot the policy
-/// inflated whose true length did not change (the server completed as many
-/// jobs as it received) appears in `touched` but not in the dirty set — the
-/// sync re-checks both. The delta path applies only when the context
-/// carries a dirty set *and* the mirror was synced at round `t − 1` (an
-/// unbroken chain); otherwise — first round, direct invocations, delta
-/// tracking disabled, or a skipped round — a full compare-and-mark pass
-/// runs. `touched` is drained either way.
-///
-/// **Dirty availability is invisible to decisions**: both paths mark exactly
-/// the slots whose mirrored value changed (the delta path can do so because
-/// unlisted servers are guaranteed unchanged), neither consumes randomness,
-/// and the warm picker's priority epochs advance identically. Runs with and
-/// without engine delta tracking are therefore bit-identical — the engine
-/// equivalence tests pin this down.
-///
-/// A cluster-size change resets the mirror and invalidates the picker.
-/// Syncing twice in one round (observe + dispatch) is a no-op.
-pub fn sync_snapshot_mirror(
-    local: &mut Vec<u64>,
-    picker: &mut BatchArgmin,
-    sync: &mut SnapshotSync,
-    ctx: &DispatchContext<'_>,
-    touched: &mut Vec<u32>,
-) {
-    let queues = ctx.queue_lengths();
-    let round = ctx.round();
-    if local.len() != queues.len() {
-        local.clear();
-        local.extend_from_slice(queues);
-        picker.invalidate();
-        touched.clear();
-        sync.synced_round = Some(round);
-        return;
-    }
-    if sync.synced_round == Some(round) {
-        return;
-    }
-    let chained = sync
-        .synced_round
-        .is_some_and(|r| round == r.wrapping_add(1));
-    match ctx.dirty_servers() {
-        Some(dirty) if chained => {
-            for &s in touched.iter().chain(dirty) {
-                let s = s as usize;
-                if local[s] != queues[s] {
-                    local[s] = queues[s];
-                    picker.mark_dirty(s);
-                }
-            }
-            debug_assert_eq!(
-                local.as_slice(),
-                queues,
-                "dirty set + own touched slots missed a change — \
-                 the engine's delta contract is broken"
-            );
-        }
-        _ => {
-            for (s, (mine, &truth)) in local.iter_mut().zip(queues).enumerate() {
-                if *mine != truth {
-                    *mine = truth;
-                    picker.mark_dirty(s);
-                }
-            }
-        }
-    }
-    touched.clear();
-    sync.synced_round = Some(round);
-}
-
-/// Propagates this round's availability flips into a warm picker's dirty
-/// set: a server that crashed or repaired changes its effective key (to or
-/// from `+∞`) without a queue-length change, which the snapshot-diff sync of
-/// [`sync_snapshot_mirror`] cannot see. Reads the **raw** availability mask
-/// (not [`DispatchContext::active_mask`]) on purpose — when the last down
-/// server repairs, the active mask disappears but the repaired slot still
-/// needs re-keying. A no-op on the fair-weather path (no mask attached) and
-/// before the first warm batch.
-pub fn mark_availability_flips(picker: &mut BatchArgmin, ctx: &DispatchContext<'_>) {
-    if let Some(avail) = ctx.availability() {
-        for &s in avail.changed() {
-            picker.mark_dirty(s as usize);
         }
     }
 }
@@ -722,7 +554,7 @@ mod tests {
         let mut rng_b = StdRng::from_state(rng.state());
         let mut restored = BatchArgmin::new(ArgminMode::Indexed);
         let mut r = StateReader::new(&blob);
-        restored.restore_warm_state(&mut r).unwrap();
+        restored.restore_warm_state(5, &mut r).unwrap();
         r.finish().unwrap();
         // Mutate a key out-of-batch on both sides (probe-style), then run
         // far enough to cross the next epoch refresh.
@@ -755,25 +587,36 @@ mod tests {
         let blob = w.into_bytes();
         let mut fresh = BatchArgmin::new(ArgminMode::Indexed);
         let mut r = StateReader::new(&blob);
-        fresh.restore_warm_state(&mut r).unwrap();
+        fresh.restore_warm_state(3, &mut r).unwrap();
         r.finish().unwrap();
         // Bad flag byte.
         let mut r = StateReader::new(&[9]);
-        assert!(fresh.restore_warm_state(&mut r).is_err());
+        assert!(fresh.restore_warm_state(3, &mut r).is_err());
         // Warm flag with truncated body.
         let mut r = StateReader::new(&[1, 0, 0]);
-        assert!(fresh.restore_warm_state(&mut r).is_err());
+        assert!(fresh.restore_warm_state(3, &mut r).is_err());
     }
 
+    /// Priorities for a cluster of another size are refused, not silently
+    /// redrawn by the first resumed batch.
     #[test]
-    fn named_factory_builds_and_reports_name() {
-        let factory = NamedFactory::new("test-jsq", |_d, _s| {
-            Box::new(crate::jsq::JsqPolicy::new()) as BoxedPolicy
-        });
-        assert_eq!(factory.name(), "test-jsq");
-        let spec = ClusterSpec::homogeneous(3, 1.0).unwrap();
-        let policy = factory.build(DispatcherId::new(0), &spec);
-        assert_eq!(policy.policy_name(), "JSQ");
-        assert!(format!("{factory:?}").contains("test-jsq"));
+    fn warm_state_restore_rejects_priorities_for_another_cluster_size() {
+        let mut warm = BatchArgmin::new(ArgminMode::Indexed);
+        let mut rng = StdRng::seed_from_u64(4);
+        warm.begin_warm(4, |i| i as f64, &mut rng);
+        let mut w = StateWriter::new();
+        warm.save_warm_state(&mut w);
+        let blob = w.into_bytes();
+        for n in [1, 3, 5] {
+            let mut fresh = BatchArgmin::new(ArgminMode::Indexed);
+            let err = fresh
+                .restore_warm_state(n, &mut StateReader::new(&blob))
+                .unwrap_err();
+            assert!(err.contains("covers 4 servers"), "{err}");
+        }
+        let mut fresh = BatchArgmin::new(ArgminMode::Indexed);
+        assert!(fresh
+            .restore_warm_state(4, &mut StateReader::new(&blob))
+            .is_ok());
     }
 }

@@ -7,7 +7,6 @@
 //! both the idle server and the fallback server proportionally to the service
 //! rates (footnote 6).
 
-use crate::common::NamedFactory;
 use rand::Rng;
 use rand::RngCore;
 use scd_model::{
@@ -129,17 +128,6 @@ impl DispatchPolicy for JiqPolicy {
         self.name
     }
 
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
-    }
-
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,
@@ -206,12 +194,6 @@ impl JiqFactory {
         JiqFactory {
             variant: JiqVariant::Heterogeneous,
         }
-    }
-
-    /// The same configuration wrapped in a [`NamedFactory`].
-    pub fn named(self) -> NamedFactory {
-        let name = PolicyFactory::name(&self).to_string();
-        NamedFactory::new(name, move |d, spec| self.build(d, spec))
     }
 }
 
@@ -339,6 +321,5 @@ mod tests {
         let h = JiqFactory::heterogeneous();
         assert_eq!(h.name(), "hJIQ");
         assert_eq!(h.build(DispatcherId::new(0), &spec).policy_name(), "hJIQ");
-        assert_eq!(JiqFactory::heterogeneous().named().name(), "hJIQ");
     }
 }

@@ -9,7 +9,7 @@
 //! the paper also evaluates `hJSQ(d)`: sampling proportional to the service
 //! rates and ranking by expected delay (footnote 6).
 
-use crate::common::{argmin_random_ties, sample_distinct_into, NamedFactory};
+use crate::common::{argmin_random_ties, sample_distinct_into};
 use rand::RngCore;
 use scd_model::{
     AliasSampler, Availability, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy,
@@ -131,17 +131,6 @@ impl DispatchPolicy for PowerOfDPolicy {
         &self.name
     }
 
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
-    }
-
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,
@@ -207,12 +196,6 @@ impl PowerOfDFactory {
             variant: PowerOfDVariant::Heterogeneous,
             name: format!("hJSQ({d})"),
         }
-    }
-
-    /// The same configuration wrapped in a [`NamedFactory`].
-    pub fn named(self) -> NamedFactory {
-        let name = self.name.clone();
-        NamedFactory::new(name, move |d, spec| self.build(d, spec))
     }
 }
 
@@ -308,8 +291,7 @@ mod tests {
             h.build(DispatcherId::new(0), &spec).policy_name(),
             "hJSQ(2)"
         );
-        let named = PowerOfDFactory::uniform(3).named();
-        assert_eq!(named.name(), "JSQ(3)");
+        assert_eq!(PowerOfDFactory::uniform(3).name(), "JSQ(3)");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! competitive). Uniform random and round robin are included as the weakest
 //! baselines for tests and examples.
 
-use crate::common::NamedFactory;
 use rand::Rng;
 use rand::RngCore;
 use scd_model::{
@@ -34,17 +33,6 @@ impl WeightedRandomPolicy {
 impl DispatchPolicy for WeightedRandomPolicy {
     fn policy_name(&self) -> &str {
         "WR"
-    }
-
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
     }
 
     fn dispatch_into(
@@ -79,11 +67,6 @@ impl WeightedRandomFactory {
     pub fn new() -> Self {
         WeightedRandomFactory
     }
-
-    /// The same policy wrapped in a [`NamedFactory`].
-    pub fn named() -> NamedFactory {
-        NamedFactory::new("WR", |_d, spec| Box::new(WeightedRandomPolicy::new(spec)))
-    }
 }
 
 impl PolicyFactory for WeightedRandomFactory {
@@ -110,17 +93,6 @@ impl UniformRandomPolicy {
 impl DispatchPolicy for UniformRandomPolicy {
     fn policy_name(&self) -> &str {
         "Random"
-    }
-
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
     }
 
     fn dispatch_into(
@@ -181,17 +153,6 @@ impl RoundRobinPolicy {
 impl DispatchPolicy for RoundRobinPolicy {
     fn policy_name(&self) -> &str {
         "RoundRobin"
-    }
-
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
     }
 
     fn dispatch_into(
@@ -340,7 +301,6 @@ mod tests {
                 expected
             );
         }
-        assert_eq!(WeightedRandomFactory::named().name(), "WR");
     }
 
     #[test]

@@ -4,13 +4,10 @@
 //! figure legends ("SCD", "hLSQ", "JSQ(2)", ...). This module is the single
 //! source of truth for that mapping.
 
+use crate::argmin::ArgminFactory;
 use crate::jiq::JiqFactory;
-use crate::jsq::JsqFactory;
-use crate::led::LedFactory;
-use crate::lsq::LsqFactory;
 use crate::power_of_d::PowerOfDFactory;
 use crate::random::{RoundRobinFactory, UniformRandomFactory, WeightedRandomFactory};
-use crate::sed::SedFactory;
 use crate::twf::TwfFactory;
 use scd_core::estimator::ArrivalEstimator;
 use scd_core::policy::ScdFactory;
@@ -57,19 +54,19 @@ pub fn factory_by_name(name: &str) -> Option<Box<dyn PolicyFactory>> {
             SolverKind::Quadratic,
         )),
         "TWF" => Box::new(TwfFactory::new()),
-        "JSQ" => Box::new(JsqFactory::new()),
-        "SED" => Box::new(SedFactory::new()),
+        "JSQ" => Box::new(ArgminFactory::jsq()),
+        "SED" => Box::new(ArgminFactory::sed()),
         "JSQ(2)" => Box::new(PowerOfDFactory::uniform(2)),
         "JSQ(3)" => Box::new(PowerOfDFactory::uniform(3)),
         "hJSQ(2)" => Box::new(PowerOfDFactory::heterogeneous(2)),
         "hJSQ(3)" => Box::new(PowerOfDFactory::heterogeneous(3)),
         "JIQ" => Box::new(JiqFactory::new()),
         "hJIQ" => Box::new(JiqFactory::heterogeneous()),
-        "LSQ" => Box::new(LsqFactory::new()),
-        "hLSQ" => Box::new(LsqFactory::heterogeneous()),
+        "LSQ" => Box::new(ArgminFactory::lsq()),
+        "hLSQ" => Box::new(ArgminFactory::hlsq()),
         "WR" => Box::new(WeightedRandomFactory::new()),
-        "LED" => Box::new(LedFactory::new()),
-        "hLED" => Box::new(LedFactory::heterogeneous()),
+        "LED" => Box::new(ArgminFactory::led()),
+        "hLED" => Box::new(ArgminFactory::hled()),
         "Random" => Box::new(UniformRandomFactory::new()),
         "RoundRobin" => Box::new(RoundRobinFactory::new()),
         _ => return None,

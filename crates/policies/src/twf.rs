@@ -10,7 +10,6 @@
 //! Figures 3–4 display. We implement it by feeding the SCD solver a cluster
 //! whose rates are all 1.
 
-use crate::common::NamedFactory;
 use rand::RngCore;
 use scd_core::estimator::ArrivalEstimator;
 use scd_core::solver::{solve_round_into, ScdScratch, SolverKind};
@@ -88,17 +87,6 @@ impl DispatchPolicy for TwfPolicy {
         "TWF"
     }
 
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
-        self.dispatch_into(ctx, batch, &mut out, rng);
-        out
-    }
-
     fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,
@@ -145,11 +133,6 @@ impl TwfFactory {
     /// Creates the factory.
     pub fn new() -> Self {
         TwfFactory
-    }
-
-    /// The same policy wrapped in a [`NamedFactory`].
-    pub fn named() -> NamedFactory {
-        NamedFactory::new("TWF", |_d, _spec| Box::new(TwfPolicy::new()))
     }
 }
 
@@ -222,6 +205,5 @@ mod tests {
             factory.build(DispatcherId::new(0), &spec).policy_name(),
             "TWF"
         );
-        assert_eq!(TwfFactory::named().name(), "TWF");
     }
 }

@@ -858,13 +858,14 @@ mod tests {
         fn policy_name(&self) -> &str {
             "all-to-first"
         }
-        fn dispatch_batch(
+        fn dispatch_into(
             &mut self,
             _ctx: &DispatchContext<'_>,
             batch: usize,
+            out: &mut Vec<ServerId>,
             _rng: &mut dyn rand::RngCore,
-        ) -> Vec<ServerId> {
-            vec![ServerId::new(0); batch]
+        ) {
+            out.resize(out.len() + batch, ServerId::new(0));
         }
     }
 
@@ -875,13 +876,14 @@ mod tests {
         fn policy_name(&self) -> &str {
             "broken"
         }
-        fn dispatch_batch(
+        fn dispatch_into(
             &mut self,
             _ctx: &DispatchContext<'_>,
             _batch: usize,
+            out: &mut Vec<ServerId>,
             _rng: &mut dyn rand::RngCore,
-        ) -> Vec<ServerId> {
-            vec![ServerId::new(999)]
+        ) {
+            out.push(ServerId::new(999));
         }
     }
 

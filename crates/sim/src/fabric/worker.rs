@@ -316,7 +316,7 @@ mod tests {
     use crate::fabric::codec::decode_shard_report;
     use crate::shard::ShardedSimulation;
     use scd_model::ClusterSpec;
-    use scd_policies::JsqFactory;
+    use scd_policies::ArgminFactory;
 
     fn base_config() -> SimConfig {
         let rates: Vec<f64> = (0..8).map(|s| 1.0 + (s % 3) as f64).collect();
@@ -357,7 +357,7 @@ mod tests {
     #[test]
     fn worker_reproduces_the_in_process_shard_bit_for_bit() {
         let sharded = ShardedSimulation::new(base_config(), 2).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let in_process = sharded.run_shards(&factory, 1).unwrap();
         for (shard, expected) in in_process.iter().enumerate() {
             let text = sharded.shard_config(shard).to_key_values().unwrap();
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn streaming_worker_checkpoints_resume_and_the_final_matches() {
         let sharded = ShardedSimulation::new(base_config(), 2).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let expected = &sharded.run_shards(&factory, 1).unwrap()[0];
         let text = sharded.shard_config(0).to_key_values().unwrap();
         let mut spec = worker_spec(&sharded, 0);
@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn fail_after_checkpoint_crashes_mid_stream() {
         let sharded = ShardedSimulation::new(base_config(), 2).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let text = sharded.shard_config(1).to_key_values().unwrap();
         let mut spec = worker_spec(&sharded, 1);
         spec.checkpoint_every = 50;
@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn bad_resume_frames_are_refused_as_checkpoint_errors() {
         let sharded = ShardedSimulation::new(base_config(), 2).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let text = sharded.shard_config(0).to_key_values().unwrap();
         let mut spec = worker_spec(&sharded, 0);
         spec.checkpoint_every = 80;
@@ -479,17 +479,17 @@ mod tests {
         let text = sharded.shard_config(0).to_key_values().unwrap();
         let mut spec = worker_spec(&sharded, 0);
         spec.expect_seed ^= 1;
-        let err = run_oneshot(&spec, &text, &JsqFactory::new()).unwrap_err();
+        let err = run_oneshot(&spec, &text, &ArgminFactory::jsq()).unwrap_err();
         assert!(err.to_string().contains("sub-master"), "{err}");
         let mut bad_index = worker_spec(&sharded, 0);
         bad_index.shard = 5;
-        assert!(run_oneshot(&bad_index, &text, &JsqFactory::new()).is_err());
+        assert!(run_oneshot(&bad_index, &text, &ArgminFactory::jsq()).is_err());
     }
 
     #[test]
     fn fault_plan_controls_the_output() {
         let sharded = ShardedSimulation::new(base_config(), 2).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let text = sharded.shard_config(1).to_key_values().unwrap();
         let with = |fault: WorkerFaultPlan| {
             let mut spec = worker_spec(&sharded, 1);

@@ -234,7 +234,7 @@ mod tests {
     use crate::arrivals::ArrivalSpec;
     use scd_core::policy::ScdFactory;
     use scd_model::ClusterSpec;
-    use scd_policies::{JsqFactory, SedFactory};
+    use scd_policies::ArgminFactory;
 
     fn config() -> SimConfig {
         let spec = ClusterSpec::from_rates(vec![8.0, 4.0, 1.0, 1.0, 1.0, 1.0]).unwrap();
@@ -251,8 +251,8 @@ mod tests {
     #[test]
     fn comparison_runs_all_policies_on_identical_inputs() {
         let scd = ScdFactory::new();
-        let jsq = JsqFactory::new();
-        let sed = SedFactory::new();
+        let jsq = ArgminFactory::jsq();
+        let sed = ArgminFactory::sed();
         let result = run_comparison(&config(), &[&scd, &jsq, &sed]).unwrap();
         assert_eq!(result.reports.len(), 3);
         // Identical arrival streams → identical dispatched-job counts.
@@ -271,8 +271,8 @@ mod tests {
     #[test]
     fn parallel_comparison_is_bit_identical_to_sequential() {
         let scd = ScdFactory::new();
-        let jsq = JsqFactory::new();
-        let sed = SedFactory::new();
+        let jsq = ArgminFactory::jsq();
+        let sed = ArgminFactory::sed();
         let factories: [&dyn scd_model::PolicyFactory; 3] = [&scd, &jsq, &sed];
         let sequential = run_comparison(&config(), &factories).unwrap();
         for threads in [1usize, 2, 8] {
@@ -308,7 +308,7 @@ mod tests {
         // number, so a corrupt report can neither panic the comparison nor
         // beat a well-formed one.
         let scd = ScdFactory::new();
-        let jsq = JsqFactory::new();
+        let jsq = ArgminFactory::jsq();
         let mut quick = config();
         quick.rounds = 200;
         quick.warmup_rounds = 0;
@@ -451,7 +451,7 @@ mod tests {
         // load: SCD must achieve a lower mean response time than JSQ (the
         // paper's headline qualitative claim, at reduced scale).
         let scd = ScdFactory::new();
-        let jsq = JsqFactory::new();
+        let jsq = ArgminFactory::jsq();
         let result = run_comparison(&config(), &[&scd, &jsq]).unwrap();
         let scd_mean = result.report("SCD").unwrap().mean_response_time();
         let jsq_mean = result.report("JSQ").unwrap().mean_response_time();

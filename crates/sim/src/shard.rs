@@ -524,7 +524,7 @@ mod tests {
     use super::*;
     use crate::arrivals::ArrivalSpec;
     use scd_model::ClusterSpec;
-    use scd_policies::JsqFactory;
+    use scd_policies::ArgminFactory;
 
     fn config(n: usize, seed: u64) -> SimConfig {
         let rates: Vec<f64> = (0..n).map(|s| 1.0 + (s % 5) as f64).collect();
@@ -628,7 +628,7 @@ mod tests {
     #[test]
     fn parallel_shard_execution_is_bit_identical_to_sequential() {
         let sharded = ShardedSimulation::new(config(16, 5), 4).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let sequential = sharded.run(&factory).unwrap();
         for threads in [2usize, 4, 8] {
             let parallel = sharded.run_parallel(&factory, threads).unwrap();
@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn merged_counters_sum_across_shards() {
         let sharded = ShardedSimulation::new(config(16, 5), 4).unwrap();
-        let factory = JsqFactory::new();
+        let factory = ArgminFactory::jsq();
         let shards = sharded.run_shards(&factory, 1).unwrap();
         assert_eq!(shards.len(), 4);
         let merged = merge_shard_reports(&shards).unwrap();
@@ -672,7 +672,7 @@ mod tests {
     fn merge_rejects_reports_of_different_experiments() {
         let shards = ShardedSimulation::new(config(8, 3), 2)
             .unwrap()
-            .run_shards(&JsqFactory::new(), 1)
+            .run_shards(&ArgminFactory::jsq(), 1)
             .unwrap();
         // A shard-count disagreement (a k=2 report next to a "k=3" one).
         let mut wrong_k = shards.clone();
@@ -702,7 +702,7 @@ mod tests {
         // consumes only the (serializable) ShardReport values, so merging a
         // copy — e.g. one that went over the wire — gives the same result.
         let sharded = ShardedSimulation::new(config(8, 3), 2).unwrap();
-        let shards = sharded.run_shards(&JsqFactory::new(), 1).unwrap();
+        let shards = sharded.run_shards(&ArgminFactory::jsq(), 1).unwrap();
         let copy = shards.clone();
         assert_eq!(
             merge_shard_reports(&copy).unwrap(),

@@ -9,9 +9,7 @@
 
 use scd_core::policy::ScdFactory;
 use scd_model::{ClusterSpec, PolicyFactory};
-use scd_policies::{
-    JsqFactory, LedFactory, LsqFactory, RoundRobinFactory, SedFactory, WeightedRandomFactory,
-};
+use scd_policies::{ArgminFactory, RoundRobinFactory, WeightedRandomFactory};
 use scd_sim::checkpoint::EngineCheckpoint;
 use scd_sim::scenario::{ScenarioSpec, StalenessSpec};
 use scd_sim::{ArrivalSpec, SimConfig, SimError, SimReport, Simulation};
@@ -43,10 +41,10 @@ fn active_scenario() -> ScenarioSpec {
 fn factories() -> Vec<Box<dyn PolicyFactory>> {
     vec![
         Box::new(ScdFactory::new()),
-        Box::new(JsqFactory::new()),
-        Box::new(SedFactory::new()),
-        Box::new(LsqFactory::new()),
-        Box::new(LedFactory::new()),
+        Box::new(ArgminFactory::jsq()),
+        Box::new(ArgminFactory::sed()),
+        Box::new(ArgminFactory::lsq()),
+        Box::new(ArgminFactory::led()),
         Box::new(RoundRobinFactory::new()),
         Box::new(WeightedRandomFactory::new()),
     ]
@@ -136,7 +134,7 @@ fn resume_is_bit_identical_with_histogram_only_metrics() {
     let sim = Simulation::new(config).unwrap();
     for factory in [
         Box::new(ScdFactory::new()) as Box<dyn PolicyFactory>,
-        Box::new(JsqFactory::new()),
+        Box::new(ArgminFactory::jsq()),
     ] {
         assert_resumes_bit_identically(&sim, factory.as_ref());
     }
@@ -172,7 +170,7 @@ fn engine_checkpoints_with_decision_times_round_trip_through_bytes() {
 #[test]
 fn periodic_checkpoints_do_not_perturb_the_run_and_each_resumes() {
     let sim = Simulation::new(base_config(3)).unwrap();
-    let factory = JsqFactory::new();
+    let factory = ArgminFactory::jsq();
     let straight = sim.run(&factory).unwrap();
     let mut captured: Vec<EngineCheckpoint> = Vec::new();
     let report = sim
@@ -192,7 +190,7 @@ fn periodic_checkpoints_do_not_perturb_the_run_and_each_resumes() {
 #[test]
 fn resuming_with_further_checkpoints_skips_the_resume_round() {
     let sim = Simulation::new(base_config(3)).unwrap();
-    let factory = JsqFactory::new();
+    let factory = ArgminFactory::jsq();
     let straight = sim.run(&factory).unwrap();
     let ckpt = checkpoint_at(&sim, &factory, 90);
     let mut rounds: Vec<u64> = Vec::new();
@@ -208,7 +206,7 @@ fn resuming_with_further_checkpoints_skips_the_resume_round() {
 
 #[test]
 fn checkpoints_are_refused_across_configurations_and_bad_rounds() {
-    let factory = JsqFactory::new();
+    let factory = ArgminFactory::jsq();
     let sim = Simulation::new(base_config(1)).unwrap();
     let other = Simulation::new(base_config(2)).unwrap();
     let ckpt = checkpoint_at(&sim, &factory, 50);

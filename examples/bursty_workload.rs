@@ -105,7 +105,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, base_load, workload) in &shapes {
         for (name, factory) in [
             ("SCD", Box::new(ScdFactory::new()) as Box<dyn PolicyFactory>),
-            ("JSQ", Box::new(JsqFactory::new())),
+            ("JSQ", Box::new(ArgminFactory::jsq())),
         ] {
             let report = run_workload(&spec, *base_load, workload.clone(), factory.as_ref());
             table.add_row(row(name, label, &report));

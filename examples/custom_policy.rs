@@ -38,13 +38,13 @@ impl DispatchPolicy for StickyWeightedRandom {
         "StickyWR"
     }
 
-    fn dispatch_batch(
+    fn dispatch_into(
         &mut self,
         ctx: &DispatchContext<'_>,
         batch: usize,
+        out: &mut Vec<ServerId>,
         rng: &mut dyn RngCore,
-    ) -> Vec<ServerId> {
-        let mut out = Vec::with_capacity(batch);
+    ) {
         for _ in 0..batch {
             let target = match self.current {
                 Some(server) if ctx.queue_len(server) < self.sticky_threshold => server,
@@ -56,7 +56,6 @@ impl DispatchPolicy for StickyWeightedRandom {
             };
             out.push(target);
         }
-        out
     }
 }
 

@@ -33,10 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Compare SCD against representative baselines on identical arrival and
     // departure processes.
     let scd = ScdFactory::new();
-    let sed = SedFactory::new();
-    let jsq = JsqFactory::new();
+    let sed = ArgminFactory::sed();
+    let jsq = ArgminFactory::jsq();
     let twf = TwfFactory::new();
-    let hlsq = LsqFactory::heterogeneous();
+    let hlsq = ArgminFactory::hlsq();
     let wr = WeightedRandomFactory::new();
 
     let result = run_comparison(&config, &[&scd, &sed, &jsq, &twf, &hlsq, &wr])?;

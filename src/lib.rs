@@ -30,7 +30,7 @@
 //!
 //! // Compare SCD with SED on identical arrival/departure processes.
 //! let scd = ScdFactory::new();
-//! let sed = SedFactory::new();
+//! let sed = ArgminFactory::sed();
 //! let result = run_comparison(&config, &[&scd, &sed])?;
 //! println!("{}", result.to_table());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -72,8 +72,8 @@ pub mod prelude {
         ServerId,
     };
     pub use scd_policies::{
-        factory_by_name, standard_policy_names, JiqFactory, JsqFactory, LsqFactory,
-        PowerOfDFactory, SedFactory, TwfFactory, WeightedRandomFactory,
+        factory_by_name, standard_policy_names, ArgminFactory, JiqFactory, PowerOfDFactory,
+        TwfFactory, WeightedRandomFactory,
     };
     pub use scd_sim::{
         chrome_trace_json, merge_shard_reports, run_comparison, run_comparison_parallel,

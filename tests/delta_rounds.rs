@@ -15,7 +15,6 @@
 
 use scd::prelude::*;
 use scd_model::{BoxedPolicy, CacheDemand};
-use scd_policies::LedFactory;
 
 /// SCD without the shared round cache: each dispatch builds and sorts a
 /// private table.
@@ -28,15 +27,6 @@ impl DispatchPolicy for CachelessScd {
 
     fn round_cache_demand(&self) -> CacheDemand {
         CacheDemand::None
-    }
-
-    fn dispatch_batch(
-        &mut self,
-        ctx: &DispatchContext<'_>,
-        batch: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<ServerId> {
-        self.0.dispatch_batch(ctx, batch, rng)
     }
 
     fn dispatch_into(
@@ -113,11 +103,11 @@ fn warm_and_cold_scd_runs_are_bit_identical() {
 fn delta_tracking_on_and_off_produce_identical_reports() {
     let factories: Vec<Box<dyn PolicyFactory>> = vec![
         Box::new(ScdFactory::new()),
-        Box::new(JsqFactory::new()),
-        Box::new(SedFactory::new()),
-        Box::new(LsqFactory::new()),
-        Box::new(LsqFactory::heterogeneous()),
-        Box::new(LedFactory::new()),
+        Box::new(ArgminFactory::jsq()),
+        Box::new(ArgminFactory::sed()),
+        Box::new(ArgminFactory::lsq()),
+        Box::new(ArgminFactory::hlsq()),
+        Box::new(ArgminFactory::led()),
         Box::new(TwfFactory::new()),
         Box::new(WeightedRandomFactory::new()),
     ];
@@ -145,11 +135,11 @@ fn delta_tracking_on_and_off_produce_identical_reports() {
 fn warm_jsq_sed_match_their_scan_oracles() {
     for seed in [1u64, 9, 77] {
         let sim = Simulation::new(config(28, 4, 0.93, 1_500, seed, false)).unwrap();
-        let jsq_indexed = sim.run(&JsqFactory::new()).unwrap();
-        let jsq_scan = sim.run(&JsqFactory::scan()).unwrap();
+        let jsq_indexed = sim.run(&ArgminFactory::jsq()).unwrap();
+        let jsq_scan = sim.run(&ArgminFactory::jsq().scan()).unwrap();
         assert_eq!(jsq_indexed, jsq_scan, "seed {seed}: JSQ warm tree vs scan");
-        let sed_indexed = sim.run(&SedFactory::new()).unwrap();
-        let sed_scan = sim.run(&SedFactory::scan()).unwrap();
+        let sed_indexed = sim.run(&ArgminFactory::sed()).unwrap();
+        let sed_scan = sim.run(&ArgminFactory::sed().scan()).unwrap();
         assert_eq!(sed_indexed, sed_scan, "seed {seed}: SED warm tree vs scan");
     }
 }
@@ -185,9 +175,9 @@ fn warm_state_does_not_leak_across_policy_switches_mid_suite() {
     let cfg = config(30, 5, 0.9, 1_200, 13, false);
     let warm_scd = ScdFactory::new();
     let cold_scd = ColdScdFactory;
-    let jsq = JsqFactory::new();
-    let lsq = LsqFactory::new();
-    let sed = SedFactory::new();
+    let jsq = ArgminFactory::jsq();
+    let lsq = ArgminFactory::lsq();
+    let sed = ArgminFactory::sed();
     // Interleave so every SCD run is sandwiched between other families.
     let factories: [&dyn PolicyFactory; 5] = [&jsq, &warm_scd, &lsq, &cold_scd, &sed];
     let suite = run_comparison(&cfg, &factories).unwrap();
@@ -220,8 +210,9 @@ fn warm_jsq_direct_use_matches_engine_style_use() {
     use rand::{RngCore, SeedableRng};
     let rates = vec![1.0, 2.0, 4.0, 1.0, 2.0, 1.0];
     let mut queues = vec![3u64, 1, 4, 1, 5, 9];
-    let mut direct = scd_policies::jsq::JsqPolicy::new();
-    let mut engine_style = scd_policies::jsq::JsqPolicy::new();
+    let spec = ClusterSpec::from_rates(rates.clone()).unwrap();
+    let mut direct = ArgminFactory::jsq().build(DispatcherId::new(0), &spec);
+    let mut engine_style = ArgminFactory::jsq().build(DispatcherId::new(0), &spec);
     let mut rng_a = StdRng::seed_from_u64(99);
     let mut rng_b = StdRng::seed_from_u64(99);
     let mut dirty: Vec<u32> = Vec::new();

@@ -79,7 +79,7 @@ fn arrival_and_service_streams_are_policy_independent() {
 fn comparison_runner_matches_individual_runs() {
     let config = config_with_seed(9);
     let scd = ScdFactory::new();
-    let sed = SedFactory::new();
+    let sed = ArgminFactory::sed();
     let combined = run_comparison(&config, &[&scd, &sed]).unwrap();
     let solo = Simulation::new(config).unwrap().run(&scd).unwrap();
     assert_eq!(

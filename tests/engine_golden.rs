@@ -159,8 +159,8 @@ fn argmin_family_checkpoints_hold_their_golden_bytes() {
 #[test]
 fn parallel_runner_reproduces_the_sequential_reports_exactly() {
     let scd = ScdFactory::new();
-    let jsq = JsqFactory::new();
-    let sed = SedFactory::new();
+    let jsq = ArgminFactory::jsq();
+    let sed = ArgminFactory::sed();
     let factories: [&dyn PolicyFactory; 3] = [&scd, &jsq, &sed];
 
     let sequential = run_comparison(&golden_config(), &factories).unwrap();

@@ -16,9 +16,6 @@ use rand::{Rng, RngCore, SeedableRng};
 use scd::prelude::*;
 use scd_core::index::{scan_argmin, TournamentTree};
 use scd_model::RoundCache;
-use scd_policies::jsq::JsqPolicy;
-use scd_policies::sed::SedPolicy;
-use scd_policies::{LedFactory, LsqFactory};
 
 fn comparison_config(seed: u64) -> SimConfig {
     let spec = ClusterSpec::from_rates(vec![9.0, 6.0, 4.0, 2.0, 1.0, 1.0, 1.0]).unwrap();
@@ -36,8 +33,8 @@ fn comparison_config(seed: u64) -> SimConfig {
 fn indexed_and_scan_jsq_runs_are_bit_identical() {
     for seed in [1u64, 7, 2021] {
         let simulation = Simulation::new(comparison_config(seed)).unwrap();
-        let indexed = simulation.run(&JsqFactory::new()).unwrap();
-        let scan = simulation.run(&JsqFactory::scan()).unwrap();
+        let indexed = simulation.run(&ArgminFactory::jsq()).unwrap();
+        let scan = simulation.run(&ArgminFactory::jsq().scan()).unwrap();
         assert_eq!(
             indexed, scan,
             "seed {seed}: indexed JSQ diverged from the scan reference"
@@ -49,8 +46,8 @@ fn indexed_and_scan_jsq_runs_are_bit_identical() {
 fn indexed_and_scan_sed_runs_are_bit_identical() {
     for seed in [1u64, 7, 2021] {
         let simulation = Simulation::new(comparison_config(seed)).unwrap();
-        let indexed = simulation.run(&SedFactory::new()).unwrap();
-        let scan = simulation.run(&SedFactory::scan()).unwrap();
+        let indexed = simulation.run(&ArgminFactory::sed()).unwrap();
+        let scan = simulation.run(&ArgminFactory::sed().scan()).unwrap();
         assert_eq!(
             indexed, scan,
             "seed {seed}: indexed SED diverged from the scan reference"
@@ -71,6 +68,8 @@ fn indexed_and_scan_policies_agree_per_decision() {
         let batch = case_rng.gen_range(0..60usize);
         let seed = case_rng.gen::<u64>();
         let ctx = DispatchContext::new(&queues, &rates, 3, 0);
+        let spec = ClusterSpec::from_rates(rates.clone()).unwrap();
+        let d = DispatcherId::new(0);
 
         let run = |policy: &mut dyn DispatchPolicy| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -79,12 +78,12 @@ fn indexed_and_scan_policies_agree_per_decision() {
             (out, rng.next_u64())
         };
 
-        let jsq_indexed = run(&mut JsqPolicy::new());
-        let jsq_scan = run(&mut JsqPolicy::scan());
+        let jsq_indexed = run(&mut *ArgminFactory::jsq().build(d, &spec));
+        let jsq_scan = run(&mut *ArgminFactory::jsq().scan().build(d, &spec));
         assert_eq!(jsq_indexed, jsq_scan, "case {case}: JSQ modes diverged");
 
-        let sed_indexed = run(&mut SedPolicy::new());
-        let sed_scan = run(&mut SedPolicy::scan());
+        let sed_indexed = run(&mut *ArgminFactory::sed().build(d, &spec));
+        let sed_scan = run(&mut *ArgminFactory::sed().scan().build(d, &spec));
         assert_eq!(sed_indexed, sed_scan, "case {case}: SED modes diverged");
     }
 }
@@ -99,12 +98,8 @@ fn warm_indexed_and_warm_scan_lsq_led_runs_are_bit_identical() {
     for seed in [1u64, 7, 2021] {
         let simulation = Simulation::new(comparison_config(seed)).unwrap();
         for (name, warm, oracle) in [
-            ("LSQ", LsqFactory::new(), LsqFactory::new().scan()),
-            (
-                "hLSQ",
-                LsqFactory::heterogeneous(),
-                LsqFactory::heterogeneous().scan(),
-            ),
+            ("LSQ", ArgminFactory::lsq(), ArgminFactory::lsq().scan()),
+            ("hLSQ", ArgminFactory::hlsq(), ArgminFactory::hlsq().scan()),
         ] {
             let indexed = simulation.run(&warm).unwrap();
             let scan = simulation.run(&oracle).unwrap();
@@ -114,12 +109,8 @@ fn warm_indexed_and_warm_scan_lsq_led_runs_are_bit_identical() {
             );
         }
         for (name, warm, oracle) in [
-            ("LED", LedFactory::new(), LedFactory::new().scan()),
-            (
-                "hLED",
-                LedFactory::heterogeneous(),
-                LedFactory::heterogeneous().scan(),
-            ),
+            ("LED", ArgminFactory::led(), ArgminFactory::led().scan()),
+            ("hLED", ArgminFactory::hled(), ArgminFactory::hled().scan()),
         ] {
             let indexed = simulation.run(&warm).unwrap();
             let scan = simulation.run(&oracle).unwrap();
@@ -201,6 +192,8 @@ fn cached_and_cacheless_contexts_dispatch_identically() {
         cache.begin_round(&queues, &rates);
         let plain = DispatchContext::new(&queues, &rates, 5, 3);
         let cached = DispatchContext::with_cache(&queues, &rates, 5, 3, &cache);
+        let spec = ClusterSpec::from_rates(rates.clone()).unwrap();
+        let d = DispatcherId::new(0);
 
         let run = |policy: &mut dyn DispatchPolicy, ctx: &DispatchContext<'_>| {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -220,13 +213,13 @@ fn cached_and_cacheless_contexts_dispatch_identically() {
             ),
             (
                 "SED",
-                run(&mut SedPolicy::new(), &plain),
-                run(&mut SedPolicy::new(), &cached),
+                run(&mut *ArgminFactory::sed().build(d, &spec), &plain),
+                run(&mut *ArgminFactory::sed().build(d, &spec), &cached),
             ),
             (
                 "JSQ",
-                run(&mut JsqPolicy::new(), &plain),
-                run(&mut JsqPolicy::new(), &cached),
+                run(&mut *ArgminFactory::jsq().build(d, &spec), &plain),
+                run(&mut *ArgminFactory::jsq().build(d, &spec), &cached),
             ),
         ] {
             assert_eq!(a, b, "case {case}: {name} diverged with the round cache");

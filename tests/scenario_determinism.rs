@@ -19,16 +19,15 @@
 //!    faults (reports equal with tracking on and off).
 
 use scd::prelude::*;
-use scd_policies::LedFactory;
 
 fn registry_factories() -> Vec<Box<dyn PolicyFactory>> {
     vec![
         Box::new(ScdFactory::new()),
-        Box::new(JsqFactory::new()),
-        Box::new(SedFactory::new()),
-        Box::new(LsqFactory::new()),
-        Box::new(LsqFactory::heterogeneous()),
-        Box::new(LedFactory::new()),
+        Box::new(ArgminFactory::jsq()),
+        Box::new(ArgminFactory::sed()),
+        Box::new(ArgminFactory::lsq()),
+        Box::new(ArgminFactory::hlsq()),
+        Box::new(ArgminFactory::led()),
         Box::new(TwfFactory::new()),
         Box::new(WeightedRandomFactory::new()),
     ]

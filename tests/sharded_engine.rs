@@ -48,8 +48,8 @@ fn oracle_config(rounds: u64) -> SimConfig {
 fn single_shard_run_is_bit_identical_to_the_unsharded_engine() {
     let config = oracle_config(1_500);
     let scd = ScdFactory::new();
-    let jsq = JsqFactory::new();
-    let sed = SedFactory::new();
+    let jsq = ArgminFactory::jsq();
+    let sed = ArgminFactory::sed();
     let wr = WeightedRandomFactory::new();
     let factories: [&dyn PolicyFactory; 4] = [&scd, &jsq, &sed, &wr];
     for factory in factories {
@@ -154,7 +154,7 @@ fn four_way_sharded_scd_matches_the_unsharded_oracle_statistically() {
 
 #[test]
 fn four_way_sharded_jsq_matches_the_unsharded_oracle_statistically() {
-    compare_sharded(4, &JsqFactory::new());
+    compare_sharded(4, &ArgminFactory::jsq());
 }
 
 #[test]
@@ -165,7 +165,7 @@ fn sharding_preserves_the_policy_ordering_of_the_paper() {
     let config = oracle_config(6_000);
     let sharded = ShardedSimulation::new(config, 4).unwrap();
     let scd = sharded.run_parallel(&ScdFactory::new(), 4).unwrap();
-    let jsq = sharded.run_parallel(&JsqFactory::new(), 4).unwrap();
+    let jsq = sharded.run_parallel(&ArgminFactory::jsq(), 4).unwrap();
     assert!(
         scd.mean_response_time() < jsq.mean_response_time(),
         "sharded SCD mean {} should beat sharded JSQ mean {}",

@@ -184,7 +184,7 @@ fn synthetic_runs_replay_bit_identically_from_their_own_trace() {
 
 #[test]
 fn sharded_runs_record_and_replay_bit_identically() {
-    let factory = JsqFactory::new();
+    let factory = ArgminFactory::jsq();
     let config = base_config(31, bursty_workload());
     let (_unsharded_report, unsharded_trace) = Simulation::new(config.clone())
         .unwrap()

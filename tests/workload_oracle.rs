@@ -202,7 +202,10 @@ fn check_against_oracles(report: &SimReport, rho: f64, label: &str) {
 fn stationary_runs_sit_inside_the_lindley_oracle_sandwich() {
     for &rho in &[0.5, 0.9] {
         for (label, factory) in [
-            ("JSQ", Box::new(JsqFactory::new()) as Box<dyn PolicyFactory>),
+            (
+                "JSQ",
+                Box::new(ArgminFactory::jsq()) as Box<dyn PolicyFactory>,
+            ),
             ("SCD", Box::new(ScdFactory::new())),
         ] {
             let report = run(rho, factory.as_ref(), WorkloadSpec::default());
@@ -226,7 +229,7 @@ fn an_identity_mmpp_workload_preserves_the_stationary_law() {
         ..WorkloadSpec::default()
     };
     for &rho in &[0.5, 0.9] {
-        let report = run(rho, &JsqFactory::new(), identity.clone());
+        let report = run(rho, &ArgminFactory::jsq(), identity.clone());
         check_against_oracles(&report, rho, "JSQ/identity-MMPP");
     }
 }
