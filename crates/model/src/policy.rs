@@ -43,7 +43,8 @@ pub type BoxedPolicy = Box<dyn DispatchPolicy>;
 ///    cache) refresh it here.
 /// 2. If the dispatcher received `a(d) > 0` jobs,
 ///    [`dispatch_into`](DispatchPolicy::dispatch_into) is called once with
-///    the batch size and must produce one destination per job. A dispatcher with an empty batch gets no dispatch call at all, so
+///    the batch size and must produce one destination per job. A
+///    dispatcher with an empty batch gets no dispatch call at all, so
 ///    policies must not rely on being invoked every round.
 ///
 /// # Example

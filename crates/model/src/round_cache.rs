@@ -35,9 +35,9 @@ use std::cell::{Cell, Ref, RefCell};
 /// The reciprocal-rate table `inv[s] = 1.0/µ_s`, as a fresh vector.
 ///
 /// Every reciprocal-rate table in the workspace (the [`RoundCache`], the SCD
-/// solver scratch, the argmin family's expected-delay keys) is built from this one
-/// expression — the cached/uncached equivalence guarantees depend on every
-/// reciprocal being computed as exactly `1.0/µ`.
+/// solver scratch, the argmin family's expected-delay keys) is built from
+/// this one expression — the cached/uncached equivalence guarantees depend
+/// on every reciprocal being computed as exactly `1.0/µ`.
 pub fn reciprocal_rates(rates: &[f64]) -> Vec<f64> {
     rates.iter().map(|&mu| 1.0 / mu).collect()
 }

@@ -41,9 +41,9 @@ use scd_model::{
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
 
-/// Probes per round of the probed views built by [`ArgminFactory`] (the
-/// paper and \[54\] use one probe per time slot).
-pub const PROBES_PER_ROUND: usize = 1;
+/// Probes per round of the probed views the registry builds (the paper and
+/// \[54\] use one probe per time slot).
+const PROBES_PER_ROUND: usize = 1;
 
 /// How a member ranks the servers of its view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -432,8 +432,8 @@ impl ArgminFactory {
     }
 
     /// One dispatcher's policy for `spec`, probing `probes` servers per
-    /// round (probed views only; [`build`](PolicyFactory::build) uses
-    /// [`PROBES_PER_ROUND`]).
+    /// round (probed views only; [`build`](PolicyFactory::build) probes one,
+    /// as the paper and \[54\] do).
     pub fn policy(&self, spec: &ClusterSpec, probes: usize) -> ArgminPolicy {
         let n = spec.num_servers();
         let view = match self.source {
