@@ -101,11 +101,6 @@ pub struct ArgminPolicy {
 }
 
 impl ArgminPolicy {
-    /// The dispatcher's current view, one value per server.
-    pub fn view(&self) -> &[f64] {
-        &self.values
-    }
-
     /// Whether the checkpoint blob writes the view as integers: every view
     /// but LED's decaying estimates holds whole numbers.
     fn integral(&self) -> bool {
@@ -637,7 +632,7 @@ mod tests {
         // truth and jobs go to the genuinely idle server.
         let mut policy = ArgminFactory::lsq().policy(&spec(&rates), 16);
         policy.observe_round(&ctx, &mut rng);
-        assert_eq!(policy.view(), &[100.0, 0.0]);
+        assert_eq!(policy.values, &[100.0, 0.0]);
         let out = policy.dispatch_batch(&ctx, 1, &mut rng);
         assert_eq!(out[0].index(), 1);
     }
@@ -653,14 +648,14 @@ mod tests {
         policy.observe_round(&ctx1, &mut rng);
         let _ = policy.dispatch_batch(&ctx1, 4, &mut rng);
         // Two jobs per server recorded locally.
-        assert_eq!(policy.view().iter().sum::<f64>(), 4.0);
+        assert_eq!(policy.values.iter().sum::<f64>(), 4.0);
 
         // Next round: no probes, so the inflated estimates persist even
         // though the true queues are empty again.
         let queues2 = vec![0u64, 0];
         let ctx2 = DispatchContext::new(&queues2, &rates, 1, 1);
         policy.observe_round(&ctx2, &mut rng);
-        assert_eq!(policy.view().iter().sum::<f64>(), 4.0);
+        assert_eq!(policy.values.iter().sum::<f64>(), 4.0);
     }
 
     #[test]
@@ -687,12 +682,12 @@ mod tests {
         let mut policy = ArgminFactory::led().policy(&spec(&rates), 0);
         // Seed some backlog estimate by dispatching.
         let _ = policy.dispatch_batch(&ctx, 6, &mut rng);
-        let before: f64 = policy.view().iter().sum();
+        let before: f64 = policy.values.iter().sum();
         assert!((before - 6.0).abs() < 1e-12);
         policy.observe_round(&ctx, &mut rng);
-        let after: f64 = policy.view().iter().sum();
+        let after: f64 = policy.values.iter().sum();
         assert!(after < before, "estimates must decay between rounds");
-        assert!(policy.view().iter().all(|&e| e >= 0.0));
+        assert!(policy.values.iter().all(|&e| e >= 0.0));
     }
 
     #[test]
@@ -703,7 +698,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut policy = ArgminFactory::led().policy(&spec(&rates), 10);
         policy.observe_round(&ctx, &mut rng);
-        assert!((policy.view()[0] - 50.0).abs() < 1e-12);
+        assert!((policy.values[0] - 50.0).abs() < 1e-12);
         let out = policy.dispatch_batch(&ctx, 1, &mut rng);
         assert_eq!(out[0].index(), 1);
     }
@@ -758,7 +753,7 @@ mod tests {
         let spec = spec(&[4.0, 2.0, 1.0]);
         for (factory, name) in members() {
             let policy = factory.policy(&spec, PROBES_PER_ROUND);
-            assert_eq!(policy.view(), &[0.0; 3], "{name}");
+            assert_eq!(policy.values, &[0.0; 3], "{name}");
             let expected_inv = match factory.rank {
                 Rank::Length => Vec::new(),
                 Rank::Delay => vec![0.25, 0.5, 1.0],
