@@ -468,6 +468,21 @@ mod tests {
         let wrong_shard = worker_spec(&sharded, 1);
         let wrong_text = sharded.shard_config(1).to_key_values().unwrap();
         refuse(&good, &wrong_shard, &wrong_text);
+        // A JSQ blob chained to the resume round whose own placements name a
+        // server past the 4-server shard: refused by the policy's restore
+        // instead of indexing out of bounds in the first resumed round.
+        let Ok(Frame::Checkpoint(mut forged)) = decode_frame(&good) else {
+            panic!("the streamed frame is a checkpoint");
+        };
+        let mut ckpt = EngineCheckpoint::from_bytes(&forged.state).unwrap();
+        let mut blob = scd_model::StateWriter::new();
+        blob.u64s(&[0; 4]);
+        blob.opt_u64(Some(ckpt.round() - 1));
+        blob.u32s(&[99]);
+        blob.u8(0);
+        ckpt.policy_state[0] = blob.into_bytes();
+        forged.state = ckpt.to_bytes().unwrap();
+        refuse(&encode_checkpoint_frame(&forged).unwrap(), &spec, &text);
         // The good frame with the right spec still resumes cleanly.
         let out = run_worker(&spec, &text, Some(&good), &factory, &mut |_| Ok(())).unwrap();
         assert!(matches!(out, WorkerOutput::Frame(_)));
