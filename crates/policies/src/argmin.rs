@@ -728,22 +728,43 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn factories_build_every_member() {
+    /// The factory and its scan oracle both carry the member's name and
+    /// build a policy reporting it.
+    fn assert_builds(factory: ArgminFactory, name: &str) {
         let spec = spec(&[1.0, 2.0]);
-        for (factory, name) in members() {
-            assert_eq!(factory.name(), name);
-            assert_eq!(
-                factory.build(DispatcherId::new(0), &spec).policy_name(),
-                name
-            );
-            let oracle = factory.scan();
-            assert_eq!(oracle.name(), name);
-            assert_eq!(
-                oracle.build(DispatcherId::new(0), &spec).policy_name(),
-                name
-            );
-        }
+        assert_eq!(factory.name(), name);
+        assert_eq!(
+            factory.build(DispatcherId::new(0), &spec).policy_name(),
+            name
+        );
+        let oracle = factory.scan();
+        assert_eq!(oracle.name(), name);
+        assert_eq!(
+            oracle.build(DispatcherId::new(0), &spec).policy_name(),
+            name
+        );
+    }
+
+    #[test]
+    fn factory_builds_jsq() {
+        assert_builds(ArgminFactory::jsq(), "JSQ");
+    }
+
+    #[test]
+    fn factory_builds_sed() {
+        assert_builds(ArgminFactory::sed(), "SED");
+    }
+
+    #[test]
+    fn lsq_factories_build_the_right_variant() {
+        assert_builds(ArgminFactory::lsq(), "LSQ");
+        assert_builds(ArgminFactory::hlsq(), "hLSQ");
+    }
+
+    #[test]
+    fn led_factories_build_the_right_variant() {
+        assert_builds(ArgminFactory::led(), "LED");
+        assert_builds(ArgminFactory::hled(), "hLED");
     }
 
     /// Every member is sized from its spec, and only delay ranks carry a
