@@ -157,7 +157,6 @@ fn main() {
             .warmup_rounds(0)
             .seed(SEED)
             .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: load })
-            .histogram_metrics(true)
             .build()
             .expect("valid configuration");
         let scale_sim = Simulation::new(scale_config).expect("valid configuration");

@@ -1,6 +1,6 @@
-//! Ablation bench: alias-method sampling (O(1) per draw) versus inverse-CDF
-//! binary-search sampling (O(log n) per draw) for drawing job destinations
-//! from a freshly computed probability vector.
+//! Sampler bench: building an alias table (O(n)) and drawing job
+//! destinations from it (O(1) per draw) for a freshly computed probability
+//! vector.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use scd_bench::bench_instance;
 use scd_core::iwl::compute_iwl;
 use scd_core::solver::{compute_probabilities_fast, ScdSolution};
-use scd_model::{AliasSampler, CdfSampler};
+use scd_model::AliasSampler;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -36,18 +36,6 @@ fn bench_samplers(c: &mut Criterion) {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {
                 let sampler = AliasSampler::new(black_box(&probabilities)).unwrap();
-                let mut acc = 0usize;
-                for _ in 0..draws {
-                    acc += sampler.sample(&mut rng);
-                }
-                black_box(acc)
-            })
-        });
-
-        group.bench_with_input(BenchmarkId::new("cdf_build_and_draw", n), &n, |b, _| {
-            let mut rng = StdRng::seed_from_u64(1);
-            b.iter(|| {
-                let sampler = CdfSampler::new(black_box(&probabilities)).unwrap();
                 let mut acc = 0usize;
                 for _ in 0..draws {
                     acc += sampler.sample(&mut rng);

@@ -35,7 +35,6 @@ fn bench_simulation(c: &mut Criterion) {
                     arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load: 0.95 },
                     services: ServiceModel::Geometric,
                     measure_decision_times: false,
-                    histogram_metrics: false,
                     scenario: scd_sim::ScenarioSpec::default(),
                     workload: scd_sim::WorkloadSpec::default(),
                 };

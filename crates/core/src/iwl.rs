@@ -274,21 +274,6 @@ pub fn ideal_assignment(queues: &[u64], rates: &[f64], iwl: f64) -> Vec<f64> {
         .collect()
 }
 
-/// The post-assignment workload of every server under the ideally balanced
-/// assignment: `max(q_s/µ_s, iwl)`.
-pub fn ideal_workloads(queues: &[u64], rates: &[f64], iwl: f64) -> Vec<f64> {
-    assert_eq!(
-        queues.len(),
-        rates.len(),
-        "queues and rates must have equal length"
-    );
-    queues
-        .iter()
-        .zip(rates)
-        .map(|(&q, &mu)| (q as f64 / mu).max(iwl))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,13 +294,6 @@ mod tests {
         }
         let total: f64 = assignment.iter().sum();
         assert!((total - 7.0).abs() < EPS);
-
-        let workloads = ideal_workloads(&queues, &rates, iwl);
-        assert!((workloads[0] - 1.375).abs() < EPS);
-        assert!(
-            (workloads[2] - 3.0).abs() < EPS,
-            "overloaded server keeps its load"
-        );
     }
 
     #[test]

@@ -98,7 +98,6 @@ impl EstimatorAblation {
                 },
                 services: ServiceModel::Geometric,
                 measure_decision_times: false,
-                histogram_metrics: false,
                 scenario: scd_sim::ScenarioSpec::default(),
                 workload: scd_sim::WorkloadSpec::default(),
             };
@@ -233,7 +232,6 @@ pub fn solver_equivalence_check(
         arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load },
         services: ServiceModel::Geometric,
         measure_decision_times: false,
-        histogram_metrics: false,
         scenario: scd_sim::ScenarioSpec::default(),
         workload: scd_sim::WorkloadSpec::default(),
     };

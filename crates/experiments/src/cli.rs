@@ -21,8 +21,8 @@ pub struct CliOptions {
     /// Override the server count `n` of every selected system, keeping each
     /// system's dispatcher count `m`. This is the mean-field scale knob: it
     /// composes with `--quick`/`--paper`/`--systems`, so
-    /// `sweep --quick --servers 100000` runs the quick grid at n = 10⁵. At
-    /// such sizes the sweep switches queue metrics to histogram-only mode.
+    /// `sweep --quick --servers 100000` runs the quick grid at n = 10⁵.
+    /// Systems the override makes equal run once.
     pub servers: Option<usize>,
     /// Use the paper's full-scale setup (10⁵ rounds, all four systems).
     pub paper: bool,
@@ -319,14 +319,14 @@ impl CliOptions {
     /// every requested system (with `--servers` applied) must pass the
     /// engine's scale check, and the largest sweep the flags can produce
     /// must fit a [`SweepGrid`]. Systems left to a binary's defaults are
-    /// checked with one dispatcher and histogram-only metrics, the most
-    /// permissive case; the engine re-checks every actual configuration.
+    /// checked with one dispatcher, the most permissive case; the engine
+    /// re-checks every actual configuration.
     fn check_sizes(&self) -> Result<(), String> {
         let default_system = [(self.servers.unwrap_or(1), 1)];
         let systems = self.systems.as_deref().unwrap_or(&default_system);
         for &(n, m) in systems {
             let n = self.servers.unwrap_or(n);
-            SimConfig::check_scale(n, m, true).map_err(|e| format!("system {n}x{m}: {e}"))?;
+            SimConfig::check_scale(n, m).map_err(|e| format!("system {n}x{m}: {e}"))?;
         }
         let loads = self.loads.as_ref().map_or(1, Vec::len);
         let cells = SweepGrid::checked_len(

@@ -146,7 +146,6 @@ impl ResponseTimeExperiment {
                 arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load: load },
                 services: ServiceModel::Geometric,
                 measure_decision_times: false,
-                histogram_metrics: false,
                 scenario: scd_sim::ScenarioSpec::default(),
                 workload: scd_sim::WorkloadSpec::default(),
             };

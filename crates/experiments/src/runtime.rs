@@ -82,7 +82,6 @@ impl RuntimeExperiment {
                 },
                 services: ServiceModel::Geometric,
                 measure_decision_times: true,
-                histogram_metrics: false,
                 scenario: scd_sim::ScenarioSpec::default(),
                 workload: scd_sim::WorkloadSpec::default(),
             };

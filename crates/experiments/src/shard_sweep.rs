@@ -72,18 +72,7 @@ pub struct ShardSweepSpec {
     /// Time-varying / trace-driven workload applied to every cell (the
     /// default is inert: stationary Poisson arrivals).
     pub workload: WorkloadSpec,
-    /// Collect queue statistics in histogram-only mode (no per-server
-    /// vectors). Switched on automatically when any swept system reaches
-    /// [`HISTOGRAM_METRICS_THRESHOLD`] servers, so mean-field-scale runs
-    /// (`--servers 100000`) keep per-shard memory at `O(n)` state plus an
-    /// `O(max queue length)` histogram.
-    pub histogram_metrics: bool,
 }
-
-/// Server count at and above which the sweep collects queue statistics in
-/// histogram-only mode (the per-server `worst_mean_queue` column degrades
-/// to the across-server mean there).
-pub const HISTOGRAM_METRICS_THRESHOLD: usize = 10_000;
 
 impl ShardSweepSpec {
     /// Resolves CLI options into a sweep specification (scale presets
@@ -106,20 +95,24 @@ impl ShardSweepSpec {
         let mut systems = options.systems.clone().unwrap_or(systems);
         if let Some(n) = options.servers {
             // The mean-field scale knob: force every system to n servers,
-            // keeping its dispatcher count (and dropping duplicates the
-            // override may create).
+            // keeping its dispatcher count.
             for system in &mut systems {
                 system.0 = n;
             }
-            systems.dedup();
         }
-        let histogram_metrics = systems
-            .iter()
-            .any(|&(n, _)| n >= HISTOGRAM_METRICS_THRESHOLD);
+        // Tables select their cells by `(n, m)`, so a repeated system, typed
+        // twice or made by the override, would mix two runs into one table:
+        // keep its first occurrence only.
+        let mut unique = Vec::with_capacity(systems.len());
+        for system in systems {
+            if !unique.contains(&system) {
+                unique.push(system);
+            }
+        }
         ShardSweepSpec {
             profile: RateProfile::paper_moderate(),
             policies: vec!["SCD".into(), "JSQ".into(), "SED".into()],
-            systems,
+            systems: unique,
             loads: options.loads.clone().unwrap_or(loads),
             rounds,
             warmup: rounds / 10,
@@ -137,7 +130,6 @@ impl ShardSweepSpec {
             },
             scenario: ScenarioSpec::default(),
             workload: WorkloadSpec::default(),
-            histogram_metrics,
         }
     }
 }
@@ -244,7 +236,6 @@ pub fn run_shard_sweep(spec: &ShardSweepSpec) -> Result<Vec<ShardSweepCell>, Str
             },
             services: ServiceModel::Geometric,
             measure_decision_times: false,
-            histogram_metrics: spec.histogram_metrics,
             scenario: spec.scenario.clone(),
             workload: spec.workload.clone(),
         };
@@ -390,12 +381,6 @@ pub fn run_from_options(options: &CliOptions) -> Result<(), String> {
             spec.checkpoint_every,
         ));
     }
-    if spec.histogram_metrics {
-        sink.note(
-            "[sweep] histogram-only queue metrics (mean-field scale): per-server vectors are \
-             not allocated; worst_mean_queue degrades to the across-server mean",
-        );
-    }
     if !spec.scenario.is_inert() {
         sink.note(&format!(
             "[sweep] scenario: {}",
@@ -455,7 +440,6 @@ fn write_first_cell_trace(spec: &ShardSweepSpec, path: &std::path::Path) -> Resu
         },
         services: ServiceModel::Geometric,
         measure_decision_times: false,
-        histogram_metrics: spec.histogram_metrics,
         scenario: spec.scenario.clone(),
         workload: spec.workload.clone(),
     };
@@ -515,7 +499,6 @@ mod tests {
             },
             services: ServiceModel::Geometric,
             measure_decision_times: false,
-            histogram_metrics: false,
             scenario: scd_sim::ScenarioSpec::default(),
             workload: scd_sim::WorkloadSpec::default(),
         };
@@ -606,7 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn servers_flag_overrides_n_and_enables_histogram_metrics_at_scale() {
+    fn servers_flag_overrides_n_and_systems_run_once() {
         let spec = ShardSweepSpec::resolve(&CliOptions {
             paper: true,
             servers: Some(50_000),
@@ -614,7 +597,6 @@ mod tests {
         });
         // Both paper systems keep their dispatcher counts; n is forced.
         assert_eq!(spec.systems, vec![(50_000, 10), (50_000, 20)]);
-        assert!(spec.histogram_metrics, "50k servers is past the threshold");
 
         let small = ShardSweepSpec::resolve(&CliOptions {
             quick: true,
@@ -622,10 +604,6 @@ mod tests {
             ..CliOptions::default()
         });
         assert_eq!(small.systems, vec![(32, 4)]);
-        assert!(
-            !small.histogram_metrics,
-            "small overrides keep full metrics"
-        );
 
         // Duplicate systems created by the override collapse.
         let deduped = ShardSweepSpec::resolve(&CliOptions {
@@ -634,19 +612,21 @@ mod tests {
             ..CliOptions::default()
         });
         assert_eq!(deduped.systems, vec![(64, 8)]);
-    }
 
-    #[test]
-    fn histogram_metrics_sweep_runs_and_matches_full_metrics_statistics() {
-        let mut full = quick_spec(1);
-        full.systems = vec![(16, 4)];
-        let mut histo = full.clone();
-        histo.histogram_metrics = true;
-        let a = run_shard_sweep(&full).unwrap();
-        let b = run_shard_sweep(&histo).unwrap();
-        // The sweep's output columns never touch per-server state, so the
-        // two metric modes agree exactly.
-        assert_eq!(a, b);
+        // So do non-adjacent ones; the first occurrence keeps its place.
+        let apart = ShardSweepSpec::resolve(&CliOptions {
+            systems: Some(vec![(16, 4), (32, 2), (48, 4)]),
+            servers: Some(20),
+            ..CliOptions::default()
+        });
+        assert_eq!(apart.systems, vec![(20, 4), (20, 2)]);
+
+        // And systems typed twice in `--systems`.
+        let typed = ShardSweepSpec::resolve(&CliOptions {
+            systems: Some(vec![(16, 4), (32, 2), (16, 4)]),
+            ..CliOptions::default()
+        });
+        assert_eq!(typed.systems, vec![(16, 4), (32, 2)]);
     }
 
     #[test]

@@ -82,7 +82,6 @@ impl TailExperiment {
                 },
                 services: ServiceModel::Geometric,
                 measure_decision_times: false,
-                histogram_metrics: false,
                 scenario: scd_sim::ScenarioSpec::default(),
                 workload: scd_sim::WorkloadSpec::default(),
             };

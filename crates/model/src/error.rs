@@ -33,12 +33,6 @@ pub enum ModelError {
         /// The rejected value.
         value: f64,
     },
-    /// The probabilities did not sum to (approximately) one and could not be
-    /// normalized because the total mass was zero or non-finite.
-    UnnormalizableProbabilities {
-        /// The total mass that was found.
-        total: f64,
-    },
     /// A weighted sampler was constructed from an empty or all-zero weight
     /// vector.
     DegenerateWeights,
@@ -80,10 +74,6 @@ impl fmt::Display for ModelError {
             ModelError::InvalidProbability { index, value } => write!(
                 f,
                 "probability entry {index} must be a finite non-negative number, got {value}"
-            ),
-            ModelError::UnnormalizableProbabilities { total } => write!(
-                f,
-                "probability vector cannot be normalized: total mass is {total}"
             ),
             ModelError::DegenerateWeights => {
                 write!(f, "weighted sampler requires at least one strictly positive weight")
@@ -134,10 +124,6 @@ mod tests {
                     value: f64::NAN,
                 },
                 "entry 1",
-            ),
-            (
-                ModelError::UnnormalizableProbabilities { total: 0.0 },
-                "cannot be normalized",
             ),
             (ModelError::DegenerateWeights, "strictly positive weight"),
             (

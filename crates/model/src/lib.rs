@@ -18,8 +18,8 @@
 //! * [`DispatchPolicy`] / [`PolicyFactory`] — the trait every dispatching
 //!   policy implements, and the factory used by the simulator to instantiate
 //!   one (stateful) policy object per dispatcher.
-//! * [`ProbabilityVector`] and [`AliasSampler`] — utilities for policies that
-//!   are defined by a per-round probability distribution over servers (SCD,
+//! * [`AliasSampler`] — the `O(1)`-per-draw sampler for policies that are
+//!   defined by a per-round probability distribution over servers (SCD,
 //!   TWF, weighted random).
 //! * [`streams`] — splitmix64 seed-stream derivation shared by the unsharded
 //!   and sharded engines (per-stream tags, per-shard sub-masters).
@@ -64,7 +64,6 @@ pub mod error;
 pub mod ids;
 pub mod key_order;
 pub mod policy;
-pub mod probability;
 pub mod round_cache;
 pub mod sampler;
 pub mod scd_table;
@@ -79,11 +78,10 @@ pub use error::ModelError;
 pub use ids::{DispatcherId, ServerId};
 pub use key_order::KeyOrder;
 pub use policy::{BoxedPolicy, DispatchPolicy, PolicyFactory};
-pub use probability::ProbabilityVector;
 pub use round_cache::{
     reciprocal_rates, refresh_reciprocal_rates, CacheDemand, RoundCache, TableBuilds,
 };
-pub use sampler::{AliasSampler, CdfSampler};
+pub use sampler::AliasSampler;
 pub use scd_table::{DrawScratch, ScdTable, SINGLE_JOB_THRESHOLD};
 pub use snapshot::DispatchContext;
 pub use spec::{ClusterSpec, RateProfile};

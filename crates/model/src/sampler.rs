@@ -4,17 +4,12 @@
 //! job from a freshly computed probability vector. With hundreds of servers
 //! and potentially hundreds of jobs per dispatcher per round, the sampling
 //! step itself matters for the "SCD is as cheap as JSQ" claim of the paper
-//! (Section 6.3). This module provides two samplers:
-//!
-//! * [`AliasSampler`] — Walker/Vose alias method: `O(n)` construction,
-//!   `O(1)` per draw. Used by WR, by the SCD table for batches larger than
-//!   the probable prefix, and by the Algorithm 1 baseline.
-//! * [`CdfSampler`] — cumulative-distribution binary search: `O(n)`
-//!   construction, `O(log n)` per draw. Kept as the ablation baseline for the
-//!   sampler micro-benchmark.
+//! (Section 6.3). [`AliasSampler`] is the Walker/Vose alias method: `O(n)`
+//! construction, `O(1)` per draw. It is used by WR, by the SCD table for
+//! batches larger than the probable prefix, and by the Algorithm 1
+//! baseline.
 
 use crate::error::ModelError;
-use rand::Rng;
 use rand::RngCore;
 
 /// Walker/Vose alias-method sampler over `0..n`.
@@ -262,69 +257,6 @@ impl AliasSampler {
     }
 }
 
-/// Inverse-CDF sampler: binary search over the cumulative weights.
-///
-/// Retained as a baseline for the sampler ablation benchmark; behaviourally
-/// equivalent to [`AliasSampler`].
-#[derive(Debug, Clone)]
-pub struct CdfSampler {
-    cumulative: Vec<f64>,
-}
-
-impl CdfSampler {
-    /// Builds the cumulative table from non-negative weights.
-    ///
-    /// # Errors
-    /// Same error conditions as [`AliasSampler::new`].
-    pub fn new(weights: &[f64]) -> Result<Self, ModelError> {
-        if weights.is_empty() {
-            return Err(ModelError::EmptyCluster);
-        }
-        for (index, &w) in weights.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ModelError::InvalidProbability { index, value: w });
-            }
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(ModelError::DegenerateWeights);
-        }
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in weights {
-            acc += w / total;
-            cumulative.push(acc);
-        }
-        // Guard against round-off: the last entry must cover u = 1 - ε.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Ok(CdfSampler { cumulative })
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True when the sampler has no categories.
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
-    /// Draws one index in `O(log n)`.
-    pub fn sample(&self, rng: &mut dyn RngCore) -> usize {
-        let u: f64 = rng.gen::<f64>();
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("cumulative weights are finite"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,13 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_rejects_bad_input() {
-        assert!(CdfSampler::new(&[]).is_err());
-        assert!(CdfSampler::new(&[0.0]).is_err());
-        assert!(CdfSampler::new(&[-1.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn alias_matches_weights_empirically() {
         let weights = [0.5, 0.3, 0.15, 0.05];
         let sampler = AliasSampler::new(&weights).unwrap();
@@ -375,32 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn cdf_matches_weights_empirically() {
-        let weights = [1.0, 4.0, 5.0];
-        let sampler = CdfSampler::new(&weights).unwrap();
-        let freq = empirical_distribution(&|rng| sampler.sample(rng), 3, 200_000, 5);
-        let expected = [0.1, 0.4, 0.5];
-        for i in 0..3 {
-            assert!(
-                (freq[i] - expected[i]).abs() < 0.01,
-                "category {i}: expected {}, observed {}",
-                expected[i],
-                freq[i]
-            );
-        }
-    }
-
-    #[test]
     fn zero_weight_categories_are_never_drawn() {
         let weights = [0.0, 1.0, 0.0, 2.0];
         let alias = AliasSampler::new(&weights).unwrap();
-        let cdf = CdfSampler::new(&weights).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10_000 {
             let a = alias.sample(&mut rng);
             assert!(a == 1 || a == 3, "alias drew zero-weight category {a}");
-            let c = cdf.sample(&mut rng);
-            assert!(c == 1 || c == 3, "cdf drew zero-weight category {c}");
         }
     }
 

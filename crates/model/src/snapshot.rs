@@ -405,6 +405,9 @@ mod tests {
             .with_degraded(DegradedView::new(&avail, None, 0));
     }
 
+    // `with_dirty` checks its indices with a `debug_assert!` only, so the
+    // panic exists in debug builds alone.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "outside the cluster")]
     fn out_of_range_dirty_servers_panic() {

@@ -1,4 +1,4 @@
-//! Randomized property tests for the model crate's probability utilities.
+//! Randomized property tests for the model crate's sampler and cluster types.
 //!
 //! Cases are generated from a seeded [`StdRng`] (the build environment is
 //! offline, so no proptest); every failure message includes the case index so
@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use scd_model::{AliasSampler, CdfSampler, ClusterSpec, ProbabilityVector, RateProfile};
+use scd_model::{AliasSampler, ClusterSpec, RateProfile};
 
 const CASES: usize = 96;
 
@@ -31,39 +31,6 @@ fn random_weights(rng: &mut StdRng) -> Vec<f64> {
 }
 
 #[test]
-fn probability_vector_from_weights_is_normalized() {
-    let mut rng = StdRng::seed_from_u64(0xA11A5);
-    for case in 0..CASES {
-        let weights = random_weights(&mut rng);
-        let p = ProbabilityVector::from_weights(&weights).unwrap();
-        let total: f64 = p.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "case {case}: total {total}");
-        assert!(
-            p.iter().all(|x| (0.0..=1.0 + 1e-12).contains(&x)),
-            "case {case}: out-of-range probability"
-        );
-        assert_eq!(p.len(), weights.len(), "case {case}");
-    }
-}
-
-#[test]
-fn support_matches_positive_weights() {
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    for case in 0..CASES {
-        let weights = random_weights(&mut rng);
-        let p = ProbabilityVector::from_weights(&weights).unwrap();
-        let support: Vec<usize> = p.support().into_iter().map(|s| s.index()).collect();
-        let expected: Vec<usize> = weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.0)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(support, expected, "case {case}: weights {weights:?}");
-    }
-}
-
-#[test]
 fn alias_sampler_only_draws_positive_weight_categories() {
     let mut rng = StdRng::seed_from_u64(0xB0B);
     for case in 0..CASES {
@@ -75,23 +42,6 @@ fn alias_sampler_only_draws_positive_weight_categories() {
             assert!(
                 weights[draw] > 0.0,
                 "case {case}: alias sampler drew zero-weight category {draw} from {weights:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn cdf_sampler_only_draws_positive_weight_categories() {
-    let mut rng = StdRng::seed_from_u64(0xCDF);
-    for case in 0..CASES {
-        let weights = random_weights(&mut rng);
-        let sampler = CdfSampler::new(&weights).unwrap();
-        for _ in 0..256 {
-            let draw = sampler.sample(&mut rng);
-            assert!(draw < weights.len(), "case {case}");
-            assert!(
-                weights[draw] > 0.0,
-                "case {case}: cdf sampler drew zero-weight category {draw} from {weights:?}"
             );
         }
     }

@@ -390,6 +390,35 @@ mod tests {
     }
 
     #[test]
+    fn a_tracker_without_per_server_vectors_is_malformed() {
+        // The tracker of the sample checkpoint, re-encoded with empty
+        // per-server vectors under its nonzero server count.
+        let ckpt = sample_checkpoint();
+        let bytes = ckpt.to_bytes().unwrap();
+        let mut full = ByteWriter::new();
+        full.tracker(&ckpt.tracker).unwrap();
+        let full = full.into_bytes();
+        let (n, _, _, _, occupancy, total_sum, total_max, rounds) = ckpt.tracker.raw_parts();
+        let mut slim = ByteWriter::new();
+        slim.len(n).unwrap();
+        slim.len(0).unwrap();
+        slim.counts(&[]).unwrap();
+        slim.counts(&[]).unwrap();
+        slim.counts(occupancy).unwrap();
+        slim.u128(total_sum);
+        slim.u64(total_max);
+        slim.u64(rounds);
+        let at = bytes.windows(full.len()).position(|w| w == full).unwrap();
+        let mut forged = bytes[..at].to_vec();
+        forged.extend_from_slice(&slim.into_bytes());
+        forged.extend_from_slice(&bytes[at + full.len()..]);
+        assert!(matches!(
+            EngineCheckpoint::from_bytes(&forged).unwrap_err(),
+            CodecError::Malformed(_)
+        ));
+    }
+
+    #[test]
     fn lying_length_prefixes_do_not_allocate_or_panic() {
         let ckpt = sample_checkpoint();
         let bytes = ckpt.to_bytes().unwrap();

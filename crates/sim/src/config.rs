@@ -29,17 +29,6 @@ pub struct SimConfig {
     /// When true the engine wall-clock-times every dispatching decision
     /// (needed for the Figure 5/8 reproductions; adds measurement overhead).
     pub measure_decision_times: bool,
-    /// When true the engine collects queue statistics in **histogram-only**
-    /// mode: no per-server metric vectors are allocated, only the
-    /// queue-length occupancy histogram plus scalar totals (see
-    /// [`scd_metrics::QueueLengthTracker::histogram_only`]). Intended for
-    /// mean-field-scale runs (`n = 10⁵ .. 10⁶`), where per-server state in
-    /// the metrics layer costs tens of megabytes and the distribution is
-    /// the quantity of interest. The reported `worst_mean_queue` degrades
-    /// to the across-server mean in this mode; every other statistic is
-    /// identical.
-    #[serde(default)]
-    pub histogram_metrics: bool,
     /// The fault/churn/staleness scenario; the default is "no faults",
     /// which runs the fair-weather fast path bit-for-bit.
     pub scenario: ScenarioSpec,
@@ -85,7 +74,6 @@ impl SimConfig {
             arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load },
             services: ServiceModel::Geometric,
             measure_decision_times: false,
-            histogram_metrics: false,
             scenario: ScenarioSpec::default(),
             workload: WorkloadSpec::default(),
         })
@@ -103,27 +91,17 @@ impl SimConfig {
 
     /// Order-of-magnitude estimate of one engine's resident memory for this
     /// configuration, in bytes: per-server state (queues, snapshot, round
-    /// cache solver tables, queue tracker — the tracker's per-server
-    /// vectors are skipped under [`histogram_metrics`](SimConfig::histogram_metrics))
-    /// plus per-dispatcher state, including the `O(n)` sampler tables a
-    /// stateful policy keeps per dispatcher (the `n · m` term).
+    /// cache solver tables, queue tracker) plus per-dispatcher state,
+    /// including the `O(n)` sampler tables a stateful policy keeps per
+    /// dispatcher (the `n · m` term).
     pub fn estimated_memory_bytes(&self) -> u128 {
-        Self::memory_estimate(
-            self.num_servers(),
-            self.num_dispatchers,
-            self.histogram_metrics,
-        )
+        Self::memory_estimate(self.num_servers(), self.num_dispatchers)
     }
 
-    fn memory_estimate(
-        num_servers: usize,
-        num_dispatchers: usize,
-        histogram_metrics: bool,
-    ) -> u128 {
+    fn memory_estimate(num_servers: usize, num_dispatchers: usize) -> u128 {
         let n = num_servers as u128;
         let m = num_dispatchers as u128;
-        let per_server: u128 = if histogram_metrics { 192 } else { 224 };
-        n * per_server + m * 64 + n * m * 16
+        n * 224 + m * 64 + n * m * 16
     }
 
     /// Validates the configuration's *scale* with
@@ -135,11 +113,7 @@ impl SimConfig {
     /// Returns [`SimError::InvalidConfig`](crate::engine::SimError) naming
     /// the exceeded bound.
     pub fn validate_scale(&self) -> Result<(), crate::engine::SimError> {
-        Self::check_scale(
-            self.num_servers(),
-            self.num_dispatchers,
-            self.histogram_metrics,
-        )
+        Self::check_scale(self.num_servers(), self.num_dispatchers)
     }
 
     /// The scale check of a system of `num_servers` × `num_dispatchers`
@@ -156,7 +130,6 @@ impl SimConfig {
     pub fn check_scale(
         num_servers: usize,
         num_dispatchers: usize,
-        histogram_metrics: bool,
     ) -> Result<(), crate::engine::SimError> {
         use crate::engine::SimError;
         let n = num_servers as u128;
@@ -169,11 +142,11 @@ impl SimConfig {
                 Self::MAX_STATE_CELLS
             )));
         }
-        let estimated = Self::memory_estimate(num_servers, num_dispatchers, histogram_metrics);
+        let estimated = Self::memory_estimate(num_servers, num_dispatchers);
         if estimated > Self::MAX_ESTIMATED_MEMORY_BYTES {
             return Err(SimError::InvalidConfig(format!(
                 "estimated memory of {} MiB exceeds the {} MiB ceiling; \
-                 shard the run, reduce the system, or enable histogram_metrics",
+                 shard the run or reduce the system",
                 estimated >> 20,
                 Self::MAX_ESTIMATED_MEMORY_BYTES >> 20
             )));
@@ -263,11 +236,6 @@ impl SimConfig {
             "measure_decision_times",
             self.measure_decision_times.to_string(),
         );
-        // Emitted only when set, so pre-existing wire texts (and their
-        // digests) are byte-identical to runs that never heard of the flag.
-        if self.histogram_metrics {
-            push("histogram_metrics", "true".into());
-        }
         for line in self.scenario.to_key_values().lines() {
             out.push_str("scenario.");
             out.push_str(line);
@@ -331,7 +299,6 @@ impl SimConfig {
         let mut arrivals: Option<ArrivalSpec> = None;
         let mut services = ServiceModel::Geometric;
         let mut measure_decision_times = false;
-        let mut histogram_metrics = false;
         let mut scenario_lines = String::new();
         let mut workload_lines = String::new();
         let mut scenario_server_ids: Option<Vec<u32>> = None;
@@ -418,10 +385,6 @@ impl SimConfig {
                     measure_decision_times =
                         value.parse().map_err(|_| bad_value("`true` or `false`"))?;
                 }
-                "histogram_metrics" => {
-                    histogram_metrics =
-                        value.parse().map_err(|_| bad_value("`true` or `false`"))?;
-                }
                 "scenario.server_ids" => scenario_server_ids = Some(parse_u32_list(value)?),
                 "scenario.dispatcher_ids" => {
                     scenario_dispatcher_ids = Some(parse_u32_list(value)?);
@@ -468,7 +431,6 @@ impl SimConfig {
             arrivals: arrivals.ok_or_else(|| missing("arrivals"))?,
             services,
             measure_decision_times,
-            histogram_metrics,
             scenario,
             workload,
         })
@@ -532,12 +494,6 @@ impl SimConfig {
             },
         );
         h = mix(h, self.measure_decision_times as u64);
-        // Mixed only when set: a false flag leaves the digest identical to
-        // one computed before the field existed, so fabric workers built at
-        // different times agree on every pre-existing configuration.
-        if self.histogram_metrics {
-            h = mix(h, 0x4849_5354); // "HIST"
-        }
         let sc = &self.scenario;
         h = mix_f64(h, sc.server_fail_rate);
         h = mix_f64(h, sc.server_repair_rate);
@@ -605,7 +561,6 @@ pub struct SimConfigBuilder {
     arrivals: ArrivalSpec,
     services: ServiceModel,
     measure_decision_times: bool,
-    histogram_metrics: bool,
     scenario: ScenarioSpec,
     workload: WorkloadSpec,
 }
@@ -624,7 +579,6 @@ impl SimConfigBuilder {
             arrivals: ArrivalSpec::PoissonOfferedLoad { offered_load: 0.9 },
             services: ServiceModel::Geometric,
             measure_decision_times: false,
-            histogram_metrics: false,
             scenario: ScenarioSpec::default(),
             workload: WorkloadSpec::default(),
         }
@@ -669,14 +623,6 @@ impl SimConfigBuilder {
     /// Enables wall-clock timing of every dispatching decision.
     pub fn measure_decision_times(mut self, enable: bool) -> Self {
         self.measure_decision_times = enable;
-        self
-    }
-
-    /// Enables histogram-only queue metrics (no per-server metric vectors;
-    /// see [`SimConfig::histogram_metrics`]). Intended for
-    /// mean-field-scale runs.
-    pub fn histogram_metrics(mut self, enable: bool) -> Self {
-        self.histogram_metrics = enable;
         self
     }
 
@@ -736,7 +682,6 @@ impl SimConfigBuilder {
             arrivals: self.arrivals,
             services: self.services,
             measure_decision_times: self.measure_decision_times,
-            histogram_metrics: self.histogram_metrics,
             scenario: self.scenario,
             workload: self.workload,
         };
@@ -890,7 +835,6 @@ mod tests {
             },
             services: ServiceModel::Deterministic,
             measure_decision_times: true,
-            histogram_metrics: true,
             scenario: ScenarioSpec {
                 server_fail_rate: 0.01,
                 server_repair_rate: 0.2,
@@ -1010,31 +954,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_metrics_flag_is_inert_on_the_wire_and_digest_when_unset() {
-        let plain = SimConfig::builder(spec()).build().unwrap();
-        assert!(!plain.histogram_metrics);
-        let mut flagged = plain.clone();
-        flagged.histogram_metrics = true;
-        // Unset: the key is absent from the wire text (old parsers keep
-        // working) and the digest matches the pre-flag computation. Set:
-        // both move, and the round trip preserves the flag.
-        assert!(!plain.to_key_values().unwrap().contains("histogram_metrics"));
-        assert!(flagged
-            .to_key_values()
-            .unwrap()
-            .contains("histogram_metrics"));
-        assert_ne!(plain.digest(), flagged.digest());
-        let text = flagged.to_key_values().unwrap();
-        assert_eq!(SimConfig::from_key_values(&text).unwrap(), flagged);
-        // The builder carries the flag too.
-        let built = SimConfig::builder(spec())
-            .histogram_metrics(true)
-            .build()
-            .unwrap();
-        assert!(built.histogram_metrics);
-    }
-
-    #[test]
     fn over_scale_configurations_are_rejected_with_sized_messages() {
         // n · m beyond MAX_STATE_CELLS: 2^16 servers × 2^16 dispatchers.
         let rates = vec![1.0; 1 << 16];
@@ -1050,10 +969,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(big.estimated_memory_bytes() < SimConfig::MAX_ESTIMATED_MEMORY_BYTES);
-        // Histogram mode strictly lowers the estimate.
-        let mut slim = big.clone();
-        slim.histogram_metrics = true;
-        assert!(slim.estimated_memory_bytes() < big.estimated_memory_bytes());
         // Memory ceiling: 10⁶ servers × 2140 dispatchers stays just under
         // the cell cap (2.14e9 < 2^31) but the n·m policy-sampler term
         // pushes the estimate past 32 GiB.

@@ -453,14 +453,7 @@ impl<'a> RoundState<'a> {
                 scenario: ScenarioRuntime::new(&config.scenario, config.seed, n, m),
             },
             response_times: ResponseTimeHistogram::new(),
-            // Histogram-only mode keeps no per-server metric vectors — at
-            // mean-field scale (n = 10⁵ .. 10⁶) the occupancy histogram plus
-            // scalar totals are the entire metrics footprint.
-            tracker: if config.histogram_metrics {
-                QueueLengthTracker::histogram_only(n)
-            } else {
-                QueueLengthTracker::new(n)
-            },
+            tracker: QueueLengthTracker::new(n),
             // Count-bucketed recorder: recording a timing sample is O(1) and
             // allocation-free, so the measured configuration pays (almost)
             // no instrumentation overhead beyond the two `Instant` reads —
@@ -769,11 +762,6 @@ impl<'a> RoundState<'a> {
             let servers = checkpoint.tracker.num_servers();
             return Err(mismatch(format!("tracker covers {servers} servers")));
         }
-        if checkpoint.tracker.is_histogram_only() != config.histogram_metrics {
-            return Err(mismatch(
-                "metrics mode (full vs. histogram-only) disagrees".into(),
-            ));
-        }
         if checkpoint.decision_times.is_some() != config.measure_decision_times {
             return Err(mismatch(
                 "decision-time measurement presence disagrees".into(),
@@ -831,9 +819,9 @@ impl<'a> RoundState<'a> {
                 max_total_backlog: tracker.max_total_backlog(),
                 worst_mean_queue: tracker.worst_mean_queue(),
                 // Computed from the occupancy histogram's exact integer
-                // zero-bucket in both metric modes (identical to the
-                // across-server average of the per-server idle fractions,
-                // with one rounding instead of n).
+                // zero-bucket (identical to the across-server average of
+                // the per-server idle fractions, with one rounding instead
+                // of n).
                 mean_idle_fraction: tracker.mean_idle_fraction(),
             },
             queue_occupancy: tracker.into_occupancy(),
@@ -927,7 +915,6 @@ mod tests {
             arrivals: ArrivalSpec::Deterministic { jobs_per_round: 2 },
             services: ServiceModel::Deterministic,
             measure_decision_times: false,
-            histogram_metrics: false,
             scenario: crate::scenario::ScenarioSpec::default(),
             workload: crate::workload::WorkloadSpec::default(),
         }
@@ -975,6 +962,11 @@ mod tests {
         // Only rounds 5..10 are measured: 2 jobs per round.
         assert_eq!(report.jobs_dispatched, 10);
         assert_eq!(report.response_times.count(), 10);
+        // The occupancy histogram holds one observation per measured
+        // (server, round) pair and normalizes to a distribution.
+        assert_eq!(report.queue_occupancy.iter().sum::<u64>(), 5 * 2);
+        let total: f64 = report.queue_length_distribution().iter().sum();
+        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1012,63 +1004,6 @@ mod tests {
         let a = sim.run(&factory_of::<AllToFirst>("all-to-first")).unwrap();
         let b = sim.run(&ScdFactory::new()).unwrap();
         assert_eq!(a.jobs_dispatched, b.jobs_dispatched);
-    }
-
-    #[test]
-    fn histogram_metrics_mode_matches_full_mode_except_worst_mean_queue() {
-        // Histogram-only mode drops per-server state; every report field
-        // except worst_mean_queue (which degrades to the across-server mean)
-        // must be bit-identical to the full-tracking run.
-        use scd_core::policy::ScdFactory;
-        let spec = ClusterSpec::from_rates(vec![3.0, 1.0, 2.0, 2.0]).unwrap();
-        let build = |histogram: bool| {
-            SimConfig::builder(spec.clone())
-                .dispatchers(2)
-                .rounds(200)
-                .warmup_rounds(20)
-                .seed(7)
-                .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.8 })
-                .histogram_metrics(histogram)
-                .build()
-                .unwrap()
-        };
-        let full = Simulation::new(build(false))
-            .unwrap()
-            .run(&ScdFactory::new())
-            .unwrap();
-        let histo = Simulation::new(build(true))
-            .unwrap()
-            .run(&ScdFactory::new())
-            .unwrap();
-        assert_eq!(full.jobs_dispatched, histo.jobs_dispatched);
-        assert_eq!(full.response_times, histo.response_times);
-        assert_eq!(full.queue_occupancy, histo.queue_occupancy);
-        assert!(!full.queue_occupancy.is_empty());
-        assert_eq!(
-            full.queues.mean_total_backlog,
-            histo.queues.mean_total_backlog
-        );
-        assert_eq!(
-            full.queues.max_total_backlog,
-            histo.queues.max_total_backlog
-        );
-        assert_eq!(
-            full.queues.mean_idle_fraction,
-            histo.queues.mean_idle_fraction
-        );
-        // Degraded statistic: total backlog averaged over servers.
-        assert!(
-            (histo.queues.worst_mean_queue - histo.queues.mean_total_backlog / 4.0).abs() < 1e-12
-        );
-        assert!(full.queues.worst_mean_queue >= histo.queues.worst_mean_queue);
-        // The occupancy histogram carries the full measured mass:
-        // (rounds - warmup) * num_servers observations.
-        let mass: u64 = full.queue_occupancy.iter().sum();
-        assert_eq!(mass, 180 * 4);
-        // And its normalization is a probability distribution.
-        let dist = full.queue_length_distribution();
-        let total: f64 = dist.iter().sum();
-        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

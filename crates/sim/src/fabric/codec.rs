@@ -270,8 +270,8 @@ impl ByteWriter {
         }
     }
 
-    /// A queue-length tracker, in either metrics mode (histogram-only
-    /// trackers carry empty per-server vectors).
+    /// A queue-length tracker. The server count precedes the per-server
+    /// vectors, whose lengths the decoder checks against it.
     pub(crate) fn tracker(&mut self, tracker: &QueueLengthTracker) -> Result<(), CodecError> {
         let (num_servers, sums, maxes, idle, occupancy, total_sum, total_max, rounds) =
             tracker.raw_parts();

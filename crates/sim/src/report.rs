@@ -152,7 +152,7 @@ pub struct SimReport {
     /// number of (server, round) observations with queue length exactly
     /// `k` over the measured rounds, lengths at or above
     /// [`QueueLengthTracker::OCCUPANCY_CLAMP`](scd_metrics::QueueLengthTracker::OCCUPANCY_CLAMP)
-    /// sharing the top bucket. Populated in both metric modes; normalizing
+    /// sharing the top bucket. Normalizing
     /// ([`Self::queue_length_distribution`]) yields the empirical
     /// steady-state distribution the mean-field oracle checks against.
     #[serde(default)]

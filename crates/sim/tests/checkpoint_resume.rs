@@ -2,8 +2,8 @@
 //! checkpoint at **any** round is bit-identical to the uninterrupted run —
 //! same report, same RNG consumption — for stateless and stateful (warm
 //! argmin, probe-marking, round-robin) policies alike, with and without an
-//! active scenario, in both metrics modes, and surviving a full
-//! serialize/deserialize round trip of the checkpoint bytes. Every capture
+//! active scenario, and surviving a full serialize/deserialize round trip
+//! of the checkpoint bytes. Every capture
 //! and resume goes through `Simulation::run_with_checkpoints`, the one
 //! checkpoint entry point.
 
@@ -120,22 +120,6 @@ fn resume_is_bit_identical_under_an_active_scenario() {
             sim.run(factory.as_ref()).unwrap().degradation.is_some(),
             "scenario must be active"
         );
-        assert_resumes_bit_identically(&sim, factory.as_ref());
-    }
-}
-
-#[test]
-fn resume_is_bit_identical_with_histogram_only_metrics() {
-    // The tracker keeps no per-server vectors in this mode, so the
-    // checkpoint carries (and the resume restores) only the occupancy
-    // histogram and the scalar totals.
-    let mut config = base_config(11);
-    config.histogram_metrics = true;
-    let sim = Simulation::new(config).unwrap();
-    for factory in [
-        Box::new(ScdFactory::new()) as Box<dyn PolicyFactory>,
-        Box::new(ArgminFactory::jsq()),
-    ] {
         assert_resumes_bit_identically(&sim, factory.as_ref());
     }
 }
