@@ -52,6 +52,12 @@
 //! it stood, so that a restructuring of the argmin family (JSQ, SED, LSQ,
 //! hLSQ, LED, hLED) must keep every sample path and checkpoint blob.
 //!
+//! `SPARSE_GOLDEN` was added the same way, before the departures phase
+//! stopped computing capacities for idle and down servers: WR and SCD on a
+//! mostly idle cluster, and WR and hJIQ under server crashes and repairs.
+//! An engine that advanced the service stream by a different amount for
+//! those servers would move these rows.
+//!
 //! All quantities are integer-exact or derived from integer counts, so the
 //! comparisons are safe despite floating-point representation.
 
@@ -103,6 +109,52 @@ const CHECKPOINT_DIGESTS: [(&str, u64); 6] = [
     ("hLED", 0x3d66_13ff_8b77_a119),
 ];
 
+/// Forty servers at offered load 0.05: most servers are idle in most
+/// rounds, so the sample path runs through the departures of empty queues.
+fn idle_config() -> SimConfig {
+    let rates: Vec<f64> = (0..40).map(|s| 1.0 + (s % 8) as f64).collect();
+    SimConfig::builder(ClusterSpec::from_rates(rates).unwrap())
+        .dispatchers(4)
+        .rounds(2_000)
+        .warmup_rounds(200)
+        .seed(11)
+        .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.05 })
+        .build()
+        .unwrap()
+}
+
+/// Thirty-two servers at offered load 0.7 under seeded crashes and repairs:
+/// about a fifth of the servers are idle, so most crashes freeze a queue
+/// that holds jobs until the repair.
+fn crash_config() -> SimConfig {
+    let rates: Vec<f64> = (0..32).map(|s| 1.0 + (s % 8) as f64).collect();
+    SimConfig::builder(ClusterSpec::from_rates(rates).unwrap())
+        .dispatchers(4)
+        .rounds(2_000)
+        .warmup_rounds(200)
+        .seed(13)
+        .arrivals(ArrivalSpec::PoissonOfferedLoad { offered_load: 0.7 })
+        .scenario(ScenarioSpec {
+            server_fail_rate: 0.02,
+            server_repair_rate: 0.2,
+            ..ScenarioSpec::default()
+        })
+        .build()
+        .unwrap()
+}
+
+/// Golden records of the idle and crash runs, in the `GOLDEN` layout with
+/// the run in front: (run, name, dispatched, completed, p99, max backlog).
+/// The five-server run above keeps nearly every server busy and has no
+/// down servers, so these rows pin the departures of idle and down
+/// servers.
+const SPARSE_GOLDEN: [(&str, &str, u64, u64, u64, f64); 4] = [
+    ("idle", "WR", 16_098, 16_097, 4, 11.0),
+    ("idle", "SCD", 16_098, 16_098, 3, 9.0),
+    ("crashes", "WR", 181_350, 181_030, 20, 634.0),
+    ("crashes", "hJIQ", 181_350, 181_172, 14, 432.0),
+];
+
 /// 64-bit FNV-1a, written out here because `DefaultHasher` is not stable
 /// across Rust releases.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -131,6 +183,45 @@ fn fixed_seed_reproduces_the_golden_sample_path() {
         assert_eq!(
             report.queues.max_total_backlog, max_backlog,
             "{name}: max backlog"
+        );
+    }
+}
+
+#[test]
+fn idle_and_crash_runs_reproduce_their_golden_sample_paths() {
+    for (run, name, dispatched, completed, p99, max_backlog) in SPARSE_GOLDEN {
+        let config = match run {
+            "idle" => idle_config(),
+            _ => crash_config(),
+        };
+        let factory = factory_by_name(name).unwrap();
+        let report = Simulation::new(config)
+            .unwrap()
+            .run(factory.as_ref())
+            .unwrap();
+        // The rows only pin what they claim to if the runs stay in their
+        // regimes.
+        match run {
+            "idle" => assert!(report.queues.mean_idle_fraction > 0.9, "{run}/{name}"),
+            _ => {
+                let degradation = report.degradation.as_ref().unwrap();
+                assert!(degradation.server_down_rounds > 0, "{run}/{name}");
+                assert!(report.queues.mean_idle_fraction < 0.3, "{run}/{name}");
+            }
+        }
+        assert_eq!(
+            report.jobs_dispatched, dispatched,
+            "{run}/{name}: dispatched"
+        );
+        assert_eq!(report.jobs_completed, completed, "{run}/{name}: completed");
+        assert_eq!(
+            report.response_time_percentile(0.99),
+            p99,
+            "{run}/{name}: p99"
+        );
+        assert_eq!(
+            report.queues.max_total_backlog, max_backlog,
+            "{run}/{name}: max backlog"
         );
     }
 }
