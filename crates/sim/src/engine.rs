@@ -654,11 +654,13 @@ impl<'a> RoundState<'a> {
         Ok(())
     }
 
-    /// Phase 3: departures. Capacities are drawn for every server every
-    /// round (even idle ones) so the service stream does not depend on
-    /// either the policy under test or the scenario; a down server's draw
-    /// is then discarded — its queue freezes until repair. Whole segments
-    /// complete at once, so this phase costs O(segments touched), not
+    /// Phase 3: departures. Every server advances the service stream by one
+    /// capacity draw every round, in server order, so the stream does not
+    /// depend on either the policy under test or the scenario. Only busy,
+    /// up servers compute their capacity; an idle server would waste it,
+    /// and a down server's queue freezes until repair, so both only advance
+    /// the stream ([`ServiceProcess::skip`]). Whole segments complete at
+    /// once, so this phase costs O(servers + segments touched), not
     /// O(jobs).
     fn departures(&mut self, round: u64) {
         let warmup = self.config.warmup_rounds;
@@ -667,15 +669,18 @@ impl<'a> RoundState<'a> {
             .scenario
             .as_ref()
             .map(ScenarioRuntime::availability);
-        let service_rng = &mut self.service_rng;
+        // A local copy keeps the generator's state out of memory for the
+        // loop; it is written back after the last server.
+        let mut service_rng = self.service_rng.clone();
         let (response_times, jobs_completed) = (&mut self.response_times, &mut self.jobs_completed);
         let trace = &mut self.trace;
         let servers = self.queues.iter_mut().zip(&self.service_processes);
         for (s, (queue, service)) in servers.enumerate() {
-            let capacity = service.sample(service_rng);
-            if avail.is_some_and(|avail| !avail.is_up(s)) {
+            if queue.is_empty() || avail.is_some_and(|avail| !avail.is_up(s)) {
+                service.skip(&mut service_rng);
                 continue;
             }
+            let capacity = service.sample(&mut service_rng);
             queue.pop(capacity, |arrival_round, count| {
                 if arrival_round >= warmup {
                     response_times.record_many(round - arrival_round + 1, count);
@@ -686,6 +691,7 @@ impl<'a> RoundState<'a> {
                 }
             });
         }
+        self.service_rng = service_rng;
     }
 
     /// The state a checkpoint taken before `round` carries.

@@ -41,8 +41,8 @@ pub enum ServiceProcess {
         /// Mean capacity per round.
         mu: f64,
         /// Precomputed `1/ln(1 - p)` for the inverse-CDF draw — the engine
-        /// samples every server every round, so recomputing the logarithm
-        /// per draw would double the cost of the departure phase.
+        /// samples every busy, up server every round, so recomputing the
+        /// logarithm per draw would double the cost of the departure phase.
         inv_ln_q: f64,
     },
     /// Fixed capacity `round(µ)` every round.
@@ -107,13 +107,26 @@ impl ServiceProcess {
             ServiceProcess::Deterministic { capacity } => *capacity,
         }
     }
+
+    /// Advances `rng` exactly as [`sample`](ServiceProcess::sample) would,
+    /// without computing a capacity: one `u64` for the geometric draw (the
+    /// `f64` it turns into a capacity is made from one `next_u64`), nothing
+    /// for the deterministic one. The engine calls it for servers whose
+    /// capacity would go unused, so the service stream stays the same
+    /// whatever the queues hold.
+    #[inline]
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        if let ServiceProcess::Geometric { .. } = self {
+            rng.next_u64();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn geometric_mean_matches_mu() {
@@ -148,6 +161,24 @@ mod tests {
             (var - expected).abs() < 0.05 * expected,
             "variance {var} vs expected {expected}"
         );
+    }
+
+    #[test]
+    fn skip_leaves_the_stream_where_sample_leaves_it() {
+        for process in [0.05, 1.0, 3.7, 250.0].into_iter().flat_map(|mu| {
+            [
+                ServiceProcess::geometric(mu),
+                ServiceProcess::deterministic(mu),
+            ]
+        }) {
+            let mut sampled = StdRng::seed_from_u64(17);
+            let mut skipped = StdRng::seed_from_u64(17);
+            for _ in 0..10_000 {
+                process.sample(&mut sampled);
+                process.skip(&mut skipped);
+            }
+            assert_eq!(sampled.next_u64(), skipped.next_u64(), "{process:?}");
+        }
     }
 
     #[test]
