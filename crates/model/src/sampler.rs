@@ -38,7 +38,9 @@ pub struct AliasSampler {
 
 impl AliasSampler {
     /// Builds the alias table from non-negative weights (not necessarily
-    /// normalized).
+    /// normalized). The table keeps no construction scratch, only what
+    /// draws read; a later [`rebuild`](AliasSampler::rebuild) allocates
+    /// the scratch again.
     ///
     /// # Errors
     /// * [`ModelError::EmptyCluster`] for an empty weight vector;
@@ -47,7 +49,11 @@ impl AliasSampler {
     pub fn new(weights: &[f64]) -> Result<Self, ModelError> {
         let mut sampler = AliasSampler::default();
         sampler.rebuild(weights)?;
-        Ok(sampler)
+        Ok(AliasSampler {
+            keep: sampler.keep,
+            alias: sampler.alias,
+            ..AliasSampler::default()
+        })
     }
 
     /// Rebuilds the alias table in place from fresh weights, reusing the

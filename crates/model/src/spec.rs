@@ -4,8 +4,11 @@
 
 use crate::error::ModelError;
 use crate::ids::ServerId;
+use crate::sampler::AliasSampler;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The static configuration of a cluster: one processing rate per server.
 ///
@@ -22,9 +25,30 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(spec.total_rate(), 9.0);
 /// assert_eq!(spec.rate(scd_model::ServerId::new(0)), 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct ClusterSpec {
     rates: Vec<f64>,
+    /// The µ-proportional alias table over `rates`, built on first use by
+    /// [`rate_sampler`](ClusterSpec::rate_sampler). The cell itself is
+    /// shared, so every clone reads one table whichever builds it.
+    #[serde(skip)]
+    rate_table: Arc<OnceLock<Arc<AliasSampler>>>,
+}
+
+/// Equality, like the config digest and the wire text, sees the rates
+/// only: the table is derived from them.
+impl PartialEq for ClusterSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.rates == other.rates
+    }
+}
+
+impl fmt::Debug for ClusterSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ClusterSpec")
+            .field("rates", &self.rates)
+            .finish()
+    }
 }
 
 impl ClusterSpec {
@@ -43,7 +67,10 @@ impl ClusterSpec {
                 return Err(ModelError::InvalidRate { server, rate });
             }
         }
-        Ok(ClusterSpec { rates })
+        Ok(ClusterSpec {
+            rates,
+            rate_table: Arc::default(),
+        })
     }
 
     /// Builds a homogeneous cluster of `n` servers, all with rate `rate`.
@@ -70,6 +97,16 @@ impl ClusterSpec {
     /// All rates, indexed by server.
     pub fn rates(&self) -> &[f64] {
         &self.rates
+    }
+
+    /// The alias table drawing server `s` with probability `µ_s / Σ µ`,
+    /// built on first use and shared by every clone of this specification.
+    /// WR, hJSQ(d), hJIQ's fallback and the probes of hLSQ and hLED read
+    /// it, so a run holds one table, not one per dispatcher.
+    pub fn rate_sampler(&self) -> Arc<AliasSampler> {
+        Arc::clone(self.rate_table.get_or_init(|| {
+            Arc::new(AliasSampler::new(&self.rates).expect("cluster rates are strictly positive"))
+        }))
     }
 
     /// Total processing capacity `Σ_s µ_s` of the cluster.
@@ -122,6 +159,7 @@ impl ClusterSpec {
     pub fn rate_oblivious(&self) -> ClusterSpec {
         ClusterSpec {
             rates: vec![1.0; self.rates.len()],
+            rate_table: Arc::default(),
         }
     }
 }
@@ -284,6 +322,38 @@ mod tests {
         let even = spec.subset(&[0, 2]).unwrap();
         let odd = spec.subset(&[1, 3]).unwrap();
         assert_eq!(even.total_rate() + odd.total_rate(), spec.total_rate());
+    }
+
+    #[test]
+    fn rate_sampler_is_built_once_and_shared_by_clones() {
+        let spec = ClusterSpec::from_rates(vec![5.0, 2.0, 1.0, 3.0]).unwrap();
+        let clone = spec.clone();
+        let table = spec.rate_sampler();
+        assert!(Arc::ptr_eq(&table, &spec.rate_sampler()));
+        assert!(Arc::ptr_eq(&table, &clone.rate_sampler()));
+        // A sub-cluster draws over its own rates, from its own table.
+        let sub = spec.subset(&[3, 0]).unwrap();
+        let sub_table = sub.rate_sampler();
+        assert!(!Arc::ptr_eq(&table, &sub_table));
+        assert_eq!(sub_table.len(), 2);
+        // The shared table draws exactly what a private one would.
+        for (spec, table) in [(&spec, table), (&sub, sub_table)] {
+            let private = AliasSampler::new(spec.rates()).unwrap();
+            let shared = table.sample_many(1_000, &mut StdRng::seed_from_u64(21));
+            assert_eq!(
+                shared,
+                private.sample_many(1_000, &mut StdRng::seed_from_u64(21))
+            );
+        }
+        // The table is not part of a specification's identity.
+        assert_eq!(
+            spec,
+            ClusterSpec::from_rates(vec![5.0, 2.0, 1.0, 3.0]).unwrap()
+        );
+        assert_eq!(
+            format!("{spec:?}"),
+            "ClusterSpec { rates: [5.0, 2.0, 1.0, 3.0] }"
+        );
     }
 
     #[test]

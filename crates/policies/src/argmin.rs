@@ -40,6 +40,7 @@ use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
+use std::sync::Arc;
 
 /// Probes per round of the probed views the registry builds (the paper and
 /// \[54\] use one probe per time slot).
@@ -77,9 +78,9 @@ enum View {
     },
     Probed {
         probes: usize,
-        /// The µ-proportional probe sampler of the delay rank; `None`
-        /// probes uniformly.
-        sampler: Option<AliasSampler>,
+        /// The µ-proportional probe sampler of the delay rank, the
+        /// cluster's shared table; `None` probes uniformly.
+        sampler: Option<Arc<AliasSampler>>,
         decay: bool,
     },
 }
@@ -438,9 +439,7 @@ impl ArgminFactory {
             },
             Source::Probed { decay } => View::Probed {
                 probes,
-                sampler: (self.rank == Rank::Delay).then(|| {
-                    AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive")
-                }),
+                sampler: (self.rank == Rank::Delay).then(|| spec.rate_sampler()),
                 decay,
             },
         };

@@ -13,6 +13,7 @@ use scd_model::{
     AliasSampler, Availability, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy,
     DispatcherId, PolicyFactory, ServerId,
 };
+use std::sync::Arc;
 
 /// Sampling flavour for JIQ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +29,6 @@ pub enum JiqVariant {
 pub struct JiqPolicy {
     variant: JiqVariant,
     name: &'static str,
-    rates: Vec<f64>,
     /// Local queue view for intra-batch updates (a server stops being idle
     /// once this dispatcher sends it a job in the current round).
     local: Vec<u64>,
@@ -37,9 +37,9 @@ pub struct JiqPolicy {
     /// Reusable idle-weight buffer and alias table (heterogeneous variant).
     idle_weights: Vec<f64>,
     idle_sampler: AliasSampler,
-    /// Cached rate-proportional fallback sampler (heterogeneous variant; the
-    /// rates are static per run, so this is built at most once).
-    fallback_sampler: Option<AliasSampler>,
+    /// The cluster's shared rate-proportional table, the fallback of the
+    /// heterogeneous variant.
+    fallback_sampler: Option<Arc<AliasSampler>>,
 }
 
 impl JiqPolicy {
@@ -48,7 +48,6 @@ impl JiqPolicy {
         JiqPolicy {
             variant: JiqVariant::Uniform,
             name: "JIQ",
-            rates: Vec::new(),
             local: Vec::new(),
             idle: Vec::new(),
             idle_weights: Vec::new(),
@@ -62,12 +61,11 @@ impl JiqPolicy {
         JiqPolicy {
             variant: JiqVariant::Heterogeneous,
             name: "hJIQ",
-            rates: spec.rates().to_vec(),
             local: Vec::new(),
             idle: Vec::new(),
             idle_weights: Vec::new(),
             idle_sampler: AliasSampler::default(),
-            fallback_sampler: None,
+            fallback_sampler: Some(spec.rate_sampler()),
         }
     }
 
@@ -76,13 +74,13 @@ impl JiqPolicy {
         self.variant
     }
 
-    fn pick_idle(&mut self, rng: &mut dyn RngCore) -> usize {
+    fn pick_idle(&mut self, rates: &[f64], rng: &mut dyn RngCore) -> usize {
         match self.variant {
             JiqVariant::Uniform => self.idle[rng.gen_range(0..self.idle.len())],
             JiqVariant::Heterogeneous => {
                 self.idle_weights.clear();
                 self.idle_weights
-                    .extend(self.idle.iter().map(|&s| self.rates[s]));
+                    .extend(self.idle.iter().map(|&s| rates[s]));
                 self.idle_sampler
                     .rebuild(&self.idle_weights)
                     .expect("idle set is non-empty with positive rates");
@@ -91,34 +89,23 @@ impl JiqPolicy {
         }
     }
 
-    fn pick_fallback(
-        &mut self,
-        n: usize,
-        mask: Option<&Availability>,
-        rng: &mut dyn RngCore,
-    ) -> usize {
-        match self.variant {
-            JiqVariant::Uniform => match mask {
+    fn pick_fallback(&self, n: usize, mask: Option<&Availability>, rng: &mut dyn RngCore) -> usize {
+        match &self.fallback_sampler {
+            None => match mask {
                 Some(avail) => avail.up_list()[rng.gen_range(0..avail.num_up())] as usize,
                 None => rng.gen_range(0..n),
             },
-            JiqVariant::Heterogeneous => {
-                let rates = &self.rates;
-                let sampler = self.fallback_sampler.get_or_insert_with(|| {
-                    AliasSampler::new(rates).expect("rates are strictly positive")
-                });
-                match mask {
-                    // Rejection sampling keeps the fallback ∝ µ over the up
-                    // set; rates are strictly positive, so this terminates.
-                    Some(avail) => loop {
-                        let s = sampler.sample(rng);
-                        if avail.is_up(s) {
-                            break s;
-                        }
-                    },
-                    None => sampler.sample(rng),
-                }
-            }
+            // Rejection sampling keeps the fallback ∝ µ over the up set;
+            // rates are strictly positive, so this terminates.
+            Some(sampler) => match mask {
+                Some(avail) => loop {
+                    let s = sampler.sample(rng);
+                    if avail.is_up(s) {
+                        break s;
+                    }
+                },
+                None => sampler.sample(rng),
+            },
         }
     }
 }
@@ -137,12 +124,10 @@ impl DispatchPolicy for JiqPolicy {
     ) {
         self.local.clear();
         self.local.extend_from_slice(ctx.queue_lengths());
-        if self.variant == JiqVariant::Heterogeneous && self.rates.len() != ctx.num_servers() {
-            // Defensive refresh in case the factory was bypassed.
-            self.rates = ctx.rates().to_vec();
-            self.fallback_sampler = None;
-        }
         let n = self.local.len();
+        if let Some(sampler) = &self.fallback_sampler {
+            assert_eq!(sampler.len(), n, "hJIQ was built for another cluster");
+        }
         // Down servers are neither idle candidates nor fallback targets when
         // an availability mask is active.
         let mask = ctx.active_mask();
@@ -167,7 +152,7 @@ impl DispatchPolicy for JiqPolicy {
             let target = if self.idle.is_empty() {
                 self.pick_fallback(n, mask, rng)
             } else {
-                self.pick_idle(rng)
+                self.pick_idle(ctx.rates(), rng)
             };
             self.local[target] += 1;
             out.push(ServerId::new(target));

@@ -15,6 +15,7 @@ use scd_model::{
     AliasSampler, Availability, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy,
     DispatcherId, PolicyFactory, ServerId,
 };
+use std::sync::Arc;
 
 /// How candidate servers are sampled and ranked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +33,9 @@ pub struct PowerOfDPolicy {
     d: usize,
     variant: PowerOfDVariant,
     name: String,
-    /// Rate-proportional sampler (only for the heterogeneous variant).
-    rate_sampler: Option<AliasSampler>,
+    /// The cluster's shared rate-proportional table (only for the
+    /// heterogeneous variant).
+    rate_sampler: Option<Arc<AliasSampler>>,
     /// Local copy of the queue lengths for intra-batch updates.
     local: Vec<u64>,
     /// Reusable per-job candidate buffer.
@@ -58,18 +60,17 @@ impl PowerOfDPolicy {
     }
 
     /// Creates an `hJSQ(d)` policy for a given cluster (the rate-proportional
-    /// sampler is precomputed from the cluster specification).
+    /// sampler is the cluster specification's shared table).
     ///
     /// # Panics
     /// Panics if `d == 0`.
     pub fn heterogeneous(d: usize, spec: &ClusterSpec) -> Self {
         assert!(d > 0, "power-of-d requires d >= 1");
-        let sampler = AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive");
         PowerOfDPolicy {
             d,
             variant: PowerOfDVariant::Heterogeneous,
             name: format!("hJSQ({d})"),
-            rate_sampler: Some(sampler),
+            rate_sampler: Some(spec.rate_sampler()),
             local: Vec::new(),
             candidates: Vec::new(),
         }

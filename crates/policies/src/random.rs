@@ -14,18 +14,20 @@ use scd_model::{
     AliasSampler, BoxedPolicy, ClusterSpec, DispatchContext, DispatchPolicy, DispatcherId,
     PolicyFactory, ServerId, StateReader, StateWriter,
 };
+use std::sync::Arc;
 
 /// Weighted-random dispatching: `p_s ∝ µ_s`.
 #[derive(Debug, Clone)]
 pub struct WeightedRandomPolicy {
-    sampler: AliasSampler,
+    /// The cluster's shared µ-proportional table.
+    sampler: Arc<AliasSampler>,
 }
 
 impl WeightedRandomPolicy {
     /// Builds the policy for a given cluster.
     pub fn new(spec: &ClusterSpec) -> Self {
         WeightedRandomPolicy {
-            sampler: AliasSampler::new(spec.rates()).expect("cluster rates are strictly positive"),
+            sampler: spec.rate_sampler(),
         }
     }
 }
