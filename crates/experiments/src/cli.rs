@@ -365,6 +365,20 @@ pub fn usage() -> String {
         .to_string()
 }
 
+/// `systems` with each `(n, m)` kept at its first occurrence only. Tables
+/// select their cells by `(n, m)`, so a repeated system, typed twice or made
+/// by `--servers`, would run twice on two cluster draws and mix both runs
+/// into one table.
+pub fn distinct_systems(systems: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
+    let mut unique = Vec::with_capacity(systems.len());
+    for system in systems {
+        if !unique.contains(&system) {
+            unique.push(system);
+        }
+    }
+    unique
+}
+
 fn parse_loads(value: &str) -> Result<Vec<f64>, String> {
     let loads: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse::<f64>()).collect();
     let loads = loads.map_err(|_| format!("invalid --loads value: {value}"))?;

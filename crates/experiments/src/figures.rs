@@ -5,7 +5,7 @@
 //! EXPERIMENTS.md can reference them precisely.
 
 use crate::ablation::{solver_equivalence_check, EstimatorAblation};
-use crate::cli::CliOptions;
+use crate::cli::{distinct_systems, CliOptions};
 use crate::output::OutputSink;
 use crate::response::ResponseTimeExperiment;
 use crate::runtime::RuntimeExperiment;
@@ -135,7 +135,7 @@ impl FigureSpec {
             )
         };
 
-        let systems = options.systems.clone().unwrap_or(systems);
+        let systems = distinct_systems(options.systems.clone().unwrap_or(systems));
         let loads = options.loads.clone().unwrap_or(loads);
         let tail_system = *systems
             .iter()
@@ -310,6 +310,26 @@ mod tests {
         assert_eq!(spec.loads, vec![0.8]);
         assert_eq!(spec.systems, vec![(10, 2)]);
         assert_eq!(spec.tail_system, (10, 2));
+    }
+
+    #[test]
+    fn repeated_systems_resolve_once() {
+        let resolve = |systems: Vec<(usize, usize)>| {
+            let options = CliOptions {
+                systems: Some(systems),
+                ..CliOptions::default()
+            };
+            FigureSpec::resolve(FigureKind::Fig3, &options).systems
+        };
+        // Adjacent repeats.
+        assert_eq!(resolve(vec![(16, 4), (16, 4), (32, 2)]), [(16, 4), (32, 2)]);
+        // Non-adjacent repeats keep the first occurrence's place.
+        assert_eq!(
+            resolve(vec![(16, 4), (32, 2), (48, 4), (32, 2)]),
+            [(16, 4), (32, 2), (48, 4)]
+        );
+        // A system typed twice and nothing else.
+        assert_eq!(resolve(vec![(16, 4), (16, 4)]), [(16, 4)]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! threads while each cell steps its shards sequentially (no nested
 //! oversubscription); results are bit-identical for every thread count.
 
-use crate::cli::CliOptions;
+use crate::cli::{distinct_systems, CliOptions};
 use crate::output::OutputSink;
 use crate::response::{cluster_for_system, replication_seed};
 use crate::sweep::{effective_threads, SweepGrid};
@@ -100,19 +100,10 @@ impl ShardSweepSpec {
                 system.0 = n;
             }
         }
-        // Tables select their cells by `(n, m)`, so a repeated system, typed
-        // twice or made by the override, would mix two runs into one table:
-        // keep its first occurrence only.
-        let mut unique = Vec::with_capacity(systems.len());
-        for system in systems {
-            if !unique.contains(&system) {
-                unique.push(system);
-            }
-        }
         ShardSweepSpec {
             profile: RateProfile::paper_moderate(),
             policies: vec!["SCD".into(), "JSQ".into(), "SED".into()],
-            systems: unique,
+            systems: distinct_systems(systems),
             loads: options.loads.clone().unwrap_or(loads),
             rounds,
             warmup: rounds / 10,
