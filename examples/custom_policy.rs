@@ -18,7 +18,8 @@ use scd_model::BoxedPolicy;
 
 /// A sticky weighted-random policy.
 struct StickyWeightedRandom {
-    sampler: scd_model::AliasSampler,
+    /// The cluster's µ-proportional table, shared by every dispatcher.
+    sampler: std::sync::Arc<scd_model::AliasSampler>,
     sticky_threshold: u64,
     current: Option<ServerId>,
 }
@@ -26,7 +27,7 @@ struct StickyWeightedRandom {
 impl StickyWeightedRandom {
     fn new(spec: &ClusterSpec, sticky_threshold: u64) -> Self {
         StickyWeightedRandom {
-            sampler: scd_model::AliasSampler::new(spec.rates()).expect("positive rates"),
+            sampler: spec.rate_sampler(),
             sticky_threshold,
             current: None,
         }
