@@ -7,11 +7,9 @@
 //! (Appendix D) only requires `1 ≤ a_est,d < ∞`, so alternative estimators
 //! are legitimate; we keep a few for ablation experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// A rule for estimating the total number of arrivals in the current round
 /// from a dispatcher's own arrivals.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalEstimator {
     /// The paper's estimator (Eq. 18): `a_est = m · a(d)`.
     #[default]

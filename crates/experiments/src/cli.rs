@@ -2,10 +2,13 @@
 //!
 //! A hand-rolled parser keeps the workspace free of an argument-parsing
 //! dependency; the flag surface is tiny and identical across binaries.
+//! Its flag lexer (`Flags`) also serves the `orchestrate` and
+//! `shard_worker` command lines in [`crate::fabric`].
 
 use crate::sweep::SweepGrid;
 use scd_sim::SimConfig;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Options common to every figure binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,6 +163,60 @@ impl From<&str> for CliError {
     }
 }
 
+/// The one flag lexer under the workspace's command lines
+/// ([`CliOptions::parse`], [`OrchestrateOptions::parse`] and
+/// [`parse_worker_args`]): it walks the arguments flag by flag and reads
+/// each flag's value, with one wording for every error it finds.
+///
+/// [`OrchestrateOptions::parse`]: crate::fabric::OrchestrateOptions::parse
+/// [`parse_worker_args`]: crate::fabric::parse_worker_args
+#[derive(Debug)]
+pub(crate) struct Flags<I> {
+    args: I,
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    pub(crate) fn new(args: impl IntoIterator<IntoIter = I>) -> Self {
+        Flags {
+            args: args.into_iter(),
+        }
+    }
+
+    /// The next flag, or `None` once every argument is read.
+    pub(crate) fn next_flag(&mut self) -> Option<String> {
+        self.args.next()
+    }
+
+    /// The argument after `flag`.
+    pub(crate) fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.args
+            .next()
+            .ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The argument after `flag`, parsed.
+    pub(crate) fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|_| format!("invalid {flag} value: {value}"))
+    }
+
+    /// The argument after `flag`, parsed and refused when zero: a count or
+    /// a deadline no run can use (zero shards, a worker deadline that
+    /// times every attempt out at once).
+    pub(crate) fn positive<T: FromStr + Default + PartialEq>(
+        &mut self,
+        flag: &str,
+    ) -> Result<T, String> {
+        let value = self.parse(flag)?;
+        if value == T::default() {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(value)
+    }
+}
+
 impl CliOptions {
     /// Parses options from an iterator of argument strings (without the
     /// program name).
@@ -172,134 +229,32 @@ impl CliOptions {
         I: IntoIterator<Item = String>,
     {
         let mut options = CliOptions::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--rounds" => {
-                    let value = iter.next().ok_or("--rounds requires a value")?;
-                    options.rounds = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("invalid --rounds value: {value}"))?,
-                    );
-                }
-                "--seed" => {
-                    let value = iter.next().ok_or("--seed requires a value")?;
-                    options.seed = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --seed value: {value}"))?;
-                }
-                "--loads" => {
-                    let value = iter.next().ok_or("--loads requires a value")?;
-                    options.loads = Some(parse_loads(&value)?);
-                }
-                "--systems" => {
-                    let value = iter.next().ok_or("--systems requires a value")?;
-                    options.systems = Some(parse_systems(&value)?);
-                }
-                "--servers" => {
-                    let value = iter.next().ok_or("--servers requires a value")?;
-                    let parsed = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --servers value: {value}"))?;
-                    if parsed == 0 {
-                        return Err("--servers must be at least 1".into());
-                    }
-                    options.servers = Some(parsed);
-                }
-                "--threads" => {
-                    let value = iter.next().ok_or("--threads requires a value")?;
-                    options.threads = Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| format!("invalid --threads value: {value}"))?,
-                    );
-                }
-                "--replications" => {
-                    let value = iter.next().ok_or("--replications requires a value")?;
-                    let parsed = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --replications value: {value}"))?;
-                    if parsed == 0 {
-                        return Err("--replications must be at least 1".into());
-                    }
-                    options.replications = parsed;
-                }
-                "--shards" => {
-                    let value = iter.next().ok_or("--shards requires a value")?;
-                    let parsed = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --shards value: {value}"))?;
-                    if parsed == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                    options.shards = parsed;
-                }
-                "--processes" => {
-                    let value = iter.next().ok_or("--processes requires a value")?;
-                    let parsed = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --processes value: {value}"))?;
-                    if parsed == 0 {
-                        return Err("--processes must be at least 1".into());
-                    }
-                    options.processes = Some(parsed);
-                }
-                "--worker-timeout" => {
-                    let value = iter.next().ok_or("--worker-timeout requires a value")?;
-                    let parsed = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --worker-timeout value: {value}"))?;
-                    if parsed == 0 {
-                        return Err("--worker-timeout must be at least 1 ms".into());
-                    }
-                    options.worker_timeout_ms = parsed;
-                }
-                "--max-retries" => {
-                    let value = iter.next().ok_or("--max-retries requires a value")?;
-                    options.max_retries = value
-                        .parse::<u32>()
-                        .map_err(|_| format!("invalid --max-retries value: {value}"))?;
-                }
-                "--checkpoint-every" => {
-                    let value = iter.next().ok_or("--checkpoint-every requires a value")?;
-                    options.checkpoint_every = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --checkpoint-every value: {value}"))?;
-                }
-                "--csv" => {
-                    let value = iter.next().ok_or("--csv requires a directory")?;
-                    options.csv = Some(PathBuf::from(value));
-                }
-                "--scenario" => {
-                    let value = iter.next().ok_or("--scenario requires a file")?;
-                    options.scenario = Some(PathBuf::from(value));
-                }
-                "--workload" => {
-                    let value = iter.next().ok_or("--workload requires a file")?;
-                    options.workload = Some(PathBuf::from(value));
-                }
-                "--trace-out" => {
-                    let value = iter.next().ok_or("--trace-out requires a file")?;
-                    options.trace_out = Some(PathBuf::from(value));
-                }
-                "--stale-k" => {
-                    let value = iter.next().ok_or("--stale-k requires a value")?;
-                    options.stale_k = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("invalid --stale-k value: {value}"))?,
-                    );
-                }
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--rounds" => options.rounds = Some(flags.parse(&flag)?),
+                "--seed" => options.seed = flags.parse(&flag)?,
+                "--loads" => options.loads = Some(parse_loads(&flags.value(&flag)?)?),
+                "--systems" => options.systems = Some(parse_systems(&flags.value(&flag)?)?),
+                "--servers" => options.servers = Some(flags.positive(&flag)?),
+                "--threads" => options.threads = Some(flags.parse(&flag)?),
+                "--replications" => options.replications = flags.positive(&flag)?,
+                "--shards" => options.shards = flags.positive(&flag)?,
+                "--processes" => options.processes = Some(flags.positive(&flag)?),
+                "--worker-timeout" => options.worker_timeout_ms = flags.positive(&flag)?,
+                "--max-retries" => options.max_retries = flags.parse(&flag)?,
+                "--checkpoint-every" => options.checkpoint_every = flags.parse(&flag)?,
+                "--csv" => options.csv = Some(flags.value(&flag)?.into()),
+                "--scenario" => options.scenario = Some(flags.value(&flag)?.into()),
+                "--workload" => options.workload = Some(flags.value(&flag)?.into()),
+                "--trace-out" => options.trace_out = Some(flags.value(&flag)?.into()),
+                "--stale-k" => options.stale_k = Some(flags.parse(&flag)?),
                 "--fail-rate" => {
-                    let value = iter.next().ok_or("--fail-rate requires a value")?;
-                    let parsed = value
-                        .parse::<f64>()
-                        .map_err(|_| format!("invalid --fail-rate value: {value}"))?;
-                    if !(0.0..1.0).contains(&parsed) {
-                        return Err(format!("--fail-rate must be in [0, 1): {value}").into());
+                    let rate: f64 = flags.parse(&flag)?;
+                    if !(0.0..1.0).contains(&rate) {
+                        return Err(format!("--fail-rate must be in [0, 1): {rate}").into());
                     }
-                    options.fail_rate = Some(parsed);
+                    options.fail_rate = Some(rate);
                 }
                 "--paper" => options.paper = true,
                 "--quick" => options.quick = true,

@@ -24,7 +24,7 @@
 //! The `sweep` binary's `--processes K` flag reuses [`fabric_run`] to route
 //! every grid cell through worker processes instead of in-process shards.
 
-use crate::cli::CliError;
+use crate::cli::{CliError, Flags};
 use crate::response::cluster_for_system;
 use scd_model::RateProfile;
 use scd_policies::factory_by_name;
@@ -111,41 +111,17 @@ where
     let mut checkpoint_every: u64 = 0;
     let mut resume_from_stdin = false;
     let mut fault = WorkerFaultPlan::default();
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--shard" => {
-                let v = value_of("--shard")?;
-                shard = Some(v.parse().map_err(|_| format!("invalid --shard: {v}"))?);
-            }
-            "--shards" => {
-                let v = value_of("--shards")?;
-                shards = Some(v.parse().map_err(|_| format!("invalid --shards: {v}"))?);
-            }
-            "--policy" => policy = Some(value_of("--policy")?),
-            "--expect-seed" => {
-                let v = value_of("--expect-seed")?;
-                expect_seed = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --expect-seed: {v}"))?,
-                );
-            }
-            "--digest" => {
-                let v = value_of("--digest")?;
-                digest = Some(v.parse().map_err(|_| format!("invalid --digest: {v}"))?);
-            }
-            "--checkpoint-every" => {
-                let v = value_of("--checkpoint-every")?;
-                checkpoint_every = v
-                    .parse()
-                    .map_err(|_| format!("invalid --checkpoint-every: {v}"))?;
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--shard" => shard = Some(flags.parse(&flag)?),
+            "--shards" => shards = Some(flags.parse(&flag)?),
+            "--policy" => policy = Some(flags.value(&flag)?),
+            "--expect-seed" => expect_seed = Some(flags.parse(&flag)?),
+            "--digest" => digest = Some(flags.parse(&flag)?),
+            "--checkpoint-every" => checkpoint_every = flags.parse(&flag)?,
             "--resume-from" => {
-                let v = value_of("--resume-from")?;
+                let v = flags.value(&flag)?;
                 if v != "stdin" {
                     return Err(format!(
                         "invalid --resume-from: {v} (only `stdin` is supported)"
@@ -153,27 +129,12 @@ where
                 }
                 resume_from_stdin = true;
             }
-            "--fail-after-round" => {
-                let v = value_of("--fail-after-round")?;
-                fault.fail_after_round = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --fail-after-round: {v}"))?,
-                );
-            }
-            "--fail-after-checkpoint" => {
-                let v = value_of("--fail-after-checkpoint")?;
-                fault.fail_after_checkpoint = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid --fail-after-checkpoint: {v}"))?,
-                );
-            }
+            "--fail-after-round" => fault.fail_after_round = Some(flags.parse(&flag)?),
+            "--fail-after-checkpoint" => fault.fail_after_checkpoint = Some(flags.parse(&flag)?),
             "--hang" => fault.hang = true,
             "--corrupt-frame" => fault.corrupt_frame = true,
             "--truncate-frame" => fault.truncate_frame = true,
-            "--exit-code" => {
-                let v = value_of("--exit-code")?;
-                fault.exit_code = Some(v.parse().map_err(|_| format!("invalid --exit-code: {v}"))?);
-            }
+            "--exit-code" => fault.exit_code = Some(flags.parse(&flag)?),
             other => return Err(format!("unknown shard_worker flag {other}")),
         }
     }
@@ -334,10 +295,11 @@ pub struct OrchestrateOptions {
     /// Master seed.
     pub seed: u64,
     /// Heartbeat deadline in milliseconds (per-attempt wall clock when
-    /// checkpoints are off).
-    pub timeout_ms: u64,
-    /// Retries per shard after the first attempt.
-    pub retries: u32,
+    /// checkpoints are off), `--worker-timeout` as in `sweep`.
+    pub worker_timeout_ms: u64,
+    /// Retries per shard after the first attempt, `--max-retries` as in
+    /// `sweep`.
+    pub max_retries: u32,
     /// Stream a progress/checkpoint frame pair every this many rounds
     /// (0 = none; failed shards restart from seed).
     pub checkpoint_every: u64,
@@ -368,8 +330,8 @@ impl Default for OrchestrateOptions {
             quick: false,
             rounds: None,
             seed: 2021,
-            timeout_ms: 60_000,
-            retries: 2,
+            worker_timeout_ms: 60_000,
+            max_retries: 2,
             checkpoint_every: 0,
             inject_crash: Vec::new(),
             inject_crash_after_checkpoint: Vec::new(),
@@ -385,7 +347,7 @@ impl Default for OrchestrateOptions {
 /// The `orchestrate` binary's usage string.
 pub fn orchestrate_usage() -> String {
     "usage: orchestrate [--processes K] [--policy NAME] [--rounds N] [--seed S] \
-     [--timeout-ms MS] [--retries R] [--checkpoint-every ROUNDS] [--inject-crash SHARD]* \
+     [--worker-timeout MS] [--max-retries R] [--checkpoint-every ROUNDS] [--inject-crash SHARD]* \
      [--inject-crash-after-checkpoint SHARD]* [--inject-hang SHARD]* \
      [--inject-corrupt SHARD]* [--persistent] [--verify-inprocess] [--worker PATH] \
      [--quick]"
@@ -404,82 +366,25 @@ impl OrchestrateOptions {
         I: IntoIterator<Item = String>,
     {
         let mut options = OrchestrateOptions::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            let mut value_of = |flag: &str| {
-                iter.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-            };
-            let parse_shard = |flag: &str, v: String| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("invalid {flag} value: {v}"))
-            };
-            match arg.as_str() {
-                "--processes" => {
-                    let v = value_of("--processes")?;
-                    let parsed = v
-                        .parse::<usize>()
-                        .map_err(|_| format!("invalid --processes value: {v}"))?;
-                    if parsed == 0 {
-                        return Err("--processes must be at least 1".into());
-                    }
-                    options.processes = parsed;
-                }
-                "--policy" => options.policy = value_of("--policy")?,
-                "--rounds" => {
-                    let v = value_of("--rounds")?;
-                    options.rounds = Some(
-                        v.parse()
-                            .map_err(|_| format!("invalid --rounds value: {v}"))?,
-                    );
-                }
-                "--seed" => {
-                    let v = value_of("--seed")?;
-                    options.seed = v
-                        .parse()
-                        .map_err(|_| format!("invalid --seed value: {v}"))?;
-                }
-                "--timeout-ms" => {
-                    let v = value_of("--timeout-ms")?;
-                    options.timeout_ms = v
-                        .parse()
-                        .map_err(|_| format!("invalid --timeout-ms value: {v}"))?;
-                }
-                "--retries" => {
-                    let v = value_of("--retries")?;
-                    options.retries = v
-                        .parse()
-                        .map_err(|_| format!("invalid --retries value: {v}"))?;
-                }
-                "--checkpoint-every" => {
-                    let v = value_of("--checkpoint-every")?;
-                    options.checkpoint_every = v
-                        .parse()
-                        .map_err(|_| format!("invalid --checkpoint-every value: {v}"))?;
-                }
-                "--inject-crash" => {
-                    let v = value_of("--inject-crash")?;
-                    options.inject_crash.push(parse_shard("--inject-crash", v)?);
-                }
-                "--inject-crash-after-checkpoint" => {
-                    let v = value_of("--inject-crash-after-checkpoint")?;
-                    options
-                        .inject_crash_after_checkpoint
-                        .push(parse_shard("--inject-crash-after-checkpoint", v)?);
-                }
-                "--inject-hang" => {
-                    let v = value_of("--inject-hang")?;
-                    options.inject_hang.push(parse_shard("--inject-hang", v)?);
-                }
-                "--inject-corrupt" => {
-                    let v = value_of("--inject-corrupt")?;
-                    options
-                        .inject_corrupt
-                        .push(parse_shard("--inject-corrupt", v)?);
-                }
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--processes" => options.processes = flags.positive(&flag)?,
+                "--policy" => options.policy = flags.value(&flag)?,
+                "--rounds" => options.rounds = Some(flags.parse(&flag)?),
+                "--seed" => options.seed = flags.parse(&flag)?,
+                "--worker-timeout" => options.worker_timeout_ms = flags.positive(&flag)?,
+                "--max-retries" => options.max_retries = flags.parse(&flag)?,
+                "--checkpoint-every" => options.checkpoint_every = flags.parse(&flag)?,
+                "--inject-crash" => options.inject_crash.push(flags.parse(&flag)?),
+                "--inject-crash-after-checkpoint" => options
+                    .inject_crash_after_checkpoint
+                    .push(flags.parse(&flag)?),
+                "--inject-hang" => options.inject_hang.push(flags.parse(&flag)?),
+                "--inject-corrupt" => options.inject_corrupt.push(flags.parse(&flag)?),
                 "--persistent" => options.persistent = true,
                 "--verify-inprocess" => options.verify_inprocess = true,
-                "--worker" => options.worker = Some(PathBuf::from(value_of("--worker")?)),
+                "--worker" => options.worker = Some(flags.value(&flag)?.into()),
                 "--quick" => options.quick = true,
                 "--help" | "-h" => return Err(CliError::Help(orchestrate_usage())),
                 other => {
@@ -548,8 +453,8 @@ impl OrchestrateOptions {
             None => worker_binary_path()?,
         };
         let mut spec = FabricSpec::new(worker, self.policy.clone(), self.processes);
-        spec.max_retries = self.retries;
-        spec.timeout = Duration::from_millis(self.timeout_ms);
+        spec.max_retries = self.max_retries;
+        spec.timeout = Duration::from_millis(self.worker_timeout_ms);
         spec.checkpoint_every = self.checkpoint_every;
         let inject = |shards: &[usize], fault: WorkerFaultPlan| {
             shards
@@ -615,7 +520,7 @@ pub fn run_orchestrate(options: &OrchestrateOptions) -> Result<(), String> {
         config.rounds,
         config.seed,
         spec.max_retries,
-        options.timeout_ms,
+        options.worker_timeout_ms,
         spec.checkpoint_every,
         spec.worker.display()
     );
@@ -761,9 +666,9 @@ mod tests {
             "200",
             "--seed",
             "5",
-            "--timeout-ms",
+            "--worker-timeout",
             "2500",
-            "--retries",
+            "--max-retries",
             "3",
             "--checkpoint-every",
             "25",
@@ -785,8 +690,8 @@ mod tests {
         assert_eq!(options.processes, 4);
         assert_eq!(options.policy, "JSQ");
         assert_eq!(options.rounds, Some(200));
-        assert_eq!(options.timeout_ms, 2500);
-        assert_eq!(options.retries, 3);
+        assert_eq!(options.worker_timeout_ms, 2500);
+        assert_eq!(options.max_retries, 3);
         assert_eq!(options.checkpoint_every, 25);
         assert_eq!(options.inject_crash, vec![1]);
         assert_eq!(options.inject_crash_after_checkpoint, vec![3]);
@@ -800,6 +705,30 @@ mod tests {
         // A checkpoint-crash injection without checkpoint streaming would
         // never fire — refuse the contradiction up front.
         assert!(parse(&["--inject-crash-after-checkpoint", "1"]).is_err());
+    }
+
+    #[test]
+    fn sweep_and_orchestrate_refuse_a_zero_worker_deadline_alike() {
+        // `orchestrate --worker-timeout 0` used to be accepted (as
+        // `--timeout-ms 0`), and every worker attempt then timed out at once.
+        let args = ["--quick", "--worker-timeout", "0"];
+        let sweep = crate::cli::CliOptions::parse(args.map(String::from)).unwrap_err();
+        let orchestrate = parse(&args).unwrap_err();
+        assert_eq!(orchestrate, sweep);
+        assert_eq!(orchestrate.exit_code(), 2);
+        assert_eq!(orchestrate.message(), "--worker-timeout must be at least 1");
+        // Each knob has one spelling: the dropped ones are unknown flags.
+        for dropped in ["--timeout-ms", "--retries"] {
+            let outcome = parse(&["--quick", dropped, "2000"]).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "{dropped}");
+            assert!(
+                outcome
+                    .message()
+                    .starts_with(&format!("unknown flag {dropped}\n")),
+                "{}",
+                outcome.message()
+            );
+        }
     }
 
     #[test]

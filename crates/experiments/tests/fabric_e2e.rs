@@ -391,7 +391,7 @@ fn orchestrate_binary_verifies_against_the_in_process_engine() {
         "1",
         "--inject-hang",
         "2",
-        "--timeout-ms",
+        "--worker-timeout",
         "2000",
     ]);
     assert!(

@@ -8,10 +8,8 @@
 //! CCDF extraction exact rather than approximate — important when the paper
 //! compares policies at the 1e-4 .. 1e-6 tail probabilities.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact histogram of integer response times (in rounds).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResponseTimeHistogram {
     /// `counts[r]` = number of jobs whose response time was exactly `r` rounds.
     counts: Vec<u64>,
@@ -258,7 +256,7 @@ impl ResponseTimeHistogram {
 }
 
 /// A compact summary of a [`ResponseTimeHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of jobs recorded.
     pub count: u64,

@@ -13,8 +13,6 @@
 //! **occupancy histogram** — `occupancy[k]` = number of (server, round)
 //! observations with queue length exactly `k`.
 
-use serde::{Deserialize, Serialize};
-
 /// Tracks queue-length statistics over the course of a simulation.
 ///
 /// Queue lengths are integers, so the tracker accumulates exact integer sums
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// Memory is 32 bytes per server (sum, maximum and idle count) plus the
 /// occupancy histogram, whose length is capped by
 /// [`Self::OCCUPANCY_CLAMP`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueLengthTracker {
     /// Per-server sum of observed queue lengths (`u128`: a u64 queue length
     /// summed over arbitrarily many rounds cannot overflow). Its length is
@@ -41,7 +39,6 @@ pub struct QueueLengthTracker {
     /// length exactly `k` (clamped at [`Self::OCCUPANCY_CLAMP`]). Grows
     /// lazily to the largest observed length, so short queues cost a few
     /// dozen entries regardless of the clamp.
-    #[serde(default)]
     occupancy: Vec<u64>,
     /// Sum over rounds of the total backlog.
     total_sum: u128,

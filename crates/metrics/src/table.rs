@@ -5,7 +5,6 @@
 //! and CSV (for re-plotting). This module keeps that logic out of the
 //! experiment code.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A simple rectangular table of strings with a header row.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert!(text.contains("rho"));
 /// assert!(t.to_csv().starts_with("rho,SCD,JSQ\n"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,

@@ -19,8 +19,6 @@
 //! count are tracked on the side, so `mean()`, `min()` and `max()` are exact;
 //! only interior percentiles are quantized to bucket representatives.
 
-use serde::{Deserialize, Serialize};
-
 /// Mantissa bits per bucket: 2³ = 8 sub-buckets per octave.
 const SUB_BITS: u32 = 3;
 /// Smallest bucketed exponent: values below `2^MIN_EXP` µs underflow.
@@ -48,7 +46,7 @@ const BUCKETS: usize = INTERIOR + 2;
 /// // Percentiles are quantized to <= ~9% by the bucket width.
 /// assert!((h.percentile(0.5) - 2.0).abs() / 2.0 < 0.1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTimeHistogram {
     /// Bucket occupancy: `[underflow, interior..., overflow]`.
     counts: Vec<u64>,

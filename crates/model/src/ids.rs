@@ -6,7 +6,6 @@
 //! queue-length array with a dispatcher index (or vice versa), at zero runtime
 //! cost.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a server (an index into the cluster's rate / queue arrays).
@@ -18,8 +17,7 @@ use std::fmt;
 /// assert_eq!(s.index(), 3);
 /// assert_eq!(s.to_string(), "server#3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(usize);
 
 impl ServerId {
@@ -61,8 +59,7 @@ impl From<ServerId> for usize {
 /// assert_eq!(d.index(), 0);
 /// assert_eq!(d.to_string(), "dispatcher#0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DispatcherId(usize);
 
 impl DispatcherId {

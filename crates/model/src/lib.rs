@@ -85,5 +85,5 @@ pub use sampler::AliasSampler;
 pub use scd_table::{DrawScratch, ScdTable, SINGLE_JOB_THRESHOLD};
 pub use snapshot::DispatchContext;
 pub use spec::{ClusterSpec, RateProfile};
-pub use state_bytes::{StateReader, StateWriter};
+pub use state_bytes::{ByteError, StateReader, StateWriter};
 pub use streams::{counter_draw, derive_stream_seed, shard_master_seed, splitmix64_mix, unit_f64};

@@ -6,7 +6,6 @@ use crate::error::ModelError;
 use crate::ids::ServerId;
 use crate::sampler::AliasSampler;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -25,13 +24,12 @@ use std::sync::{Arc, OnceLock};
 /// assert_eq!(spec.total_rate(), 9.0);
 /// assert_eq!(spec.rate(scd_model::ServerId::new(0)), 5.0);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ClusterSpec {
     rates: Vec<f64>,
     /// The µ-proportional alias table over `rates`, built on first use by
     /// [`rate_sampler`](ClusterSpec::rate_sampler). The cell itself is
     /// shared, so every clone reads one table whichever builds it.
-    #[serde(skip)]
     rate_table: Arc<OnceLock<Arc<AliasSampler>>>,
 }
 
@@ -170,7 +168,7 @@ impl ClusterSpec {
 /// `[1, 10]` (moderate, different CPU generations) and from `[1, 100]` (high,
 /// accelerators present). [`RateProfile`] captures those plus a few additional
 /// profiles that are useful for tests and examples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateProfile {
     /// Every server has the same rate.
     Homogeneous {

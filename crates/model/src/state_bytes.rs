@@ -1,31 +1,120 @@
-//! Minimal byte (de)serialization helpers for policy checkpoint state.
+//! The workspace's one little-endian byte codec.
 //!
-//! Policies that carry cross-round state (JSQ/SED mirrors, LSQ/LED local
-//! estimates, round-robin cursors) serialize it into opaque byte blobs for
-//! the engine's checkpoint/resume path
+//! Every byte layout the workspace writes goes out through [`StateWriter`]
+//! and comes back through [`StateReader`]: policy checkpoint blobs
 //! ([`DispatchPolicy::save_state`](crate::DispatchPolicy::save_state) /
-//! [`DispatchPolicy::restore_state`](crate::DispatchPolicy::restore_state)).
-//! The blobs travel inside the simulator's checksummed frame codec, which
-//! already guards integrity; these helpers only need a fixed, explicit
-//! little-endian layout so restored state is bit-identical to the saved
-//! state. No serde: the workspace builds offline, and the handful of
-//! primitive shapes below is the entire vocabulary policies need.
+//! [`DispatchPolicy::restore_state`](crate::DispatchPolicy::restore_state)),
+//! the simulator's engine checkpoints and its process-fabric frames.
+//! Integers are little-endian, floats travel as their IEEE-754 bit patterns
+//! (NaN payloads and infinities round-trip), flags as one `0`/`1` byte, and
+//! every sequence carries a length prefix. The prefix width belongs to the
+//! layout: policy blobs use `u64` ([`StateWriter::new`]), frames and engine
+//! checkpoints `u32` ([`StateWriter::with_u32_lengths`]).
+//!
+//! Decoding is strict and never panics. Truncation, a flag byte other than
+//! 0 or 1, a length prefix claiming more elements than bytes remain (every
+//! element takes at least one byte, so a lying prefix cannot trigger a huge
+//! allocation) and unread trailing bytes are all a [`ByteError`].
 
-/// Little-endian append-only writer for policy state blobs.
-#[derive(Debug, Default)]
+use std::error::Error;
+use std::fmt;
+
+/// Why a byte sequence was refused by a [`StateReader`], or a value by a
+/// [`StateWriter`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ByteError {
+    /// The input ends before the field being read, or a length prefix
+    /// claims more elements than bytes remain.
+    Truncated {
+        /// Bytes the reader needed.
+        needed: usize,
+        /// Bytes the input holds.
+        got: usize,
+    },
+    /// A value the layout does not allow: a flag byte other than 0 or 1,
+    /// a length too wide for its prefix, unread trailing bytes.
+    Malformed(String),
+}
+
+impl fmt::Display for ByteError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ByteError::Truncated { needed, got } => {
+                write!(f, "truncated input: needed {needed} bytes, got {got}")
+            }
+            ByteError::Malformed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl Error for ByteError {}
+
+impl From<ByteError> for String {
+    fn from(error: ByteError) -> String {
+        error.to_string()
+    }
+}
+
+/// The width of a layout's length prefixes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LenWidth {
+    U32,
+    U64,
+}
+
+/// Little-endian append-only writer.
+#[derive(Debug)]
 pub struct StateWriter {
     buf: Vec<u8>,
+    width: LenWidth,
+    /// The first length too wide for a `u32` prefix; reported by
+    /// [`finish`](StateWriter::finish).
+    overflow: Option<usize>,
+}
+
+impl Default for StateWriter {
+    fn default() -> Self {
+        StateWriter::new()
+    }
 }
 
 impl StateWriter {
-    /// Creates an empty writer.
+    /// Creates an empty writer with `u64` length prefixes, the layout of
+    /// policy state blobs.
     pub fn new() -> Self {
-        StateWriter::default()
+        StateWriter {
+            buf: Vec::new(),
+            width: LenWidth::U64,
+            overflow: None,
+        }
     }
 
-    /// Consumes the writer, returning the accumulated bytes.
+    /// Creates an empty writer with `u32` length prefixes, the layout of
+    /// fabric frames and engine checkpoints.
+    pub fn with_u32_lengths() -> Self {
+        StateWriter {
+            width: LenWidth::U32,
+            ..StateWriter::new()
+        }
+    }
+
+    /// Consumes the writer, returning the accumulated bytes. A `u64`-prefix
+    /// writer cannot overflow; a `u32`-prefix writer should end with
+    /// [`finish`](StateWriter::finish) instead.
     pub fn into_bytes(self) -> Vec<u8> {
+        assert!(self.overflow.is_none(), "a length overflowed its prefix");
         self.buf
+    }
+
+    /// Consumes the writer, returning the accumulated bytes, or
+    /// [`ByteError::Malformed`] if a length did not fit its prefix width.
+    pub fn finish(self) -> Result<Vec<u8>, ByteError> {
+        match self.overflow {
+            Some(len) => Err(ByteError::Malformed(format!(
+                "length {len} exceeds the u32 wire width"
+            ))),
+            None => Ok(self.buf),
+        }
     }
 
     /// Appends one byte.
@@ -43,214 +132,265 @@ impl StateWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a little-endian `u128`.
+    pub fn u128(&mut self, v: u128) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Appends an `f64` as its little-endian bit pattern (NaN-safe: the
     /// exact bits round-trip).
     pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.u64(v.to_bits());
     }
 
-    /// Appends a `usize` as a `u64` (the wire form is
-    /// architecture-independent).
+    /// Appends a flag as one `0`/`1` byte.
+    pub fn flag(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+
+    /// Appends a length prefix, or any other `usize`, at the layout's
+    /// prefix width (the wire form is architecture-independent).
     pub fn len(&mut self, v: usize) {
-        self.u64(v as u64);
+        match self.width {
+            LenWidth::U64 => self.u64(v as u64),
+            LenWidth::U32 => {
+                let narrow = u32::try_from(v).unwrap_or_else(|_| {
+                    self.overflow.get_or_insert(v);
+                    u32::MAX
+                });
+                self.u32(narrow);
+            }
+        }
+    }
+
+    /// Appends raw bytes, without a length prefix.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a length-prefixed byte string.
+    pub fn blob(&mut self, bytes: &[u8]) {
+        self.len(bytes.len());
+        self.bytes(bytes);
+    }
+
+    /// Appends a length-prefixed sequence, each item written by `put`.
+    pub fn seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
+        self.len(items.len());
+        for item in items {
+            put(self, item);
+        }
     }
 
     /// Appends a length-prefixed `u64` slice.
     pub fn u64s(&mut self, values: &[u64]) {
-        self.len(values.len());
-        for &v in values {
-            self.u64(v);
-        }
+        self.seq(values, |w, &v| w.u64(v));
     }
 
     /// Appends a length-prefixed `u32` slice.
     pub fn u32s(&mut self, values: &[u32]) {
-        self.len(values.len());
-        for &v in values {
-            self.u32(v);
-        }
+        self.seq(values, |w, &v| w.u32(v));
     }
 
     /// Appends a length-prefixed `f64` slice (bit patterns).
     pub fn f64s(&mut self, values: &[f64]) {
-        self.len(values.len());
-        for &v in values {
-            self.f64(v);
-        }
+        self.seq(values, |w, &v| w.f64(v));
     }
 
-    /// Appends an `Option<u64>` as a presence byte plus, when present, the
+    /// Appends a length-prefixed flag slice (one byte per flag).
+    pub fn bools(&mut self, values: &[bool]) {
+        self.seq(values, |w, &v| w.flag(v));
+    }
+
+    /// Appends an `Option<u64>` as a presence flag plus, when present, the
     /// value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Appends a length-prefixed bool slice (one byte per flag).
-    pub fn bools(&mut self, values: &[bool]) {
-        self.len(values.len());
-        for &v in values {
-            self.u8(u8::from(v));
+        self.flag(v.is_some());
+        if let Some(x) = v {
+            self.u64(x);
         }
     }
 }
 
-/// Little-endian reader over a policy state blob.
+/// Little-endian reader: the inverse of [`StateWriter`], built with the
+/// same prefix width the bytes were written with.
 ///
-/// Every accessor returns `Err(String)` on truncation instead of panicking:
-/// a checkpoint blob that fails to parse must surface as a classified
-/// restore error, never abort the orchestrator.
+/// Every accessor returns a [`ByteError`] instead of panicking —
+/// [`ByteError::Truncated`] when the input ends first — because a blob
+/// that fails to parse must surface as a classified error, never abort the
+/// orchestrator.
 #[derive(Debug)]
 pub struct StateReader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    width: LenWidth,
 }
 
 impl<'a> StateReader<'a> {
-    /// Creates a reader over `bytes`.
+    /// Creates a reader over `bytes` with `u64` length prefixes (policy
+    /// state blobs).
     pub fn new(bytes: &'a [u8]) -> Self {
-        StateReader { bytes, pos: 0 }
+        StateReader {
+            bytes,
+            pos: 0,
+            width: LenWidth::U64,
+        }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| {
-                format!(
-                    "policy state blob truncated: needed {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.bytes.len()
-                )
-            })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
+    /// Creates a reader over `bytes` with `u32` length prefixes (fabric
+    /// frames and engine checkpoints).
+    pub fn with_u32_lengths(bytes: &'a [u8]) -> Self {
+        StateReader {
+            width: LenWidth::U32,
+            ..StateReader::new(bytes)
+        }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Fails unless at least `n` bytes remain.
+    fn need(&self, n: usize) -> Result<(), ByteError> {
+        if n > self.remaining() {
+            return Err(ByteError::Truncated {
+                needed: self.pos.saturating_add(n),
+                got: self.bytes.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Reads the next `n` raw bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ByteError> {
+        self.need(n)?;
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
         Ok(slice)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ByteError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
     /// Reads one byte.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
+    pub fn u8(&mut self) -> Result<u8, ByteError> {
+        Ok(self.array::<1>()?[0])
     }
 
     /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    pub fn u32(&mut self) -> Result<u32, ByteError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    pub fn u64(&mut self) -> Result<u64, ByteError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `u128`.
+    pub fn u128(&mut self) -> Result<u128, ByteError> {
+        Ok(u128::from_le_bytes(self.array()?))
     }
 
     /// Reads an `f64` bit pattern.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn f64(&mut self) -> Result<f64, String> {
+    pub fn f64(&mut self) -> Result<f64, ByteError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a `u64`-encoded length, refusing values that cannot fit the
-    /// remaining bytes (a lying prefix in a corrupt blob must not trigger a
-    /// huge allocation).
-    ///
-    /// # Errors
-    /// Returns a message on truncation or an implausible length.
-    pub fn length_prefix(&mut self) -> Result<usize, String> {
-        let v = self.u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if v > remaining {
-            return Err(format!(
-                "policy state blob declares {v} elements with only {remaining} bytes left"
-            ));
+    /// Reads a flag byte; a byte other than 0 or 1 is
+    /// [`ByteError::Malformed`].
+    pub fn flag(&mut self) -> Result<bool, ByteError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(ByteError::Malformed(format!(
+                "flag byte at offset {} must be 0 or 1, got {other}",
+                self.pos - 1
+            ))),
         }
-        Ok(v as usize)
+    }
+
+    /// Reads a `usize` written by [`StateWriter::len`] that is a size, not
+    /// the length of what follows (a server count, a shard index); a value
+    /// this platform's `usize` cannot hold is [`ByteError::Malformed`].
+    pub fn usize(&mut self) -> Result<usize, ByteError> {
+        match self.width {
+            LenWidth::U32 => Ok(self.u32()? as usize),
+            LenWidth::U64 => {
+                let v = self.u64()?;
+                usize::try_from(v).map_err(|_| {
+                    ByteError::Malformed(format!("length {v} exceeds this platform's usize"))
+                })
+            }
+        }
+    }
+
+    /// Reads a length prefix, refusing a count larger than the bytes left
+    /// as [`ByteError::Truncated`]: every element takes at least one byte,
+    /// so a lying prefix in a corrupt blob is caught here, before anything
+    /// is allocated for it.
+    pub fn length_prefix(&mut self) -> Result<usize, ByteError> {
+        let n = self.usize()?;
+        self.need(n)?;
+        Ok(n)
+    }
+
+    /// Reads a length-prefixed byte string.
+    pub fn blob(&mut self) -> Result<&'a [u8], ByteError> {
+        let n = self.length_prefix()?;
+        self.take(n)
+    }
+
+    /// Reads a length-prefixed sequence, each item read by `item`.
+    pub fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ByteError>,
+    ) -> Result<Vec<T>, ByteError> {
+        let n = self.length_prefix()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed `u64` vector.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.length_prefix()?;
-        (0..n).map(|_| self.u64()).collect()
+    pub fn u64s(&mut self) -> Result<Vec<u64>, ByteError> {
+        self.seq(Self::u64)
     }
 
     /// Reads a length-prefixed `u32` vector.
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn u32s(&mut self) -> Result<Vec<u32>, String> {
-        let n = self.length_prefix()?;
-        (0..n).map(|_| self.u32()).collect()
+    pub fn u32s(&mut self) -> Result<Vec<u32>, ByteError> {
+        self.seq(Self::u32)
     }
 
     /// Reads a length-prefixed `f64` vector (bit patterns).
-    ///
-    /// # Errors
-    /// Returns a message on truncation.
-    pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.length_prefix()?;
-        (0..n).map(|_| self.f64()).collect()
+    pub fn f64s(&mut self) -> Result<Vec<f64>, ByteError> {
+        self.seq(Self::f64)
+    }
+
+    /// Reads a length-prefixed flag vector.
+    pub fn bools(&mut self) -> Result<Vec<bool>, ByteError> {
+        self.seq(Self::flag)
     }
 
     /// Reads an `Option<u64>` written by [`StateWriter::opt_u64`].
-    ///
-    /// # Errors
-    /// Returns a message on truncation or an invalid presence byte.
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(format!(
-                "invalid option presence byte {other} in policy state blob"
-            )),
-        }
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, ByteError> {
+        self.flag()?.then(|| self.u64()).transpose()
     }
 
-    /// Reads a length-prefixed bool vector.
-    ///
-    /// # Errors
-    /// Returns a message on truncation or a flag byte that is neither 0
-    /// nor 1.
-    pub fn bools(&mut self) -> Result<Vec<bool>, String> {
-        let n = self.length_prefix()?;
-        (0..n)
-            .map(|_| match self.u8()? {
-                0 => Ok(false),
-                1 => Ok(true),
-                other => Err(format!("invalid bool byte {other} in policy state blob")),
-            })
-            .collect()
-    }
-
-    /// Fails unless every byte has been consumed — trailing bytes mean the
-    /// blob was written by a different (newer or corrupt) layout.
-    ///
-    /// # Errors
-    /// Returns a message naming the number of unconsumed bytes.
-    pub fn finish(self) -> Result<(), String> {
-        let extra = self.bytes.len() - self.pos;
-        if extra != 0 {
-            return Err(format!("policy state blob has {extra} trailing bytes"));
+    /// Fails with [`ByteError::Malformed`] unless every byte has been
+    /// consumed: trailing bytes mean the input was written by a different
+    /// (newer or corrupt) layout.
+    pub fn finish(self) -> Result<(), ByteError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(ByteError::Malformed(format!(
+                "{extra} unread bytes after the last field"
+            ))),
         }
-        Ok(())
     }
 }
 
@@ -307,6 +447,14 @@ mod tests {
         w.len(1 << 40);
         let bytes = w.into_bytes();
         assert!(StateReader::new(&bytes).u64s().is_err());
+        // A size is not a length prefix: it may exceed the bytes left.
+        let lie = u32::MAX.to_le_bytes();
+        assert!(StateReader::with_u32_lengths(&lie).blob().is_err());
+        assert!(StateReader::with_u32_lengths(&lie).usize().is_ok());
+        // A length too wide for a u32 prefix is reported, not truncated.
+        let mut w = StateWriter::with_u32_lengths();
+        w.len(1 << 32);
+        assert!(w.finish().is_err());
         // Bad bool byte.
         let mut w = StateWriter::new();
         w.len(1);

@@ -359,7 +359,7 @@ impl DispatchPolicy for ArgminPolicy {
         }
         self.picker.restore_warm_state(n, &mut r)?;
         self.values = values;
-        r.finish()
+        Ok(r.finish()?)
     }
 }
 

@@ -9,11 +9,10 @@
 use crate::engine::SimError;
 use rand::Rng;
 use rand_distr::{Distribution, Poisson};
-use serde::{Deserialize, Serialize};
 
 /// Declarative description of the arrival process (stored in experiment
 /// configurations).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalSpec {
     /// Poisson arrivals at every dispatcher, calibrated to a system-wide
     /// offered load: `λ_d = ρ · Σ_s µ_s / m`.

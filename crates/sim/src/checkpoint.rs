@@ -13,15 +13,20 @@
 //! checkpoint produces a report **bit-identical** to the uninterrupted
 //! run, including every RNG draw after the checkpoint round.
 //!
-//! The wire form ([`EngineCheckpoint::to_bytes`]) reuses the fabric
-//! codec's little-endian primitives and metrics encoders, and is what a v3
-//! `Checkpoint` frame carries as its state blob. Decoding is strict: truncation, lying
-//! lengths, bad tag bytes and trailing bytes are all classified
-//! [`CodecError`]s, never panics.
+//! The wire form ([`EngineCheckpoint::to_bytes`]) is written with the
+//! workspace's one byte codec ([`scd_model::StateWriter`], `u32` length
+//! prefixes) and the fabric codec's metrics encoders, and is what a v3
+//! `Checkpoint` frame carries as its state blob. Decoding is strict:
+//! truncation, lying lengths, bad tag bytes and trailing bytes are all
+//! classified [`CodecError`]s, never panics.
 
-use crate::fabric::codec::{ByteReader, ByteWriter, CodecError};
+use crate::fabric::codec::{
+    read_decision_times, read_degradation, read_response_times, read_tracker, write_decision_times,
+    write_degradation, write_response_times, write_tracker, CodecError,
+};
 use crate::report::DegradationMetrics;
 use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
+use scd_model::{ByteError, StateReader, StateWriter};
 
 /// Layout version of the serialized checkpoint; bumped on any change.
 const CHECKPOINT_VERSION: u8 = 3;
@@ -93,59 +98,41 @@ impl EngineCheckpoint {
     /// Returns [`CodecError::Malformed`] only if a length exceeds the u32
     /// wire width — impossible for checkpoints produced by the engine.
     pub fn to_bytes(&self) -> Result<Vec<u8>, CodecError> {
-        let mut w = ByteWriter::new();
+        let mut w = StateWriter::with_u32_lengths();
         w.u8(CHECKPOINT_VERSION);
         w.u64(self.config_digest);
         w.u64(self.round);
-        w.len(self.num_servers)?;
-        w.len(self.num_dispatchers)?;
-        w.len(self.queues.len())?;
-        for segments in &self.queues {
-            w.len(segments.len())?;
-            for &(arrival_round, count) in segments {
+        w.len(self.num_servers);
+        w.len(self.num_dispatchers);
+        w.seq(&self.queues, |w, segments| {
+            w.seq(segments, |w, &(arrival_round, count)| {
                 w.u64(arrival_round);
                 w.u64(count);
-            }
-        }
-        w.counts(&self.snapshot)?;
+            });
+        });
+        w.u64s(&self.snapshot);
         write_rng(&mut w, &self.arrival_rng);
         write_rng(&mut w, &self.service_rng);
-        w.len(self.policy_rngs.len())?;
-        for state in &self.policy_rngs {
-            write_rng(&mut w, state);
-        }
-        w.response_times(&self.response_times)?;
-        w.tracker(&self.tracker)?;
-        w.decision_times(self.decision_times.as_ref())?;
+        w.seq(&self.policy_rngs, write_rng);
+        write_response_times(&mut w, &self.response_times);
+        write_tracker(&mut w, &self.tracker);
+        write_decision_times(&mut w, self.decision_times.as_ref());
         w.u64(self.jobs_dispatched);
         w.u64(self.jobs_completed);
-        match &self.scenario {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                write_bools(&mut w, &s.server_up)?;
-                write_bools(&mut w, &s.dispatcher_up)?;
-                w.counts(&s.k_effs)?;
-                match &s.ring {
-                    None => w.u8(0),
-                    Some(ring) => {
-                        w.u8(1);
-                        w.len(ring.len())?;
-                        for row in ring {
-                            w.counts(row)?;
-                        }
-                    }
-                }
-                w.degradation(&s.degradation);
-                w.u64(s.oracle_dropped);
+        w.flag(self.scenario.is_some());
+        if let Some(s) = &self.scenario {
+            w.bools(&s.server_up);
+            w.bools(&s.dispatcher_up);
+            w.u64s(&s.k_effs);
+            w.flag(s.ring.is_some());
+            if let Some(ring) = &s.ring {
+                w.seq(ring, |w, row| w.u64s(row));
             }
+            write_degradation(&mut w, &s.degradation);
+            w.u64(s.oracle_dropped);
         }
-        w.len(self.policy_state.len())?;
-        for blob in &self.policy_state {
-            w.len(blob.len())?;
-            w.bytes(blob);
-        }
-        Ok(w.into_bytes())
+        w.seq(&self.policy_state, |w, blob| w.blob(blob));
+        Ok(w.finish()?)
     }
 
     /// Deserializes a checkpoint produced by
@@ -159,77 +146,39 @@ impl EngineCheckpoint {
     /// # Errors
     /// A classified [`CodecError`]; never panics on any input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
+        let mut r = StateReader::with_u32_lengths(bytes);
         let version = r.u8()?;
         if version != CHECKPOINT_VERSION {
             return Err(CodecError::UnsupportedVersion { got: version });
         }
         let config_digest = r.u64()?;
         let round = r.u64()?;
-        let num_servers = r.len()?;
-        let num_dispatchers = r.len()?;
-        let num_queues = r.len()?;
-        let mut queues = Vec::with_capacity(bounded(num_queues, &r));
-        for _ in 0..num_queues {
-            let num_segments = r.len()?;
-            let mut segments = Vec::with_capacity(bounded(num_segments, &r));
-            for _ in 0..num_segments {
-                let arrival_round = r.u64()?;
-                let count = r.u64()?;
-                segments.push((arrival_round, count));
-            }
-            queues.push(segments);
-        }
-        let snapshot = r.counts()?;
+        let num_servers = r.usize()?;
+        let num_dispatchers = r.usize()?;
+        let queues = r.seq(|r| r.seq(|r| Ok((r.u64()?, r.u64()?))))?;
+        let snapshot = r.u64s()?;
         let arrival_rng = read_rng(&mut r)?;
         let service_rng = read_rng(&mut r)?;
-        let num_policy_rngs = r.len()?;
-        let mut policy_rngs = Vec::with_capacity(bounded(num_policy_rngs, &r));
-        for _ in 0..num_policy_rngs {
-            policy_rngs.push(read_rng(&mut r)?);
-        }
-        let response_times = r.response_times()?;
-        let tracker = r.tracker()?;
-        let decision_times = r.decision_times()?;
+        let policy_rngs = r.seq(read_rng)?;
+        let response_times = read_response_times(&mut r)?;
+        let tracker = read_tracker(&mut r)?;
+        let decision_times = read_decision_times(&mut r)?;
         let jobs_dispatched = r.u64()?;
         let jobs_completed = r.u64()?;
-        let scenario = if r.flag("scenario")? {
-            let server_up = read_bools(&mut r)?;
-            let dispatcher_up = read_bools(&mut r)?;
-            let k_effs = r.counts()?;
-            let ring = if r.flag("ring")? {
-                let depth = r.len()?;
-                let mut ring = Vec::with_capacity(bounded(depth, &r));
-                for _ in 0..depth {
-                    ring.push(r.counts()?);
-                }
-                Some(ring)
-            } else {
-                None
-            };
+        let scenario = if r.flag()? {
             Some(ScenarioState {
-                server_up,
-                dispatcher_up,
-                k_effs,
-                ring,
-                degradation: r.degradation()?,
+                server_up: r.bools()?,
+                dispatcher_up: r.bools()?,
+                k_effs: r.u64s()?,
+                ring: r.flag()?.then(|| r.seq(StateReader::u64s)).transpose()?,
+                degradation: read_degradation(&mut r)?,
                 oracle_dropped: r.u64()?,
             })
         } else {
             None
         };
-        let num_blobs = r.len()?;
-        let mut policy_state = Vec::with_capacity(bounded(num_blobs, &r));
-        for _ in 0..num_blobs {
-            let len = r.len()?;
-            policy_state.push(r.take(len)?.to_vec());
-        }
-        if r.remaining() != 0 {
-            return Err(CodecError::Malformed(format!(
-                "{} unread bytes after the last checkpoint field",
-                r.remaining()
-            )));
-        }
+        let policy_state = r.seq(|r| Ok(r.blob()?.to_vec()))?;
+        r.finish()?;
         Ok(EngineCheckpoint {
             config_digest,
             round,
@@ -251,34 +200,13 @@ impl EngineCheckpoint {
     }
 }
 
-fn write_rng(w: &mut ByteWriter, state: &[u64; 4]) {
-    for &word in state {
-        w.u64(word);
-    }
+/// An xoshiro state: four words, no length prefix.
+fn write_rng(w: &mut StateWriter, state: &[u64; 4]) {
+    state.iter().for_each(|&word| w.u64(word));
 }
 
-fn read_rng(r: &mut ByteReader<'_>) -> Result<[u64; 4], CodecError> {
+fn read_rng(r: &mut StateReader<'_>) -> Result<[u64; 4], ByteError> {
     Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
-}
-
-fn write_bools(w: &mut ByteWriter, bools: &[bool]) -> Result<(), CodecError> {
-    w.len(bools.len())?;
-    for &b in bools {
-        w.u8(u8::from(b));
-    }
-    Ok(())
-}
-
-fn read_bools(r: &mut ByteReader<'_>) -> Result<Vec<bool>, CodecError> {
-    let len = r.len()?;
-    (0..len).map(|_| r.flag("bool")).collect()
-}
-
-/// Caps a declared element count by what the remaining bytes could
-/// possibly hold, so a lying length prefix cannot trigger a giant
-/// pre-allocation (each element is at least one byte on the wire).
-fn bounded(declared: usize, r: &ByteReader<'_>) -> usize {
-    declared.min(r.remaining())
 }
 
 #[cfg(test)]
@@ -395,22 +323,22 @@ mod tests {
         // per-server vectors under its nonzero server count.
         let ckpt = sample_checkpoint();
         let bytes = ckpt.to_bytes().unwrap();
-        let mut full = ByteWriter::new();
-        full.tracker(&ckpt.tracker).unwrap();
-        let full = full.into_bytes();
+        let mut full = StateWriter::with_u32_lengths();
+        write_tracker(&mut full, &ckpt.tracker);
+        let full = full.finish().unwrap();
         let (n, _, _, _, occupancy, total_sum, total_max, rounds) = ckpt.tracker.raw_parts();
-        let mut slim = ByteWriter::new();
-        slim.len(n).unwrap();
-        slim.len(0).unwrap();
-        slim.counts(&[]).unwrap();
-        slim.counts(&[]).unwrap();
-        slim.counts(occupancy).unwrap();
+        let mut slim = StateWriter::with_u32_lengths();
+        slim.len(n);
+        slim.len(0);
+        slim.u64s(&[]);
+        slim.u64s(&[]);
+        slim.u64s(occupancy);
         slim.u128(total_sum);
         slim.u64(total_max);
         slim.u64(rounds);
         let at = bytes.windows(full.len()).position(|w| w == full).unwrap();
         let mut forged = bytes[..at].to_vec();
-        forged.extend_from_slice(&slim.into_bytes());
+        forged.extend_from_slice(&slim.finish().unwrap());
         forged.extend_from_slice(&bytes[at + full.len()..]);
         assert!(matches!(
             EngineCheckpoint::from_bytes(&forged).unwrap_err(),

@@ -1,15 +1,15 @@
 //! Simulation configuration.
 
 use crate::arrivals::ArrivalSpec;
-use crate::scenario::ScenarioSpec;
+use crate::key_values::{join, lex, LineWriter};
+use crate::scenario::{ScenarioKeys, ScenarioSpec};
 use crate::services::ServiceModel;
-use crate::workload::WorkloadSpec;
+use crate::workload::{WorkloadKeys, WorkloadSpec};
 use scd_model::{ClusterSpec, ModelError, RateProfile};
-use serde::{Deserialize, Serialize};
 
 /// Complete description of one simulation run (one cluster, one arrival
 /// pattern, one policy will be plugged in by the engine).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The cluster (per-server service rates).
     pub spec: ClusterSpec,
@@ -193,91 +193,58 @@ impl SimConfig {
                     .into(),
             ));
         }
-        let mut out = String::new();
-        let mut push = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        let join_f64 = |xs: &[f64]| {
-            xs.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let join_u32 = |xs: &[u32]| {
-            xs.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        push("rates", join_f64(self.spec.rates()));
-        push("dispatchers", self.num_dispatchers.to_string());
-        push("rounds", self.rounds.to_string());
-        push("warmup_rounds", self.warmup_rounds.to_string());
-        push("seed", self.seed.to_string());
+        let mut out = LineWriter::default();
+        out.line("rates", join(self.spec.rates()));
+        out.line("dispatchers", self.num_dispatchers);
+        out.line("rounds", self.rounds);
+        out.line("warmup_rounds", self.warmup_rounds);
+        out.line("seed", self.seed);
         match &self.arrivals {
             ArrivalSpec::PoissonOfferedLoad { offered_load } => {
-                push("arrivals", format!("offered_load:{offered_load}"));
+                out.line("arrivals", format_args!("offered_load:{offered_load}"));
             }
             ArrivalSpec::PoissonRates { rates } => {
-                push("arrivals", format!("rates:{}", join_f64(rates)));
+                out.line("arrivals", format_args!("rates:{}", join(rates)));
             }
             ArrivalSpec::Deterministic { jobs_per_round } => {
-                push("arrivals", format!("deterministic:{jobs_per_round}"));
+                out.line("arrivals", format_args!("deterministic:{jobs_per_round}"));
             }
         }
-        match self.services {
-            ServiceModel::Geometric => push("services", "geometric".into()),
-            ServiceModel::Deterministic => push("services", "deterministic".into()),
-        }
-        push(
-            "measure_decision_times",
-            self.measure_decision_times.to_string(),
+        out.line(
+            "services",
+            match self.services {
+                ServiceModel::Geometric => "geometric",
+                ServiceModel::Deterministic => "deterministic",
+            },
         );
-        for line in self.scenario.to_key_values().lines() {
-            out.push_str("scenario.");
-            out.push_str(line);
-            out.push('\n');
-        }
-        let mut push = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        if let Some(ids) = &self.scenario.server_ids {
-            push("scenario.server_ids", join_u32(ids));
-        }
-        if let Some(ids) = &self.scenario.dispatcher_ids {
-            push("scenario.dispatcher_ids", join_u32(ids));
-        }
-        for line in self.workload.to_key_values().lines() {
-            out.push_str("workload.");
-            out.push_str(line);
-            out.push('\n');
-        }
-        let mut push = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        if let Some(ids) = &self.workload.dispatcher_ids {
-            push("workload.dispatcher_ids", join_u32(ids));
-        }
-        Ok(out)
+        out.line("measure_decision_times", self.measure_decision_times);
+        out.nested("scenario.", |out| {
+            self.scenario.write_key_values(out);
+            if let Some(ids) = &self.scenario.server_ids {
+                out.line("server_ids", join(ids));
+            }
+            if let Some(ids) = &self.scenario.dispatcher_ids {
+                out.line("dispatcher_ids", join(ids));
+            }
+        });
+        out.nested("workload.", |out| {
+            self.workload.write_key_values(out);
+            if let Some(ids) = &self.workload.dispatcher_ids {
+                out.line("dispatcher_ids", join(ids));
+            }
+        });
+        Ok(out.into_text())
     }
 
     /// Parses the `key = value` wire form produced by
     /// [`to_key_values`](SimConfig::to_key_values): one assignment per
     /// line, `#` comments and blank lines ignored. `scenario.*` /
-    /// `workload.*` keys are delegated to
-    /// [`ScenarioSpec::from_key_values`] / [`WorkloadSpec::from_key_values`]
-    /// after prefix stripping, with the id-map keys (`scenario.server_ids`,
-    /// `scenario.dispatcher_ids`, `workload.dispatcher_ids`) handled here —
-    /// they exist only on this wire format.
+    /// `workload.*` entries go to the key tables of
+    /// [`ScenarioSpec::from_key_values`] / [`WorkloadSpec::from_key_values`],
+    /// and an error in one names this text's line and the full key. The
+    /// id-map keys (`scenario.server_ids`, `scenario.dispatcher_ids`,
+    /// `workload.dispatcher_ids`) are handled here — they exist only on
+    /// this wire format.
     ///
     /// The reconstructed configuration is **not** revalidated against the
     /// builder: the wire format transports already-validated shard configs
@@ -299,117 +266,56 @@ impl SimConfig {
         let mut arrivals: Option<ArrivalSpec> = None;
         let mut services = ServiceModel::Geometric;
         let mut measure_decision_times = false;
-        let mut scenario_lines = String::new();
-        let mut workload_lines = String::new();
+        let mut scenario = ScenarioKeys::default();
+        let mut workload = WorkloadKeys::default();
         let mut scenario_server_ids: Option<Vec<u32>> = None;
         let mut scenario_dispatcher_ids: Option<Vec<u32>> = None;
         let mut workload_dispatcher_ids: Option<Vec<u32>> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.split_once('#') {
-                Some((before, _comment)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                SimError::InvalidConfig(format!(
-                    "config line {}: expected `key = value`, got {raw:?}",
-                    lineno + 1
-                ))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad_value = |what: &str| {
-                SimError::InvalidConfig(format!(
-                    "config line {}: `{key}` needs {what}, got {value:?}",
-                    lineno + 1
-                ))
-            };
-            let parse_f64_list = |value: &str, what: &str| -> Result<Vec<f64>, SimError> {
-                value
-                    .split(',')
-                    .map(|x| x.trim().parse::<f64>().map_err(|_| bad_value(what)))
-                    .collect()
-            };
-            let parse_u32_list = |value: &str| -> Result<Vec<u32>, SimError> {
-                value
-                    .split(',')
-                    .map(|x| {
-                        x.trim()
-                            .parse::<u32>()
-                            .map_err(|_| bad_value("a comma-separated integer list"))
-                    })
-                    .collect()
-            };
-            match key {
-                "rates" => rates = Some(parse_f64_list(value, "a comma-separated float list")?),
-                "dispatchers" => {
-                    dispatchers = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "rounds" => rounds = Some(value.parse().map_err(|_| bad_value("an integer"))?),
-                "warmup_rounds" => {
-                    warmup_rounds = value.parse().map_err(|_| bad_value("an integer"))?;
-                }
-                "seed" => seed = Some(value.parse().map_err(|_| bad_value("an integer"))?),
+        for entry in lex("config", text) {
+            let entry = entry?;
+            let ids = || entry.list(entry.value, "a comma-separated integer list");
+            match entry.name {
+                "rates" => rates = Some(entry.list(entry.value, "a comma-separated float list")?),
+                "dispatchers" => dispatchers = Some(entry.parse("an integer")?),
+                "rounds" => rounds = Some(entry.parse("an integer")?),
+                "warmup_rounds" => warmup_rounds = entry.parse("an integer")?,
+                "seed" => seed = Some(entry.parse("an integer")?),
                 "arrivals" => {
-                    let (kind, arg) = value
+                    let (kind, arg) = entry
+                        .value
                         .split_once(':')
-                        .ok_or_else(|| bad_value("`kind:arguments`"))?;
+                        .ok_or_else(|| entry.bad_value("`kind:arguments`"))?;
                     arrivals = Some(match kind.trim() {
                         "offered_load" => ArrivalSpec::PoissonOfferedLoad {
-                            offered_load: arg
-                                .trim()
-                                .parse()
-                                .map_err(|_| bad_value("offered_load:<float>"))?,
+                            offered_load: entry.parse_part(arg, "offered_load:<float>")?,
                         },
                         "rates" => ArrivalSpec::PoissonRates {
-                            rates: parse_f64_list(arg, "rates:<float list>")?,
+                            rates: entry.list(arg, "rates:<float list>")?,
                         },
                         "deterministic" => ArrivalSpec::Deterministic {
-                            jobs_per_round: arg
-                                .trim()
-                                .parse()
-                                .map_err(|_| bad_value("deterministic:<integer>"))?,
+                            jobs_per_round: entry.parse_part(arg, "deterministic:<integer>")?,
                         },
-                        _ => return Err(bad_value("offered_load / rates / deterministic")),
+                        _ => return Err(entry.bad_value("offered_load / rates / deterministic")),
                     });
                 }
                 "services" => {
-                    services = match value {
+                    services = match entry.value {
                         "geometric" => ServiceModel::Geometric,
                         "deterministic" => ServiceModel::Deterministic,
-                        _ => return Err(bad_value("`geometric` or `deterministic`")),
+                        _ => return Err(entry.bad_value("`geometric` or `deterministic`")),
                     };
                 }
                 "measure_decision_times" => {
-                    measure_decision_times =
-                        value.parse().map_err(|_| bad_value("`true` or `false`"))?;
+                    measure_decision_times = entry.parse("`true` or `false`")?;
                 }
-                "scenario.server_ids" => scenario_server_ids = Some(parse_u32_list(value)?),
-                "scenario.dispatcher_ids" => {
-                    scenario_dispatcher_ids = Some(parse_u32_list(value)?);
-                }
-                "workload.dispatcher_ids" => {
-                    workload_dispatcher_ids = Some(parse_u32_list(value)?);
-                }
-                _ if key.starts_with("scenario.") => {
-                    scenario_lines.push_str(&key["scenario.".len()..]);
-                    scenario_lines.push_str(" = ");
-                    scenario_lines.push_str(value);
-                    scenario_lines.push('\n');
-                }
-                _ if key.starts_with("workload.") => {
-                    workload_lines.push_str(&key["workload.".len()..]);
-                    workload_lines.push_str(" = ");
-                    workload_lines.push_str(value);
-                    workload_lines.push('\n');
-                }
-                _ => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "config line {}: unknown key {key:?}",
-                        lineno + 1
-                    )));
-                }
+                "scenario.server_ids" => scenario_server_ids = Some(ids()?),
+                "scenario.dispatcher_ids" => scenario_dispatcher_ids = Some(ids()?),
+                "workload.dispatcher_ids" => workload_dispatcher_ids = Some(ids()?),
+                _ => match (entry.nested("scenario."), entry.nested("workload.")) {
+                    (Some(nested), _) => scenario.apply(&nested)?,
+                    (_, Some(nested)) => workload.apply(&nested)?,
+                    _ => return Err(entry.unknown_key()),
+                },
             }
         }
         let missing = |key: &str| {
@@ -417,11 +323,15 @@ impl SimConfig {
         };
         let spec = ClusterSpec::from_rates(rates.ok_or_else(|| missing("rates"))?)
             .map_err(|e| SimError::InvalidConfig(format!("config `rates`: {e}")))?;
-        let mut scenario = ScenarioSpec::from_key_values(&scenario_lines)?;
-        scenario.server_ids = scenario_server_ids;
-        scenario.dispatcher_ids = scenario_dispatcher_ids;
-        let mut workload = WorkloadSpec::from_key_values(&workload_lines)?;
-        workload.dispatcher_ids = workload_dispatcher_ids;
+        let scenario = ScenarioSpec {
+            server_ids: scenario_server_ids,
+            dispatcher_ids: scenario_dispatcher_ids,
+            ..scenario.finish()?
+        };
+        let workload = WorkloadSpec {
+            dispatcher_ids: workload_dispatcher_ids,
+            ..workload.finish()?
+        };
         Ok(SimConfig {
             spec,
             num_dispatchers: dispatchers.ok_or_else(|| missing("dispatchers"))?,
@@ -905,6 +815,37 @@ mod tests {
         let mut with_replay = base;
         with_replay.workload.replay = Some(crate::workload::ArrivalTrace::new(1, 10_000));
         assert!(with_replay.to_key_values().is_err());
+    }
+
+    #[test]
+    fn nested_key_errors_name_the_config_line_and_the_full_key() {
+        let text = SimConfig::builder(spec())
+            .build()
+            .unwrap()
+            .to_key_values()
+            .unwrap();
+        let with_line = |at: usize, line: &str| {
+            let mut lines: Vec<&str> = text.lines().collect();
+            lines.insert(at - 1, line);
+            SimConfig::from_key_values(&lines.join("\n"))
+                .unwrap_err()
+                .to_string()
+        };
+        let err = with_line(9, "scenario.seed = oops");
+        assert!(
+            err.contains("config line 9: `scenario.seed` needs an integer"),
+            "{err}"
+        );
+        let err = with_line(6, "workload.diurnal_period = x");
+        assert!(
+            err.contains("config line 6: `workload.diurnal_period` needs an integer"),
+            "{err}"
+        );
+        let err = with_line(2, "scenario.bogus = 1");
+        assert!(
+            err.contains("config line 2: unknown key \"scenario.bogus\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -21,11 +21,15 @@
 //! and orchestrator ship in one build, so the decoder speaks exactly the
 //! version the encoder writes; earlier versions are refused.
 //!
-//! The payload encodes every field explicitly — counters and lengths as
-//! LE integers, floats by their IEEE-754 bit patterns (`to_bits`/
-//! `from_bits`, so the empty-histogram `±∞` sentinels and every
-//! shortest-repr-hostile value survive verbatim), strings and bucket
-//! arrays length-prefixed, `Option`s as a `0`/`1` tag byte. Decoding is
+//! The payload encodes every field explicitly with the workspace's one
+//! byte codec ([`scd_model::StateWriter`] / [`scd_model::StateReader`],
+//! `u32` length prefixes) — counters and lengths as LE integers, floats by
+//! their IEEE-754 bit patterns (`to_bits`/`from_bits`, so the
+//! empty-histogram `±∞` sentinels and every shortest-repr-hostile value
+//! survive verbatim), strings and bucket arrays length-prefixed,
+//! `Option`s as a `0`/`1` tag byte. This module keeps what is the fabric's
+//! own: the envelope, the checksum, and the one encoder of each metrics
+//! type that both `Final` frames and engine checkpoints carry. Decoding is
 //! **strict**: wrong magic, unknown version, bad checksum, truncated
 //! input, trailing bytes, over-long declared lengths and histogram shapes
 //! the metrics types reject all map to a distinct [`CodecError`] — the
@@ -39,6 +43,7 @@
 use crate::report::{DegradationMetrics, QueueSummary, SimReport};
 use crate::shard::ShardReport;
 use scd_metrics::{DecisionTimeHistogram, QueueLengthTracker, ResponseTimeHistogram};
+use scd_model::{ByteError, StateReader, StateWriter};
 use std::error::Error;
 use std::fmt;
 
@@ -159,286 +164,122 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Little-endian payload writer, shared with the engine-checkpoint
-/// serializer in [`crate::checkpoint`]; it also holds the one encoder of
-/// each metrics type both payloads carry.
-pub(crate) struct ByteWriter {
-    buf: Vec<u8>,
+impl From<ByteError> for CodecError {
+    fn from(error: ByteError) -> Self {
+        match error {
+            ByteError::Truncated { needed, got } => CodecError::Truncated { needed, got },
+            ByteError::Malformed(msg) => CodecError::Malformed(msg),
+        }
+    }
 }
 
-impl ByteWriter {
-    pub(crate) fn new() -> Self {
-        ByteWriter { buf: Vec::new() }
-    }
+/// A response-time histogram: total, exact sum, dense bucket counts.
+pub(crate) fn write_response_times(w: &mut StateWriter, hist: &ResponseTimeHistogram) {
+    w.u64(hist.count());
+    w.u128(hist.raw_sum());
+    w.u64s(hist.bucket_counts());
+}
 
-    /// Consumes the writer, yielding the accumulated bytes.
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
+/// The inverse of [`write_response_times`], validated by the metrics type.
+pub(crate) fn read_response_times(
+    r: &mut StateReader<'_>,
+) -> Result<ResponseTimeHistogram, CodecError> {
+    let total = r.u64()?;
+    let sum = r.u128()?;
+    let counts = r.u64s()?;
+    ResponseTimeHistogram::from_raw_parts(counts, total, sum).map_err(CodecError::Malformed)
+}
 
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// `usize` narrowed to the wire's u32; all encoded quantities (shard
-    /// indices, bucket counts, name lengths) are far below `u32::MAX`.
-    pub(crate) fn len(&mut self, v: usize) -> Result<(), CodecError> {
-        let v = u32::try_from(v)
-            .map_err(|_| CodecError::Malformed(format!("length {v} exceeds the u32 wire width")))?;
-        self.u32(v);
-        Ok(())
-    }
-
-    pub(crate) fn str(&mut self, s: &str) -> Result<(), CodecError> {
-        self.len(s.len())?;
-        self.buf.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-
-    pub(crate) fn counts(&mut self, counts: &[u64]) -> Result<(), CodecError> {
-        self.len(counts.len())?;
-        for &c in counts {
-            self.u64(c);
-        }
-        Ok(())
-    }
-
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// A response-time histogram: total, exact sum, dense bucket counts.
-    pub(crate) fn response_times(
-        &mut self,
-        hist: &ResponseTimeHistogram,
-    ) -> Result<(), CodecError> {
-        self.u64(hist.count());
-        self.u128(hist.raw_sum());
-        self.counts(hist.bucket_counts())
-    }
-
-    /// An optional decision-time histogram: the option tag, then count,
-    /// sum, min, max (raw sentinels included) and the bucket counts.
-    pub(crate) fn decision_times(
-        &mut self,
-        hist: Option<&DecisionTimeHistogram>,
-    ) -> Result<(), CodecError> {
-        let Some(hist) = hist else {
-            self.u8(0);
-            return Ok(());
-        };
-        self.u8(1);
+/// An optional decision-time histogram: the option flag, then count, sum,
+/// min, max (raw sentinels included) and the bucket counts.
+pub(crate) fn write_decision_times(w: &mut StateWriter, hist: Option<&DecisionTimeHistogram>) {
+    w.flag(hist.is_some());
+    if let Some(hist) = hist {
         let (count, sum, min, max) = hist.raw_parts();
-        self.u64(count);
-        self.f64(sum);
-        self.f64(min);
-        self.f64(max);
-        self.counts(hist.bucket_counts())
-    }
-
-    /// The ten degradation counters, in declaration order.
-    pub(crate) fn degradation(&mut self, d: &DegradationMetrics) {
-        for v in [
-            d.server_down_rounds,
-            d.dispatcher_offline_rounds,
-            d.arrivals_lost,
-            d.probes_dropped,
-            d.stale_decision_rounds,
-            d.herding_rounds,
-            d.shards_lost,
-            d.rounds_lost,
-            d.checkpoints_taken,
-            d.rounds_replayed,
-        ] {
-            self.u64(v);
-        }
-    }
-
-    /// A queue-length tracker. The server count precedes the per-server
-    /// vectors, whose lengths the decoder checks against it.
-    pub(crate) fn tracker(&mut self, tracker: &QueueLengthTracker) -> Result<(), CodecError> {
-        let (num_servers, sums, maxes, idle, occupancy, total_sum, total_max, rounds) =
-            tracker.raw_parts();
-        self.len(num_servers)?;
-        self.len(sums.len())?;
-        for &sum in sums {
-            self.u128(sum);
-        }
-        self.counts(maxes)?;
-        self.counts(idle)?;
-        self.counts(occupancy)?;
-        self.u128(total_sum);
-        self.u64(total_max);
-        self.u64(rounds);
-        Ok(())
+        w.u64(count);
+        w.f64(sum);
+        w.f64(min);
+        w.f64(max);
+        w.u64s(hist.bucket_counts());
     }
 }
 
-/// Little-endian payload reader over a borrowed slice, shared with
-/// [`crate::checkpoint`]; it also holds the one decoder of each metrics
-/// type, which validates what it decodes through the metrics type.
-pub(crate) struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
+/// The inverse of [`write_decision_times`], validated by the metrics type.
+pub(crate) fn read_decision_times(
+    r: &mut StateReader<'_>,
+) -> Result<Option<DecisionTimeHistogram>, CodecError> {
+    if !r.flag()? {
+        return Ok(None);
     }
-
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated {
-            needed: usize::MAX,
-            got: self.bytes.len(),
-        })?;
-        if end > self.bytes.len() {
-            return Err(CodecError::Truncated {
-                needed: end,
-                got: self.bytes.len(),
-            });
-        }
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    pub(crate) fn u128(&mut self) -> Result<u128, CodecError> {
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
-        ))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    pub(crate) fn len(&mut self) -> Result<usize, CodecError> {
-        Ok(self.u32()? as usize)
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, CodecError> {
-        let len = self.len()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CodecError::Malformed("policy name is not UTF-8".into()))
-    }
-
-    pub(crate) fn counts(&mut self) -> Result<Vec<u64>, CodecError> {
-        let len = self.len()?;
-        // The envelope already bounds the payload, so `len` can at worst
-        // overstate what is left in the slice — caught by `take`.
-        let mut out = Vec::with_capacity(len.min(self.bytes.len() / 8 + 1));
-        for _ in 0..len {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// An option tag byte: `0` is absent, `1` present, anything else is
-    /// malformed (`what` names the option in the error).
-    pub(crate) fn flag(&mut self, what: &str) -> Result<bool, CodecError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(CodecError::Malformed(format!(
-                "{what} option tag must be 0 or 1, got {tag}"
-            ))),
-        }
-    }
-
-    /// The inverse of [`ByteWriter::response_times`].
-    pub(crate) fn response_times(&mut self) -> Result<ResponseTimeHistogram, CodecError> {
-        let total = self.u64()?;
-        let sum = self.u128()?;
-        let counts = self.counts()?;
-        ResponseTimeHistogram::from_raw_parts(counts, total, sum).map_err(CodecError::Malformed)
-    }
-
-    /// The inverse of [`ByteWriter::decision_times`].
-    pub(crate) fn decision_times(&mut self) -> Result<Option<DecisionTimeHistogram>, CodecError> {
-        if !self.flag("decision-time")? {
-            return Ok(None);
-        }
-        let parts = (self.u64()?, self.f64()?, self.f64()?, self.f64()?);
-        let counts = self.counts()?;
-        DecisionTimeHistogram::from_raw_parts(counts, parts)
-            .map(Some)
-            .map_err(CodecError::Malformed)
-    }
-
-    /// The inverse of [`ByteWriter::degradation`].
-    pub(crate) fn degradation(&mut self) -> Result<DegradationMetrics, CodecError> {
-        Ok(DegradationMetrics {
-            server_down_rounds: self.u64()?,
-            dispatcher_offline_rounds: self.u64()?,
-            arrivals_lost: self.u64()?,
-            probes_dropped: self.u64()?,
-            stale_decision_rounds: self.u64()?,
-            herding_rounds: self.u64()?,
-            shards_lost: self.u64()?,
-            rounds_lost: self.u64()?,
-            checkpoints_taken: self.u64()?,
-            rounds_replayed: self.u64()?,
-        })
-    }
-
-    /// The inverse of [`ByteWriter::tracker`].
-    pub(crate) fn tracker(&mut self) -> Result<QueueLengthTracker, CodecError> {
-        let num_servers = self.len()?;
-        let num_sums = self.len()?;
-        let mut sums = Vec::with_capacity(num_sums.min(self.remaining() / 16));
-        for _ in 0..num_sums {
-            sums.push(self.u128()?);
-        }
-        QueueLengthTracker::from_raw_parts(
-            num_servers,
-            sums,
-            self.counts()?,
-            self.counts()?,
-            self.counts()?,
-            self.u128()?,
-            self.u64()?,
-            self.u64()?,
-        )
+    let parts = (r.u64()?, r.f64()?, r.f64()?, r.f64()?);
+    let counts = r.u64s()?;
+    DecisionTimeHistogram::from_raw_parts(counts, parts)
+        .map(Some)
         .map_err(CodecError::Malformed)
+}
+
+/// The ten degradation counters, in declaration order.
+pub(crate) fn write_degradation(w: &mut StateWriter, d: &DegradationMetrics) {
+    for v in [
+        d.server_down_rounds,
+        d.dispatcher_offline_rounds,
+        d.arrivals_lost,
+        d.probes_dropped,
+        d.stale_decision_rounds,
+        d.herding_rounds,
+        d.shards_lost,
+        d.rounds_lost,
+        d.checkpoints_taken,
+        d.rounds_replayed,
+    ] {
+        w.u64(v);
     }
+}
+
+/// The inverse of [`write_degradation`].
+pub(crate) fn read_degradation(r: &mut StateReader<'_>) -> Result<DegradationMetrics, ByteError> {
+    Ok(DegradationMetrics {
+        server_down_rounds: r.u64()?,
+        dispatcher_offline_rounds: r.u64()?,
+        arrivals_lost: r.u64()?,
+        probes_dropped: r.u64()?,
+        stale_decision_rounds: r.u64()?,
+        herding_rounds: r.u64()?,
+        shards_lost: r.u64()?,
+        rounds_lost: r.u64()?,
+        checkpoints_taken: r.u64()?,
+        rounds_replayed: r.u64()?,
+    })
+}
+
+/// A queue-length tracker. The server count precedes the per-server
+/// vectors, whose lengths the decoder checks against it.
+pub(crate) fn write_tracker(w: &mut StateWriter, tracker: &QueueLengthTracker) {
+    let (num_servers, sums, maxes, idle, occupancy, total_sum, total_max, rounds) =
+        tracker.raw_parts();
+    w.len(num_servers);
+    w.seq(sums, |w, &sum| w.u128(sum));
+    w.u64s(maxes);
+    w.u64s(idle);
+    w.u64s(occupancy);
+    w.u128(total_sum);
+    w.u64(total_max);
+    w.u64(rounds);
+}
+
+/// The inverse of [`write_tracker`], validated by the metrics type.
+pub(crate) fn read_tracker(r: &mut StateReader<'_>) -> Result<QueueLengthTracker, CodecError> {
+    QueueLengthTracker::from_raw_parts(
+        r.usize()?,
+        r.seq(StateReader::u128)?,
+        r.u64s()?,
+        r.u64s()?,
+        r.u64s()?,
+        r.u128()?,
+        r.u64()?,
+        r.u64()?,
+    )
+    .map_err(CodecError::Malformed)
 }
 
 /// The three kinds a frame can carry.
@@ -516,67 +357,60 @@ pub enum Frame {
 }
 
 fn encode_payload(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
-    let mut w = ByteWriter::new();
-    w.len(report.shard)?;
-    w.len(report.num_shards)?;
-    w.len(report.num_servers)?;
+    let mut w = StateWriter::with_u32_lengths();
+    w.len(report.shard);
+    w.len(report.num_shards);
+    w.len(report.num_servers);
     let r = &report.report;
-    w.str(&r.policy)?;
+    w.blob(r.policy.as_bytes());
     w.u64(r.rounds);
     w.u64(r.warmup_rounds);
     w.f64(r.offered_load);
     w.u64(r.jobs_dispatched);
     w.u64(r.jobs_completed);
     w.u64(r.jobs_in_flight);
-    w.response_times(&r.response_times)?;
+    write_response_times(&mut w, &r.response_times);
     w.f64(r.queues.mean_total_backlog);
     w.f64(r.queues.max_total_backlog);
     w.f64(r.queues.worst_mean_queue);
     w.f64(r.queues.mean_idle_fraction);
-    w.counts(&r.queue_occupancy)?;
-    w.decision_times(r.decision_times_us.as_ref())?;
-    match &r.degradation {
-        None => w.u8(0),
-        Some(d) => {
-            w.u8(1);
-            w.degradation(d);
-        }
+    w.u64s(&r.queue_occupancy);
+    write_decision_times(&mut w, r.decision_times_us.as_ref());
+    w.flag(r.degradation.is_some());
+    if let Some(d) = &r.degradation {
+        write_degradation(&mut w, d);
     }
-    Ok(w.into_bytes())
+    Ok(w.finish()?)
 }
 
 fn decode_payload(payload: &[u8], config_digest: u64) -> Result<ShardReport, CodecError> {
-    let mut r = ByteReader::new(payload);
-    let shard = r.len()?;
-    let num_shards = r.len()?;
-    let num_servers = r.len()?;
-    let policy = r.str()?;
+    let mut r = StateReader::with_u32_lengths(payload);
+    let shard = r.usize()?;
+    let num_shards = r.usize()?;
+    let num_servers = r.usize()?;
+    let policy = String::from_utf8(r.blob()?.to_vec())
+        .map_err(|_| CodecError::Malformed("policy name is not UTF-8".into()))?;
     let rounds = r.u64()?;
     let warmup_rounds = r.u64()?;
     let offered_load = r.f64()?;
     let jobs_dispatched = r.u64()?;
     let jobs_completed = r.u64()?;
     let jobs_in_flight = r.u64()?;
-    let response_times = r.response_times()?;
+    let response_times = read_response_times(&mut r)?;
     let queues = QueueSummary {
         mean_total_backlog: r.f64()?,
         max_total_backlog: r.f64()?,
         worst_mean_queue: r.f64()?,
         mean_idle_fraction: r.f64()?,
     };
-    let queue_occupancy = r.counts()?;
-    let decision_times_us = r.decision_times()?;
-    let degradation = if r.flag("degradation")? {
-        Some(r.degradation()?)
+    let queue_occupancy = r.u64s()?;
+    let decision_times_us = read_decision_times(&mut r)?;
+    let degradation = if r.flag()? {
+        Some(read_degradation(&mut r)?)
     } else {
         None
     };
-    if r.remaining() != 0 {
-        return Err(CodecError::Malformed(format!(
-            "{} unread bytes after the last payload field",
-            r.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(ShardReport {
         shard,
         num_shards,
@@ -641,13 +475,13 @@ pub fn encode_final_frame(report: &ShardReport) -> Result<Vec<u8>, CodecError> {
 /// # Errors
 /// Infallible in practice; the signature matches its siblings.
 pub fn encode_progress_frame(progress: &ProgressFrame) -> Result<Vec<u8>, CodecError> {
-    let mut w = ByteWriter::new();
+    let mut w = StateWriter::with_u32_lengths();
     w.u32(progress.shard);
     w.u32(progress.num_shards);
     w.u64(progress.round);
     w.u64(progress.rounds_total);
     w.u64(progress.jobs_dispatched);
-    seal_frame(FrameKind::Progress, progress.config_digest, w.into_bytes())
+    seal_frame(FrameKind::Progress, progress.config_digest, w.finish()?)
 }
 
 /// Encodes a serialized engine checkpoint into a `Checkpoint` frame.
@@ -663,15 +497,11 @@ pub fn encode_checkpoint_frame(checkpoint: &CheckpointFrame) -> Result<Vec<u8>, 
             "refusing to encode a checkpoint frame with no state".into(),
         ));
     }
-    let mut w = ByteWriter::new();
+    let mut w = StateWriter::with_u32_lengths();
     w.u32(checkpoint.shard);
     w.u32(checkpoint.num_shards);
     w.bytes(&checkpoint.state);
-    seal_frame(
-        FrameKind::Checkpoint,
-        checkpoint.config_digest,
-        w.into_bytes(),
-    )
+    seal_frame(FrameKind::Checkpoint, checkpoint.config_digest, w.finish()?)
 }
 
 /// Checks the envelope fields a frame prefix exposes — magic, version and
@@ -762,7 +592,7 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
     match kind {
         FrameKind::Final => Ok(Frame::Final(decode_payload(payload, config_digest)?)),
         FrameKind::Progress => {
-            let mut r = ByteReader::new(payload);
+            let mut r = StateReader::with_u32_lengths(payload);
             let frame = ProgressFrame {
                 shard: r.u32()?,
                 num_shards: r.u32()?,
@@ -771,16 +601,11 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, CodecError> {
                 rounds_total: r.u64()?,
                 jobs_dispatched: r.u64()?,
             };
-            if r.remaining() != 0 {
-                return Err(CodecError::Malformed(format!(
-                    "{} unread bytes after the progress payload",
-                    r.remaining()
-                )));
-            }
+            r.finish()?;
             Ok(Frame::Progress(frame))
         }
         FrameKind::Checkpoint => {
-            let mut r = ByteReader::new(payload);
+            let mut r = StateReader::with_u32_lengths(payload);
             let shard = r.u32()?;
             let num_shards = r.u32()?;
             let state = r.take(r.remaining())?.to_vec();

@@ -63,6 +63,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod engine;
 pub mod fabric;
+mod key_values;
 pub mod queues;
 pub mod report;
 pub mod runner;

@@ -1,10 +1,9 @@
 //! Results produced by a simulation run.
 
 use scd_metrics::{DecisionTimeHistogram, HistogramSummary, ResponseTimeHistogram};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate queue-length statistics of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueSummary {
     /// Time-average of the total backlog `Σ_s q_s(t)` (post-warm-up rounds).
     pub mean_total_backlog: f64,
@@ -57,7 +56,7 @@ impl QueueSummary {
 /// (warm-up included — the scenario does not pause while statistics do),
 /// with the same saturating, mergeable discipline as the run counters: the
 /// sharded engine merges per-shard metrics by saturating addition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradationMetrics {
     /// Total server-rounds spent down (summed over servers).
     pub server_down_rounds: u64,
@@ -87,14 +86,12 @@ pub struct DegradationMetrics {
     pub rounds_lost: u64,
     /// Checkpoint frames taken and verified across the run's workers (zero
     /// for in-process runs and for fabric runs with checkpointing off).
-    #[serde(default)]
     pub checkpoints_taken: u64,
     /// Simulated rounds re-executed after crash recoveries: for each retry,
     /// the rounds between the resume point (the last verified checkpoint,
     /// or round 0 for a retry-from-seed) and the furthest progress the dead
     /// worker had reported. Measures the work checkpointing saved — or, for
     /// seed retries, the work it would have saved.
-    #[serde(default)]
     pub rounds_replayed: u64,
 }
 
@@ -128,7 +125,7 @@ impl DegradationMetrics {
 /// `PartialEq` compares every collected statistic, which is what the
 /// parallel-runner equivalence guarantees ("bit-identical reports") are
 /// asserted with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Display name of the policy that produced this report.
     pub policy: String,
@@ -155,7 +152,6 @@ pub struct SimReport {
     /// sharing the top bucket. Normalizing
     /// ([`Self::queue_length_distribution`]) yields the empirical
     /// steady-state distribution the mean-field oracle checks against.
-    #[serde(default)]
     pub queue_occupancy: Vec<u64>,
     /// Wall-clock times (in microseconds) of individual dispatching
     /// decisions, present when the run was configured with

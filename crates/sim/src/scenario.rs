@@ -19,9 +19,10 @@
 //! dispatchers through [`ScenarioSpec::server_ids`] /
 //! [`ScenarioSpec::dispatcher_ids`].
 //!
-//! Scenario files for the `sweep` binary's `--scenario` flag use a plain
-//! `key = value` format ([`ScenarioSpec::from_key_values`]); the types also
-//! carry the workspace-standard serde derives.
+//! Scenario files for the `sweep` binary's `--scenario` flag use the
+//! workspace's plain `key = value` format
+//! ([`ScenarioSpec::from_key_values`]), read by the lexer `SimConfig` and
+//! `WorkloadSpec` share; the scenario keeps its own key table.
 //!
 //! The engine runs an active spec through a `ScenarioRuntime`: the fault
 //! and staleness schedules, the availability mask, the snapshot ring, the
@@ -30,16 +31,16 @@
 
 use crate::checkpoint::ScenarioState;
 use crate::engine::SimError;
+use crate::key_values::{lex, Entry, LineWriter};
 use crate::report::DegradationMetrics;
 use scd_model::streams::{
     counter_draw, derive_stream_seed, unit_f64, FAULT_STREAM_TAG, PROBE_LOSS_STREAM_TAG,
     STALENESS_STREAM_TAG,
 };
 use scd_model::{Availability, DegradedView, ProbeLossOracle};
-use serde::{Deserialize, Serialize};
 
 /// How stale each dispatcher's queue-length view is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StalenessSpec {
     /// Every dispatcher sees the fresh round-`t` snapshot (the paper's
     /// baseline information model, and the default).
@@ -86,7 +87,7 @@ pub const MAX_STALENESS: u64 = 4_096;
 ///
 /// The default value is the inert scenario — see
 /// [`is_inert`](ScenarioSpec::is_inert).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Per-round crash probability of an up server.
     pub server_fail_rate: f64,
@@ -242,65 +243,71 @@ impl ScenarioSpec {
     /// Returns [`SimError::InvalidConfig`] for malformed lines, unknown
     /// keys, unparsable values, or both staleness keys at once.
     pub fn from_key_values(text: &str) -> Result<ScenarioSpec, SimError> {
-        let mut spec = ScenarioSpec::default();
-        let mut stale_fixed: Option<u64> = None;
-        let mut stale_uniform: Option<u64> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.split_once('#') {
-                Some((before, _comment)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                SimError::InvalidConfig(format!(
-                    "scenario line {}: expected `key = value`, got {raw:?}",
-                    lineno + 1
-                ))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad_value = |what: &str| {
-                SimError::InvalidConfig(format!(
-                    "scenario line {}: `{key}` needs {what}, got {value:?}",
-                    lineno + 1
-                ))
-            };
-            match key {
-                "server_fail_rate" => {
-                    spec.server_fail_rate = value.parse().map_err(|_| bad_value("a float"))?;
-                }
-                "server_repair_rate" => {
-                    spec.server_repair_rate = value.parse().map_err(|_| bad_value("a float"))?;
-                }
-                "dispatcher_fail_rate" => {
-                    spec.dispatcher_fail_rate = value.parse().map_err(|_| bad_value("a float"))?;
-                }
-                "dispatcher_repair_rate" => {
-                    spec.dispatcher_repair_rate =
-                        value.parse().map_err(|_| bad_value("a float"))?;
-                }
-                "probe_loss_rate" => {
-                    spec.probe_loss_rate = value.parse().map_err(|_| bad_value("a float"))?;
-                }
-                "stale_k" => {
-                    stale_fixed = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "stale_max_k" => {
-                    stale_uniform = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "seed" => {
-                    spec.seed = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                _ => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "scenario line {}: unknown key {key:?}",
-                        lineno + 1
-                    )));
-                }
-            }
+        let mut keys = ScenarioKeys::default();
+        for entry in lex("scenario", text) {
+            keys.apply(&entry?)?;
         }
-        spec.staleness = match (stale_fixed, stale_uniform) {
+        keys.finish()
+    }
+
+    /// Renders the scenario back into the `key = value` file format —
+    /// [`from_key_values`](ScenarioSpec::from_key_values) of the result
+    /// reconstructs `self` exactly (id maps excepted; they have no file
+    /// syntax).
+    pub fn to_key_values(&self) -> String {
+        let mut out = LineWriter::default();
+        self.write_key_values(&mut out);
+        out.into_text()
+    }
+
+    /// Writes the scenario's file-format lines to `out`.
+    pub(crate) fn write_key_values(&self, out: &mut LineWriter) {
+        out.line("server_fail_rate", self.server_fail_rate);
+        out.line("server_repair_rate", self.server_repair_rate);
+        out.line("dispatcher_fail_rate", self.dispatcher_fail_rate);
+        out.line("dispatcher_repair_rate", self.dispatcher_repair_rate);
+        out.line("probe_loss_rate", self.probe_loss_rate);
+        match self.staleness {
+            StalenessSpec::Fresh => {}
+            StalenessSpec::Fixed { k } => out.line("stale_k", k),
+            StalenessSpec::UniformPerRound { max_k } => out.line("stale_max_k", max_k),
+        }
+        if let Some(seed) = self.seed {
+            out.line("seed", seed);
+        }
+    }
+}
+
+/// The scenario file's key table, filled one entry at a time: from a
+/// scenario file, or from a configuration's `scenario.*` entries.
+#[derive(Debug, Default)]
+pub(crate) struct ScenarioKeys {
+    spec: ScenarioSpec,
+    stale_k: Option<u64>,
+    stale_max_k: Option<u64>,
+}
+
+impl ScenarioKeys {
+    /// Applies one entry.
+    pub(crate) fn apply(&mut self, entry: &Entry<'_>) -> Result<(), SimError> {
+        let spec = &mut self.spec;
+        match entry.name {
+            "server_fail_rate" => spec.server_fail_rate = entry.parse("a float")?,
+            "server_repair_rate" => spec.server_repair_rate = entry.parse("a float")?,
+            "dispatcher_fail_rate" => spec.dispatcher_fail_rate = entry.parse("a float")?,
+            "dispatcher_repair_rate" => spec.dispatcher_repair_rate = entry.parse("a float")?,
+            "probe_loss_rate" => spec.probe_loss_rate = entry.parse("a float")?,
+            "stale_k" => self.stale_k = Some(entry.parse("an integer")?),
+            "stale_max_k" => self.stale_max_k = Some(entry.parse("an integer")?),
+            "seed" => spec.seed = Some(entry.parse("an integer")?),
+            _ => return Err(entry.unknown_key()),
+        }
+        Ok(())
+    }
+
+    /// The scenario the entries describe.
+    pub(crate) fn finish(self) -> Result<ScenarioSpec, SimError> {
+        let staleness = match (self.stale_k, self.stale_max_k) {
             (Some(_), Some(_)) => {
                 return Err(SimError::InvalidConfig(
                     "scenario sets both `stale_k` and `stale_max_k`; pick one".into(),
@@ -310,41 +317,10 @@ impl ScenarioSpec {
             (None, Some(max_k)) => StalenessSpec::UniformPerRound { max_k },
             (None, None) => StalenessSpec::Fresh,
         };
-        Ok(spec)
-    }
-
-    /// Renders the scenario back into the `key = value` file format —
-    /// [`from_key_values`](ScenarioSpec::from_key_values) of the result
-    /// reconstructs `self` exactly (id maps excepted; they have no file
-    /// syntax).
-    pub fn to_key_values(&self) -> String {
-        let mut out = String::new();
-        let mut push = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        push("server_fail_rate", self.server_fail_rate.to_string());
-        push("server_repair_rate", self.server_repair_rate.to_string());
-        push(
-            "dispatcher_fail_rate",
-            self.dispatcher_fail_rate.to_string(),
-        );
-        push(
-            "dispatcher_repair_rate",
-            self.dispatcher_repair_rate.to_string(),
-        );
-        push("probe_loss_rate", self.probe_loss_rate.to_string());
-        match self.staleness {
-            StalenessSpec::Fresh => {}
-            StalenessSpec::Fixed { k } => push("stale_k", k.to_string()),
-            StalenessSpec::UniformPerRound { max_k } => push("stale_max_k", max_k.to_string()),
-        }
-        if let Some(seed) = self.seed {
-            push("seed", seed.to_string());
-        }
-        out
+        Ok(ScenarioSpec {
+            staleness,
+            ..self.spec
+        })
     }
 }
 

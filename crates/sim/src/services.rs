@@ -7,10 +7,9 @@
 //! for tests and worked examples.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Declarative description of the service process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServiceModel {
     /// `c_s(t) ~ Geometric` with mean `µ_s` (the paper's model).
     #[default]

@@ -56,7 +56,6 @@ use crate::runner::fan_out;
 use crate::trace::RunTrace;
 use scd_model::streams::shard_master_seed;
 use scd_model::PolicyFactory;
-use serde::{Deserialize, Serialize};
 
 /// How many of `total` striped items (servers or dispatchers) land in shard
 /// `j` of `k`: the size of `{i < total : i mod k == j}`.
@@ -65,7 +64,7 @@ fn striped_count(total: usize, k: usize, j: usize) -> usize {
 }
 
 /// A partition of the cluster's servers into disjoint, covering shards.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// Global server indices owned by each shard.
     shards: Vec<Vec<usize>>,
@@ -133,7 +132,7 @@ impl ShardPlan {
 /// This is the unit a future cross-process/cross-host transport would
 /// serialize — everything in it merges ([`merge_shard_reports`]) without
 /// reference to any other shard's live state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Index of the shard that produced this report.
     pub shard: usize,

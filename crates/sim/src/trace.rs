@@ -6,8 +6,9 @@
 //! [replay](crate::WorkloadSpec::replay) bit-exactly) plus a stream of
 //! [`TraceEvent`]s following every job batch from arrival through dispatch
 //! to service. [`chrome_trace_json`] renders the stream in the Chrome
-//! `trace_event` JSON format (hand-written — the vendored serde is a
-//! stub), loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev):
+//! `trace_event` JSON format (written by hand, like every serialization in
+//! the workspace), loadable in `chrome://tracing` or
+//! [Perfetto](https://ui.perfetto.dev):
 //! dispatchers and servers appear as two process lanes, arrivals as
 //! instants, dispatch decisions as complete slices, and service as
 //! begin/end pairs.
@@ -21,7 +22,6 @@
 //! [`ShardedSimulation::run_traced`]: crate::ShardedSimulation::run_traced
 
 use crate::workload::ArrivalTrace;
-use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::Path;
 
@@ -32,7 +32,7 @@ pub const MAX_TRACE_EVENTS: usize = 2_000_000;
 
 /// One recorded engine event. Counts are batch sizes: the engine moves
 /// jobs in runs, and the trace preserves that granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// `count` jobs arrived at a dispatcher (post-scenario: what the
     /// dispatcher actually received).
@@ -73,7 +73,7 @@ pub enum TraceEvent {
 /// A full per-job event trace of one run: the sampled arrival matrix
 /// (replayable via [`WorkloadSpec::replay`](crate::WorkloadSpec::replay))
 /// and the event stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Dispatchers in the (global) system.
     pub num_dispatchers: usize,

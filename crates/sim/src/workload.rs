@@ -31,8 +31,8 @@
 
 use crate::arrivals::ArrivalSpec;
 use crate::engine::SimError;
+use crate::key_values::{lex, Entry, LineWriter};
 use scd_model::streams::{counter_draw, derive_stream_seed, unit_f64, WORKLOAD_STREAM_TAG};
-use serde::{Deserialize, Serialize};
 
 /// Largest supported number of job-size classes (bounds the counter-mode
 /// step space of one `(dispatcher, round)` cell).
@@ -56,7 +56,7 @@ const FLASH_CHAIN_INDEX: u64 = (1 << 63) | 1;
 /// One phase of an MMPP modulation: the rate multiplier while the chain
 /// sits in this phase, and the per-round probability of advancing to the
 /// next phase (cyclically).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmppPhase {
     /// Arrival-rate multiplier applied while this phase is active.
     pub rate_multiplier: f64,
@@ -67,7 +67,7 @@ pub struct MmppPhase {
 /// How the base arrival rates vary over time. Exactly one family at a time;
 /// the multiplier `g(t)` it defines scales every dispatcher's rate in round
 /// `t` (one *global* schedule — dispatchers share the phase chain).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum ModulationSpec {
     /// Stationary: `g(t) = 1`.
     #[default]
@@ -124,7 +124,7 @@ impl ModulationSpec {
 /// with class probabilities `p_c ∝ weight_c` and mean size
 /// `s̄ = Σ p_c · size_c`, class `c` fires at `λ_d · p_c / s̄` events per
 /// round at dispatcher `d`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobClass {
     /// Unit jobs enqueued per class event (≥ 1).
     pub size: u64,
@@ -135,7 +135,7 @@ pub struct JobClass {
 /// A recorded per-dispatcher, per-round arrival-count matrix — the raw
 /// sampled counts *before* any scenario losses, so replaying a trace under
 /// the same scenario re-applies the identical losses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
     num_dispatchers: usize,
     rounds: u64,
@@ -297,7 +297,7 @@ impl ArrivalTrace {
 ///
 /// The default value is the inert workload — see
 /// [`is_inert`](WorkloadSpec::is_inert).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkloadSpec {
     /// How the base arrival rates vary over time.
     pub modulation: ModulationSpec,
@@ -580,109 +580,117 @@ impl WorkloadSpec {
     /// keys, unparsable values, incomplete families, or more than one
     /// modulation family.
     pub fn from_key_values(text: &str) -> Result<WorkloadSpec, SimError> {
-        let mut spec = WorkloadSpec::default();
-        let mut mmpp: Option<Vec<MmppPhase>> = None;
-        let mut diurnal_period: Option<u64> = None;
-        let mut diurnal_amplitude: Option<f64> = None;
-        let mut flash_every: Option<u64> = None;
-        let mut flash_duration: Option<u64> = None;
-        let mut flash_magnitude: Option<f64> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.split_once('#') {
-                Some((before, _comment)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
+        let mut keys = WorkloadKeys::default();
+        for entry in lex("workload", text) {
+            keys.apply(&entry?)?;
+        }
+        keys.finish()
+    }
+
+    /// Renders the workload back into the `key = value` file format —
+    /// [`from_key_values`](WorkloadSpec::from_key_values) of the result
+    /// reconstructs `self` exactly (replay traces and id maps excepted;
+    /// they have no file syntax).
+    pub fn to_key_values(&self) -> String {
+        let mut out = LineWriter::default();
+        self.write_key_values(&mut out);
+        out.into_text()
+    }
+
+    /// Writes the workload's file-format lines to `out`.
+    pub(crate) fn write_key_values(&self, out: &mut LineWriter) {
+        match &self.modulation {
+            ModulationSpec::None => {}
+            ModulationSpec::Mmpp { phases } => {
+                let pairs: Vec<String> = phases
+                    .iter()
+                    .map(|p| format!("{}:{}", p.rate_multiplier, p.switch_prob))
+                    .collect();
+                out.line("mmpp_phases", pairs.join(","));
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
-                SimError::InvalidConfig(format!(
-                    "workload line {}: expected `key = value`, got {raw:?}",
-                    lineno + 1
-                ))
-            })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad_value = |what: &str| {
-                SimError::InvalidConfig(format!(
-                    "workload line {}: `{key}` needs {what}, got {value:?}",
-                    lineno + 1
-                ))
-            };
-            match key {
-                "mmpp_phases" => {
-                    let phases: Result<Vec<MmppPhase>, SimError> = value
-                        .split(',')
-                        .map(|pair| {
-                            let (mult, prob) = pair
-                                .trim()
-                                .split_once(':')
-                                .ok_or_else(|| bad_value("multiplier:switch_prob pairs"))?;
-                            Ok(MmppPhase {
-                                rate_multiplier: mult
-                                    .trim()
-                                    .parse()
-                                    .map_err(|_| bad_value("multiplier:switch_prob pairs"))?,
-                                switch_prob: prob
-                                    .trim()
-                                    .parse()
-                                    .map_err(|_| bad_value("multiplier:switch_prob pairs"))?,
-                            })
-                        })
-                        .collect();
-                    mmpp = Some(phases?);
-                }
-                "diurnal_period" => {
-                    diurnal_period = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "diurnal_amplitude" => {
-                    diurnal_amplitude = Some(value.parse().map_err(|_| bad_value("a float"))?);
-                }
-                "flash_every" => {
-                    flash_every = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "flash_duration" => {
-                    flash_duration = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                "flash_magnitude" => {
-                    flash_magnitude = Some(value.parse().map_err(|_| bad_value("a float"))?);
-                }
-                "class" => {
-                    let (size, weight) = value
-                        .split_once(':')
-                        .ok_or_else(|| bad_value("a size:weight pair"))?;
-                    spec.classes.push(JobClass {
-                        size: size
-                            .trim()
-                            .parse()
-                            .map_err(|_| bad_value("a size:weight pair"))?,
-                        weight: weight
-                            .trim()
-                            .parse()
-                            .map_err(|_| bad_value("a size:weight pair"))?,
-                    });
-                }
-                "seed" => {
-                    spec.seed = Some(value.parse().map_err(|_| bad_value("an integer"))?);
-                }
-                _ => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "workload line {}: unknown key {key:?}",
-                        lineno + 1
-                    )));
-                }
+            ModulationSpec::Diurnal { period, amplitude } => {
+                out.line("diurnal_period", period);
+                out.line("diurnal_amplitude", amplitude);
+            }
+            ModulationSpec::FlashCrowd {
+                every,
+                duration,
+                magnitude,
+            } => {
+                out.line("flash_every", every);
+                out.line("flash_duration", duration);
+                out.line("flash_magnitude", magnitude);
             }
         }
+        for class in &self.classes {
+            out.line("class", format_args!("{}:{}", class.size, class.weight));
+        }
+        if let Some(seed) = self.seed {
+            out.line("seed", seed);
+        }
+    }
+}
+
+/// The workload file's key table, filled one entry at a time: from a
+/// workload file, or from a configuration's `workload.*` entries.
+#[derive(Debug, Default)]
+pub(crate) struct WorkloadKeys {
+    spec: WorkloadSpec,
+    mmpp: Option<Vec<MmppPhase>>,
+    diurnal_period: Option<u64>,
+    diurnal_amplitude: Option<f64>,
+    flash_every: Option<u64>,
+    flash_duration: Option<u64>,
+    flash_magnitude: Option<f64>,
+}
+
+impl WorkloadKeys {
+    /// Applies one entry.
+    pub(crate) fn apply(&mut self, entry: &Entry<'_>) -> Result<(), SimError> {
+        match entry.name {
+            "mmpp_phases" => {
+                let phases = entry
+                    .value
+                    .split(',')
+                    .map(|pair| {
+                        let (rate_multiplier, switch_prob) =
+                            entry.pair(pair, "multiplier:switch_prob pairs")?;
+                        Ok(MmppPhase {
+                            rate_multiplier,
+                            switch_prob,
+                        })
+                    })
+                    .collect::<Result<_, SimError>>()?;
+                self.mmpp = Some(phases);
+            }
+            "diurnal_period" => self.diurnal_period = Some(entry.parse("an integer")?),
+            "diurnal_amplitude" => self.diurnal_amplitude = Some(entry.parse("a float")?),
+            "flash_every" => self.flash_every = Some(entry.parse("an integer")?),
+            "flash_duration" => self.flash_duration = Some(entry.parse("an integer")?),
+            "flash_magnitude" => self.flash_magnitude = Some(entry.parse("a float")?),
+            "class" => {
+                let (size, weight) = entry.pair(entry.value, "a size:weight pair")?;
+                self.spec.classes.push(JobClass { size, weight });
+            }
+            "seed" => self.spec.seed = Some(entry.parse("an integer")?),
+            _ => return Err(entry.unknown_key()),
+        }
+        Ok(())
+    }
+
+    /// The workload the entries describe.
+    pub(crate) fn finish(self) -> Result<WorkloadSpec, SimError> {
         let incomplete = |family: &str| {
             SimError::InvalidConfig(format!(
                 "workload sets an incomplete {family} family (all of its keys are required)"
             ))
         };
-        let diurnal = match (diurnal_period, diurnal_amplitude) {
+        let diurnal = match (self.diurnal_period, self.diurnal_amplitude) {
             (Some(period), Some(amplitude)) => Some(ModulationSpec::Diurnal { period, amplitude }),
             (None, None) => None,
             _ => return Err(incomplete("diurnal")),
         };
-        let flash = match (flash_every, flash_duration, flash_magnitude) {
+        let flash = match (self.flash_every, self.flash_duration, self.flash_magnitude) {
             (Some(every), Some(duration), Some(magnitude)) => Some(ModulationSpec::FlashCrowd {
                 every,
                 duration,
@@ -691,68 +699,24 @@ impl WorkloadSpec {
             (None, None, None) => None,
             _ => return Err(incomplete("flash-crowd")),
         };
-        let families: Vec<ModulationSpec> = mmpp
+        let mut families = self
+            .mmpp
             .map(|phases| ModulationSpec::Mmpp { phases })
             .into_iter()
             .chain(diurnal)
-            .chain(flash)
-            .collect();
-        spec.modulation = match families.len() {
-            0 => ModulationSpec::None,
-            1 => families.into_iter().next().expect("one family"),
-            _ => {
-                return Err(SimError::InvalidConfig(
-                    "workload sets more than one modulation family \
-                     (mmpp / diurnal / flash); pick one"
-                        .into(),
-                ));
-            }
-        };
-        Ok(spec)
-    }
-
-    /// Renders the workload back into the `key = value` file format —
-    /// [`from_key_values`](WorkloadSpec::from_key_values) of the result
-    /// reconstructs `self` exactly (replay traces and id maps excepted;
-    /// they have no file syntax).
-    pub fn to_key_values(&self) -> String {
-        let mut out = String::new();
-        let mut push = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        match &self.modulation {
-            ModulationSpec::None => {}
-            ModulationSpec::Mmpp { phases } => {
-                let rendered: Vec<String> = phases
-                    .iter()
-                    .map(|p| format!("{}:{}", p.rate_multiplier, p.switch_prob))
-                    .collect();
-                push("mmpp_phases", rendered.join(","));
-            }
-            ModulationSpec::Diurnal { period, amplitude } => {
-                push("diurnal_period", period.to_string());
-                push("diurnal_amplitude", amplitude.to_string());
-            }
-            ModulationSpec::FlashCrowd {
-                every,
-                duration,
-                magnitude,
-            } => {
-                push("flash_every", every.to_string());
-                push("flash_duration", duration.to_string());
-                push("flash_magnitude", magnitude.to_string());
-            }
+            .chain(flash);
+        let modulation = families.next().unwrap_or(ModulationSpec::None);
+        if families.next().is_some() {
+            return Err(SimError::InvalidConfig(
+                "workload sets more than one modulation family \
+                 (mmpp / diurnal / flash); pick one"
+                    .into(),
+            ));
         }
-        for class in &self.classes {
-            push("class", format!("{}:{}", class.size, class.weight));
-        }
-        if let Some(seed) = self.seed {
-            push("seed", seed.to_string());
-        }
-        out
+        Ok(WorkloadSpec {
+            modulation,
+            ..self.spec
+        })
     }
 }
 
