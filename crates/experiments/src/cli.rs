@@ -334,6 +334,18 @@ pub fn distinct_systems(systems: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
     unique
 }
 
+/// Refuses `flag k`, a shard or process count, that the `(n, m)` system
+/// cannot hold: every shard needs at least one server and one dispatcher.
+pub(crate) fn check_split(flag: &str, k: usize, (n, m): (usize, usize)) -> Result<(), String> {
+    if k > n.min(m) {
+        return Err(format!(
+            "{flag} {k} cannot split the {n}x{m} system: every shard needs at least one \
+             server and one dispatcher"
+        ));
+    }
+    Ok(())
+}
+
 fn parse_loads(value: &str) -> Result<Vec<f64>, String> {
     let loads: Result<Vec<f64>, _> = value.split(',').map(|s| s.trim().parse::<f64>()).collect();
     let loads = loads.map_err(|_| format!("invalid --loads value: {value}"))?;

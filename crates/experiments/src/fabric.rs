@@ -24,7 +24,7 @@
 //! The `sweep` binary's `--processes K` flag reuses [`fabric_run`] to route
 //! every grid cell through worker processes instead of in-process shards.
 
-use crate::cli::{CliError, Flags};
+use crate::cli::{check_split, CliError, Flags};
 use crate::response::cluster_for_system;
 use scd_model::RateProfile;
 use scd_policies::factory_by_name;
@@ -359,8 +359,9 @@ impl OrchestrateOptions {
     ///
     /// # Errors
     /// [`CliError::Help`] with the usage for `--help`/`-h`;
-    /// [`CliError::Invalid`] with a human-readable message on unknown flags
-    /// and malformed values.
+    /// [`CliError::Invalid`] with a human-readable message on unknown flags,
+    /// malformed values and a `--processes` count the orchestrated system
+    /// cannot split.
     pub fn parse<I>(args: I) -> Result<Self, CliError>
     where
         I: IntoIterator<Item = String>,
@@ -392,6 +393,8 @@ impl OrchestrateOptions {
                 }
             }
         }
+        let (n, m, _) = options.system();
+        check_split("--processes", options.processes, (n, m))?;
         if !options.inject_crash_after_checkpoint.is_empty() && options.checkpoint_every == 0 {
             return Err(
                 "--inject-crash-after-checkpoint requires --checkpoint-every > 0 \
@@ -419,6 +422,17 @@ impl OrchestrateOptions {
         Ok(options)
     }
 
+    /// The orchestrated system `(n, m, rounds)`: 16×4/400 rounds under
+    /// `--quick`, 64×8/4000 rounds otherwise, with `--rounds` applied.
+    fn system(&self) -> (usize, usize, u64) {
+        let (n, m, rounds) = if self.quick {
+            (16, 4, 400)
+        } else {
+            (64, 8, 4_000)
+        };
+        (n, m, self.rounds.unwrap_or(rounds))
+    }
+
     /// The experiment configuration this invocation orchestrates: the
     /// sweep's `paper_moderate` cluster draw at offered load 0.9, sized
     /// 16×4/400 rounds under `--quick` and 64×8/4000 rounds otherwise.
@@ -426,12 +440,7 @@ impl OrchestrateOptions {
     /// # Errors
     /// Propagates configuration validation errors as messages.
     pub fn config(&self) -> Result<SimConfig, String> {
-        let (n, m, rounds) = if self.quick {
-            (16, 4, 400)
-        } else {
-            (64, 8, 4_000)
-        };
-        let rounds = self.rounds.unwrap_or(rounds);
+        let (n, m, rounds) = self.system();
         let cluster = cluster_for_system(&RateProfile::paper_moderate(), n, self.seed, 0);
         SimConfig::builder(cluster)
             .dispatchers(m)
@@ -705,6 +714,36 @@ mod tests {
         // A checkpoint-crash injection without checkpoint streaming would
         // never fire — refuse the contradiction up front.
         assert!(parse(&["--inject-crash-after-checkpoint", "1"]).is_err());
+    }
+
+    #[test]
+    fn processes_must_fit_the_orchestrated_system() {
+        // A fifth worker of the quick 16x4 system, or a ninth of the 64x8
+        // one, would get no dispatcher; both used to fail at run time with
+        // exit 1.
+        for (args, refusal) in [
+            (
+                &["--quick", "--processes", "5"][..],
+                "--processes 5 cannot split the 16x4 system",
+            ),
+            (
+                &["--processes", "9", "--rounds", "50"][..],
+                "--processes 9 cannot split the 64x8 system",
+            ),
+        ] {
+            let outcome = parse(args).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "{args:?}");
+            assert!(
+                outcome.message().starts_with(refusal),
+                "{}",
+                outcome.message()
+            );
+        }
+        assert_eq!(
+            parse(&["--quick", "--processes", "4"]).unwrap().processes,
+            4
+        );
+        assert_eq!(parse(&["--processes", "8"]).unwrap().processes, 8);
     }
 
     #[test]

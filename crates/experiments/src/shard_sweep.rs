@@ -13,7 +13,7 @@
 //! threads while each cell steps its shards sequentially (no nested
 //! oversubscription); results are bit-identical for every thread count.
 
-use crate::cli::{distinct_systems, CliOptions};
+use crate::cli::{check_split, distinct_systems, CliError, CliOptions};
 use crate::output::OutputSink;
 use crate::response::{cluster_for_system, replication_seed};
 use crate::sweep::{effective_threads, SweepGrid};
@@ -123,6 +123,29 @@ impl ShardSweepSpec {
             workload: WorkloadSpec::default(),
         }
     }
+}
+
+/// Parses the `sweep` command line: [`CliOptions::parse`], then a usage
+/// error (exit 2) for a `--shards` or `--processes` count that some
+/// resolved system cannot split, naming the first such system.
+///
+/// # Errors
+/// As [`CliOptions::parse`], plus [`CliError::Invalid`] for such a count.
+pub fn parse_options<I>(args: I) -> Result<CliOptions, CliError>
+where
+    I: IntoIterator<Item = String>,
+{
+    let options = CliOptions::parse(args)?;
+    let spec = ShardSweepSpec::resolve(&options);
+    let flag = if spec.processes.is_some() {
+        "--processes"
+    } else {
+        "--shards"
+    };
+    for &system in &spec.systems {
+        check_split(flag, spec.shards, system)?;
+    }
+    Ok(options)
 }
 
 /// Resolves the `--scenario` / `--stale-k` / `--fail-rate` flags into one
@@ -626,6 +649,43 @@ mod tests {
         spec.systems = vec![(4, 2)];
         let err = run_shard_sweep(&spec).unwrap_err();
         assert!(err.contains("shards"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn shard_counts_no_system_can_split_are_usage_errors() {
+        // Each passed parsing and then failed at run time with exit 1.
+        for (args, refusal) in [
+            (
+                "--quick --shards 5",
+                "--shards 5 cannot split the 16x4 system",
+            ),
+            (
+                "--quick --processes 5",
+                "--processes 5 cannot split the 16x4 system",
+            ),
+            (
+                "--quick --servers 3 --shards 4",
+                "--shards 4 cannot split the 3x4 system",
+            ),
+            (
+                "--quick --systems 16x2 --shards 4",
+                "--shards 4 cannot split the 16x2 system",
+            ),
+            (
+                "--systems 64x8,8x2 --processes 3",
+                "--processes 3 cannot split the 8x2 system",
+            ),
+        ] {
+            let outcome = parse_options(args.split(' ').map(String::from)).unwrap_err();
+            assert_eq!(outcome.exit_code(), 2, "{args}");
+            assert!(
+                outcome.message().starts_with(refusal),
+                "{args}: {}",
+                outcome.message()
+            );
+        }
+        let fits = parse_options(["--quick", "--shards", "4"].map(String::from)).unwrap();
+        assert_eq!(ShardSweepSpec::resolve(&fits).shards, 4);
     }
 
     #[test]

@@ -26,6 +26,23 @@
 //! order, so a table repaired from a dirty set is bit-identical to one
 //! sorted from scratch ([`KeyOrder`]).
 //!
+//! # Lockstep draws
+//!
+//! One inverse-CDF search over a prefix of thousands of groups is a chain
+//! of dependent loads, so it costs a memory latency per level. With
+//! single-server groups the kernel therefore draws up to `LANES` jobs'
+//! `u64`s in stream order, runs their searches in lockstep — one shared
+//! `size`/`half` sequence, each lane moving its own `base` — and emits the
+//! chunk's servers in draw order; the lanes' loads overlap. Every lane
+//! probes exactly the indices `partition_point` probes, so destinations,
+//! emit order and RNG consumption equal one search per job, bit for bit.
+//! The step is a `select_unpredictable`, as in std's binary search: written
+//! as a plain `if`, it compiles to a branch that mispredicts about every
+//! other step, and the loop ran about twice as slow as one search per job.
+//! Class mode runs the same routine one lane at a time: a job's member
+//! draw comes right after its group draw, so the next job's group cannot
+//! be drawn ahead of it.
+//!
 //! # Numerics
 //!
 //! The sums are taken relative to the smallest key: `d_j = key_j − key_0`
@@ -84,8 +101,8 @@ pub struct ScdTable {
     /// The groups in `(key, index)` order.
     groups: Vec<Group>,
     /// Per group, the inclusive prefix sums `[M_j, K_j]` of the masses and
-    /// of `mass·d` — kept apart from `groups` so the per-job binary search
-    /// walks a compact array.
+    /// of `mass·d` — kept apart from `groups` so the inverse-CDF searches
+    /// walk a compact array.
     sums: Vec<[f64; 2]>,
     /// The smallest key `key_0`.
     min_key: f64,
@@ -309,15 +326,58 @@ impl ScdTable {
             }
             return;
         }
-        // The cumulative mass of groups `..=j` is `c·M_j − K_j` (relative).
-        let cumulative = |&[m_sum, k_sum]: &[f64; 2]| level * m_sum - k_sum;
         let sums = &self.sums[..len];
-        let span = cumulative(&sums[len - 1]);
-        for _ in 0..batch {
-            let x = crate::unit_f64(rng.next_u64()) * span;
-            let j = sums.partition_point(|sum| cumulative(sum) <= x);
-            emit(self.pick(j.min(len - 1), rng));
+        let [m_sum, k_sum] = sums[len - 1];
+        let span = level * m_sum - k_sum;
+        // A class job draws its member right after its group, so class
+        // mode cannot draw ahead of the next job: it runs one lane.
+        let width = if self.classes { 1 } else { LANES };
+        let mut draws = [0.0; LANES];
+        let mut found = [0; LANES];
+        for first in (0..batch).step_by(width) {
+            let lanes = width.min(batch - first);
+            for x in &mut draws[..lanes] {
+                *x = crate::unit_f64(rng.next_u64()) * span;
+            }
+            search_lanes(sums, level, &draws[..lanes], &mut found[..lanes]);
+            for &j in &found[..lanes] {
+                emit(self.pick(j.min(len - 1), rng));
+            }
         }
+    }
+}
+
+/// Draws searched together by [`search_lanes`]: enough independent loads
+/// in flight to hide the memory latency of a search over thousands of
+/// groups (8 and 16 ran alike, 4 was too few).
+const LANES: usize = 8;
+
+/// The inverse CDF of the probable prefix `sums` at relative level
+/// `level`, for up to [`LANES`] draws at once: `found[i]` becomes the
+/// number of leading groups whose cumulative mass `level·M_j − K_j` is at
+/// most `draws[i]`. Each lane probes the indices
+/// `sums.partition_point(|s| cumulative(s) <= x)` probes, so the result
+/// equals it bit for bit even where rounding makes the cumulative masses
+/// non-monotone (module docs, "Lockstep draws").
+#[inline(never)]
+fn search_lanes(sums: &[[f64; 2]], level: f64, draws: &[f64], found: &mut [usize]) {
+    let below = |j: usize, x: f64| {
+        let [m_sum, k_sum] = sums[j];
+        level * m_sum - k_sum <= x
+    };
+    let found = &mut found[..draws.len()];
+    found.fill(0);
+    let mut size = sums.len();
+    while size > 1 {
+        let half = size / 2;
+        for (base, &x) in found.iter_mut().zip(draws) {
+            let mid = *base + half;
+            *base = std::hint::select_unpredictable(below(mid, x), mid, *base);
+        }
+        size -= half;
+    }
+    for (base, &x) in found.iter_mut().zip(draws) {
+        *base += usize::from(below(*base, x));
     }
 }
 
@@ -355,4 +415,142 @@ fn push_group(groups: &mut Vec<Group>, sums: &mut Vec<[f64; 2]>, id: u32, rel_ke
         mass,
         threshold: rel_key * m_sum - k_sum,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::unit_f64;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-job kernel the lanes replace: an alias table over the
+    /// prefix when the batch is larger than it, otherwise one
+    /// `partition_point` over the inverse CDF per job, each followed by the
+    /// job's member draw.
+    fn oracle(table: &ScdTable, arrivals: f64, batch: usize, rng: &mut StdRng) -> Vec<usize> {
+        let (len, level) = table.probable_prefix(arrivals);
+        if batch > len {
+            let weights: Vec<f64> = table.groups[..len]
+                .iter()
+                .map(|g| g.weight(level))
+                .collect();
+            let mut alias = AliasSampler::default();
+            alias.rebuild_with_total(&weights, weights.iter().sum());
+            return (0..batch)
+                .map(|_| {
+                    let j = alias.sample(rng);
+                    table.pick(j, rng)
+                })
+                .collect();
+        }
+        let cumulative = |&[m_sum, k_sum]: &[f64; 2]| level * m_sum - k_sum;
+        let sums = &table.sums[..len];
+        let span = cumulative(&sums[len - 1]);
+        (0..batch)
+            .map(|_| {
+                let x = unit_f64(rng.next_u64()) * span;
+                let j = sums.partition_point(|sum| cumulative(sum) <= x);
+                table.pick(j.min(len - 1), rng)
+            })
+            .collect()
+    }
+
+    /// Dispatches one batch and checks the servers, in emit order, and the
+    /// generator's state afterwards against [`oracle`].
+    fn assert_matches_oracle(table: &ScdTable, arrivals: f64, batch: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut oracle_rng = rng.clone();
+        let mut servers = Vec::new();
+        table.dispatch(
+            arrivals,
+            batch,
+            &mut DrawScratch::default(),
+            &mut rng,
+            |s| servers.push(s),
+        );
+        let context = format!(
+            "n = {}, a = {arrivals}, batch = {batch}, seed = {seed}",
+            table.num_servers()
+        );
+        assert_eq!(
+            servers,
+            oracle(table, arrivals, batch, &mut oracle_rng),
+            "{context}"
+        );
+        assert_eq!(rng, oracle_rng, "{context}");
+    }
+
+    /// A random per-server table on `n` servers: either a few rates and a
+    /// few queue lengths just below `2⁴⁰` (many tied keys, deep queues), or
+    /// distinct rates with short queues.
+    fn random_table(n: usize, rng: &mut StdRng) -> ScdTable {
+        let deep = rng.gen_bool(0.5);
+        let (queues, rates): (Vec<u64>, Vec<f64>) = (0..n)
+            .map(|_| {
+                if deep {
+                    let q = (1u64 << 40) - rng.gen_range(0..4u64);
+                    (q, [1.0, 2.0, 4.0][rng.gen_range(0..3usize)])
+                } else {
+                    (rng.gen_range(0..20u64), rng.gen_range(1.0..10.0))
+                }
+            })
+            .collect();
+        let mut table = ScdTable::new();
+        table.refresh(&queues, &rates, None);
+        assert!(!table.uses_classes());
+        table
+    }
+
+    /// Arrivals whose probable prefix holds `target` groups, where the
+    /// thresholds allow it: the budget `2(a − 1)` lies between the last
+    /// threshold inside and the first outside (tied keys can force a
+    /// longer prefix).
+    fn arrivals_for_prefix(table: &ScdTable, target: usize) -> f64 {
+        let budget = match table.groups.get(target) {
+            Some(next) => (table.groups[target - 1].threshold + next.threshold) / 2.0,
+            None => 1e18,
+        };
+        1.0 + (budget / 2.0).max(1e-6)
+    }
+
+    #[test]
+    fn lane_draws_equal_the_per_job_search() {
+        let mut rng = StdRng::seed_from_u64(0x1A9E);
+        let mut prefixes = [0usize; 3];
+        for n in 1..=300 {
+            let table = random_table(n, &mut rng);
+            for target in [1, 2, n] {
+                let arrivals = arrivals_for_prefix(&table, target);
+                let (len, _) = table.probable_prefix(arrivals);
+                for (count, hit) in prefixes.iter_mut().zip([1, 2, n]) {
+                    *count += usize::from(len == hit);
+                }
+                for batch in 1..=(3 * LANES + 1).min(len) {
+                    assert_matches_oracle(&table, arrivals, batch, rng.next_u64());
+                }
+            }
+        }
+        // Every prefix shape was reached on many tables.
+        assert!(prefixes.iter().all(|&count| count >= 100), "{prefixes:?}");
+    }
+
+    #[test]
+    fn class_and_alias_draws_equal_the_per_job_kernel() {
+        // Class mode: 40 servers, two rates and queues below 3, so the
+        // (q, rate-class) cell table fits in n/4 and groups have members.
+        let queues: Vec<u64> = (0..40).map(|s| s % 3).collect();
+        let rates: Vec<f64> = (0..40).map(|s| [1.0, 3.0][s % 2]).collect();
+        let mut classes = ScdTable::new();
+        classes.refresh(&queues, &rates, None);
+        assert!(classes.uses_classes());
+        let (len, _) = classes.probable_prefix(1e6);
+        assert!(len > 1);
+        assert_matches_oracle(&classes, 1e6, len, 3);
+        // The alias path: a batch larger than the prefix.
+        let table = random_table(50, &mut StdRng::seed_from_u64(4));
+        let (len, _) = table.probable_prefix(30.0);
+        assert!(len < 3 * LANES + 1);
+        assert_matches_oracle(&table, 30.0, 3 * LANES + 1, 5);
+    }
 }
